@@ -169,6 +169,13 @@ def main(argv: list[str] | None = None) -> int:
         result["total_seconds"] = round(watch.seconds, 2)
         experiments[name] = result
         print(f"{name}: done in {result['total_seconds']}s")
+        if "events_per_s" in result:  # E16: the counter headline's wall
+            print(
+                f"{name}: {result['events_per_s']:.0f} events/s, "
+                f"p99 {result['event_p99_ms']:.2f} ms/event "
+                f"(refresh_ratio {result['refresh_ratio']:.0f}x, "
+                f"{result['per_event_ms']:.3f} ms/event mean)"
+            )
 
     if args.trace is not None or args.profile:
         tracer.stop()

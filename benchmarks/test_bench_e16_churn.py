@@ -52,7 +52,9 @@ def test_bench_churn_delta_repair(benchmark, bench_scale):
         f"({result['per_event_refreshes']:.2f} refreshes/event vs "
         f"{result['scratch_calls']} scratch calls), "
         f"worst checkpoint cost ratio {result['max_cost_ratio']:.4f}, "
-        f"{result['per_event_ms']:.2f} ms/event"
+        f"{result['per_event_ms']:.2f} ms/event "
+        f"({result['events_per_s']:.0f} events/s, "
+        f"p99 {result['event_p99_ms']:.2f} ms)"
     )
     # final schedule feasible + incremental cost tracking equals rescan
     assert result["equal"]

@@ -501,6 +501,7 @@ def cmd_update(args) -> int:
             f"legs_freed={stats.legs_freed} repairs={stats.repairs} "
             f"reopened={stats.elements_reopened} "
             f"refreshes={stats.hub_refreshes} "
+            f"materialized={stats.elements_materialized} "
             f"exact={stats.exact_refreshes} "
             f"invalidated={stats.sessions_invalidated} "
             f"hubs={stats.hub_selections} "

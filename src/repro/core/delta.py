@@ -30,19 +30,26 @@ their direct service, and re-runs the CHITCHAT greedy over exactly those
 elements.  Candidate hubs are the elements' endpoints and wedge
 intermediaries: a hub outside that set has **no re-opened element in its
 hub-graph**, so its oracle champion over the element set is empty and
-its existing assignments provably survive the event — that structural
-certificate is what bounds per-event work, the E16 bench's headline.
+its existing assignments provably survive the event.  The same two-hop
+join ``succ(u) ∩ pred(v)`` that discovers the candidates also records
+which re-opened elements each candidate can serve, and every candidate's
+hub-graph is built *restricted to those elements*
+(``build_hub_graph(..., elements=...)``, which documents why the
+champion — hence the maintained schedule — is byte-identical to the
+maximal hub-graph's): per-event work is sized by what was re-opened,
+not by the hubs' degrees, the E16 bench's headline.
 (The lazy heap's end-of-run bound certificates are *not* reused here:
 uncovering elements can lower a champion's cost below its certified
 lower bound, which is exactly the direction the certificates do not
 cover.)  Candidate champions come from the same pluggable oracle stack
 as the full run — the factor-2 peel or the warm
-:class:`~repro.flow.exact_oracle.ExactOracle` session, whose compiled
-per-hub flow networks persist across repairs; dirtied hubs are
-cold-restarted once per repair (:meth:`ExactOracle.invalidate` — the
-repair's element set re-opens coverage non-monotonically, breaking the
-warm diff's contract) and then repair their preflows warmly across the
-repair's own monotone covering sequence.
+:class:`~repro.flow.exact_oracle.ExactOracle` session.  A repair's flow
+networks are compiled over its restricted hub-graphs, so they are small
+and live for that repair's own monotone covering sequence (warm preflow
+repair between its oracle calls); a hub whose next repair happens to
+re-open the same incidence shape reuses the compiled network, cold-
+restarted first (:meth:`ExactOracle.invalidate` — a new element set
+re-opens coverage non-monotonically, breaking the warm diff's contract).
 
 Invariants (asserted by ``tests/test_delta_schedule.py``)
 ---------------------------------------------------------
@@ -53,8 +60,13 @@ Invariants (asserted by ``tests/test_delta_schedule.py``)
   at most the cheapest remaining singleton, so each repaired element is
   charged at most its own hybrid price: ``repair`` never costs more
   than leaving the residue served directly.
-* **Bounded locality** — oracle work per repair touches only the
-  elements' endpoint/wedge hubs.
+* **Bounded locality** — a work bound, not just a candidate bound: a
+  repair over re-opened elements ``E`` evaluates only their endpoint and
+  wedge hubs and materializes at most ``3 · Σ_{(u,v)∈E} (2 + |succ(u) ∩
+  pred(v)|)`` hub-graph elements (``DeltaStats.elements_materialized``)
+  — each element is a leg in two hub-graphs and a cross-edge, with its
+  two endpoints, in one per wedge — independent of any hub's degree
+  (unless ``max_cross_edges`` forces maximal builds).
 * **Exact cost tracking** — :meth:`cost` is maintained incrementally
   (O(degree) per rate event, O(1) per service change) and equals the
   full rescan.
@@ -96,6 +108,9 @@ class DeltaStats(StatsView):
     oracle champion evaluations during repair, the E16 bounded-re-work
     metric (compare a from-scratch run's ``oracle_calls``) — of which
     ``exact_refreshes`` went through the parametric max-flow oracle;
+    ``elements_materialized`` — hub-graph elements (vertices plus
+    cross-edges) built for those evaluations, the work the bounded-
+    locality invariant bounds;
     ``sessions_invalidated`` — warm flow sessions cold-restarted because
     a repair re-opened coverage under their hubs; ``hub_selections`` /
     ``singleton_selections`` — greedy choices made by repairs.
@@ -115,6 +130,7 @@ class DeltaStats(StatsView):
         "repairs": (("repairs",), "counter"),
         "elements_reopened": (("elements_reopened",), "counter"),
         "hub_refreshes": (("hub_refreshes",), "counter"),
+        "elements_materialized": (("elements_materialized",), "counter"),
         "exact_refreshes": (("exact_refreshes",), "counter"),
         "hub_selections": (("hub_selections",), "counter"),
         "singleton_selections": (("singleton_selections",), "counter"),
@@ -149,7 +165,12 @@ class DeltaScheduler:
         The repair greedy's oracle stack, with the same semantics as on
         :class:`~repro.core.chitchat.ChitchatScheduler`: ``"peel"``
         (default), ``"exact"`` (warm parametric max-flow sessions), or
-        ``"auto"``.
+        ``"auto"`` — which here sizes the *restricted* hub-graph a repair
+        actually solves (the re-opened elements a hub can serve), not the
+        hub's whole neighbourhood, so mega-hubs stay exact too.
+        ``max_cross_edges`` (default ``None``) makes repairs build
+        maximal, truncated hub-graphs as the full run does, at
+        O(hub degree) per evaluation.
     """
 
     def __init__(
@@ -466,20 +487,26 @@ class DeltaScheduler:
             self._remove_pull(edge)
         uncovered: set[Edge] = set(elements)
 
-        # candidate hubs: the locality certificate — a hub outside this
-        # set has no re-opened element in its hub-graph
-        candidates: set[Node] = set()
-        for u, v in uncovered:
-            candidates.add(u)
-            candidates.add(v)
-            candidates |= (
-                self.graph.successors_view(u) & self.graph.predecessors_view(v)
-            )
-        candidates = {
-            hub
-            for hub in candidates
-            if self.graph.in_degree(hub) > 0 and self.graph.out_degree(hub) > 0
-        }
+        # candidate hubs and the elements each can serve: (u, v) is a
+        # leg of u and of v and a cross-edge of every wedge intermediary
+        # succ(u) & pred(v).  The locality certificate — a hub outside
+        # this map has no re-opened element in its hub-graph — and the
+        # whole input of each candidate's (restricted) hub-graph build.
+        serves: dict[Node, list[Edge]] = {}
+        for edge in uncovered:
+            u, v = edge
+            serves.setdefault(u, []).append(edge)
+            serves.setdefault(v, []).append(edge)
+            for w in self.graph.successors_view(u) & self.graph.predecessors_view(v):
+                serves.setdefault(w, []).append(edge)
+        candidates = sorted(
+            (
+                hub
+                for hub in serves
+                if self.graph.in_degree(hub) > 0 and self.graph.out_degree(hub) > 0
+            ),
+            key=repr,
+        )
         if self._exact is not None:
             # the re-opened elements grew these hubs' coverage back —
             # non-monotonic for the warm preflow diff, so cold-restart
@@ -494,10 +521,12 @@ class DeltaScheduler:
         ]
         heapq.heapify(singletons)
 
+        # candidate hub -> its hub-graph for this repair
         hub_graphs: dict[Node, HubGraph] = {}
         version: dict[Node, int] = {}
         heap: list[tuple[float, str, Node, int, DensestResult]] = []
-        for hub in sorted(candidates, key=repr):
+        for hub in candidates:
+            hub_graphs[hub] = self._repair_hub_graph(hub, serves[hub])
             self._queue_champion(hub, uncovered, hub_graphs, version, heap)
 
         while uncovered:
@@ -524,17 +553,31 @@ class DeltaScheduler:
                 break
             if winner is not None:
                 self._apply_repair_hub(
-                    winner, uncovered, hub_graphs, version, heap, candidates
+                    winner, uncovered, hub_graphs, version, heap
                 )
             elif singletons:
                 _cost, _rank, edge = heapq.heappop(singletons)
                 self._apply_repair_singleton(
-                    edge, uncovered, hub_graphs, version, heap, candidates
+                    edge, uncovered, hub_graphs, version, heap
                 )
             else:  # pragma: no cover - defensive; singletons always exist
                 raise ScheduleError(
                     "repair ran out of candidates with elements uncovered"
                 )
+
+    def _repair_hub_graph(self, hub: Node, elements: list[Edge]) -> HubGraph:
+        """``hub``'s hub-graph for one repair: just ``elements``, the
+        re-opened elements it can serve — O(len(elements)), not O(degree).
+
+        ``max_cross_edges`` alone keeps the maximal build: truncation clips
+        a prefix of the maximal enumeration order.
+        """
+        if self.max_cross_edges is not None:
+            hub_graph = build_hub_graph(self.graph, hub, self.max_cross_edges)
+        else:
+            hub_graph = build_hub_graph(self.graph, hub, elements=elements)
+        self.stats.elements_materialized += hub_graph.num_elements
+        return hub_graph
 
     def _queue_champion(
         self,
@@ -548,10 +591,7 @@ class DeltaScheduler:
         version[hub] = version.get(hub, 0) + 1
         if not uncovered:
             return
-        hub_graph = hub_graphs.get(hub)
-        if hub_graph is None:
-            hub_graph = build_hub_graph(self.graph, hub, self.max_cross_edges)
-            hub_graphs[hub] = hub_graph
+        hub_graph = hub_graphs[hub]
         oracle = densest_subgraph
         exact = self._exact is not None and use_exact(
             self._oracle_mode, hub_graph
@@ -576,7 +616,6 @@ class DeltaScheduler:
         hub_graphs: dict[Node, HubGraph],
         version: dict[Node, int],
         heap: list,
-        candidates: set[Node],
     ) -> None:
         hub = result.hub
         for x in result.x_selected:
@@ -595,7 +634,7 @@ class DeltaScheduler:
         # the selection paid this hub-graph's legs: its champion can only
         # get cheaper, so refresh it eagerly (other hubs' champions only
         # rise; the staleness check at the heap top re-prices them)
-        if hub in candidates:
+        if hub in hub_graphs:
             self._queue_champion(hub, uncovered, hub_graphs, version, heap)
 
     def _apply_repair_singleton(
@@ -605,7 +644,6 @@ class DeltaScheduler:
         hub_graphs: dict[Node, HubGraph],
         version: dict[Node, int],
         heap: list,
-        candidates: set[Node],
     ) -> None:
         u, v = edge
         if self._rp(u) <= self._rc(v):
@@ -616,7 +654,7 @@ class DeltaScheduler:
             drop = u  # edge is the pull leg w -> y of G(u)
         uncovered.discard(edge)
         self.stats.singleton_selections += 1
-        if drop in candidates:
+        if drop in hub_graphs:
             self._queue_champion(drop, uncovered, hub_graphs, version, heap)
 
     # ------------------------------------------------------------------

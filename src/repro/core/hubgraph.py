@@ -32,11 +32,13 @@ behavior, and Python-int node ids) — property-tested in
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.schedule import RequestSchedule
+from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Edge, Node, SocialGraph
 from repro.graph.view import GraphView, NeighborSetCache, sorted_array_intersect
@@ -80,7 +82,11 @@ class PeelIndex:
 
 @dataclass
 class HubGraph:
-    """Materialized maximal hub-graph centered on ``hub``.
+    """Materialized hub-graph centered on ``hub``.
+
+    Maximal (every predecessor and successor of the hub) unless it was
+    built with ``build_hub_graph(..., elements=...)``, which keeps only
+    the sides and cross-edges the named elements touch.
 
     Attributes
     ----------
@@ -114,6 +120,11 @@ class HubGraph:
     def num_vertices(self) -> int:
         """Vertices excluding the hub itself (which has zero weight)."""
         return len(self.x_nodes) + len(self.y_nodes)
+
+    @property
+    def num_elements(self) -> int:
+        """Elements materialized: one leg per vertex plus the cross-edges."""
+        return self.num_vertices + len(self.cross_edges)
 
     def elements(self) -> list[Edge]:
         """All social edges this hub-graph can serve (legs + cross-edges)."""
@@ -217,8 +228,9 @@ def build_hub_graph(
     graph: GraphView,
     hub: Node,
     max_cross_edges: int | None = None,
+    elements: Iterable[Edge] | None = None,
 ) -> HubGraph:
-    """Materialize the maximal hub-graph centered on ``hub``.
+    """Materialize the hub-graph centered on ``hub`` — maximal by default.
 
     Parameters
     ----------
@@ -230,6 +242,24 @@ def build_hub_graph(
         graphs can have quadratically many cross-edges, so production runs
         bound the enumeration and accept missing some optimization
         opportunities.  ``None`` means unbounded.
+    elements:
+        Build the hub-graph *restricted* to these social edges instead of
+        the maximal one: each must be an element the hub can serve — a
+        push leg ``(x, hub)``, a pull leg ``(hub, y)``, or a cross-edge
+        ``(x, y)`` with ``x -> hub -> y`` a wedge (:class:`GraphError`
+        otherwise).  ``X``/``Y`` keep only the endpoints incident to the
+        given elements and the cross-edges are exactly the given ones, in
+        the same canonical order as the maximal build (sides in ``repr``
+        order; cross-edges by producer, then consumer), so the result is
+        an order-preserving sub-hub-graph of the maximal one and costs
+        O(len(elements)) to build, independent of the hub's degree.  Both
+        oracles admit only vertices incident to an *uncovered* element, so
+        for any ``uncovered`` ⊆ ``elements`` they return the same champion
+        on the restricted build as on the maximal one, bit for bit
+        (property-tested in ``tests/test_restricted_hubgraph.py``) — the
+        delta repair's output-sensitive path.  Mutually exclusive with
+        ``max_cross_edges``: truncation clips a prefix of the *maximal*
+        enumeration order, which a restricted build never enumerates.
 
     Notes
     -----
@@ -240,9 +270,61 @@ def build_hub_graph(
     the concatenated successor slices of all producers against the sorted
     ``Y`` slice in one numpy pass.
     """
+    if elements is not None:
+        if max_cross_edges is not None:
+            raise GraphError(
+                "elements= cannot be combined with max_cross_edges: "
+                "truncation is defined on the maximal enumeration order"
+            )
+        return _build_restricted_hub_graph(graph, hub, elements)
     if isinstance(graph, CSRGraph):
         return _build_hub_graph_csr(graph, hub, max_cross_edges)
     return _build_hub_graph_dict(graph, hub, max_cross_edges)
+
+
+def _build_restricted_hub_graph(
+    graph: GraphView,
+    hub: Node,
+    elements: Iterable[Edge],
+) -> HubGraph:
+    """Sub-hub-graph induced by ``elements`` (either backend).
+
+    Work is proportional to ``len(elements)``: nothing here reads the
+    hub's neighbourhood beyond one membership probe per distinct leg.
+    """
+    xs: set[Node] = set()
+    ys: set[Node] = set()
+    cross_set: set[Edge] = set()
+    for u, v in elements:
+        if v == hub:
+            xs.add(u)
+        elif u == hub:
+            ys.add(v)
+        else:
+            xs.add(u)
+            ys.add(v)
+            cross_set.add((u, v))
+    x_nodes = sorted(xs, key=repr)
+    y_nodes = sorted(ys, key=repr)
+    x_rank = {x: i for i, x in enumerate(x_nodes)}
+    cross = sorted(cross_set, key=lambda edge: (x_rank[edge[0]], repr(edge[1])))
+    hub_graph = HubGraph(
+        hub=hub, x_nodes=x_nodes, y_nodes=y_nodes, cross_edges=cross
+    )
+    # every leg and cross-edge must be a social edge, or the hub cannot
+    # serve what was asked for (elements() is in element_index order)
+    if isinstance(graph, CSRGraph):  # edge_id raises GraphError when absent
+        hub_graph.element_ids = np.asarray(
+            [graph.edge_id(u, v) for u, v in hub_graph.elements()], dtype=np.int64
+        )
+    else:
+        for u, v in hub_graph.elements():
+            if not graph.has_edge(u, v):
+                raise GraphError(
+                    f"edge {u!r} -> {v!r} is not in the graph: hub {hub!r} "
+                    "cannot serve the requested elements"
+                )
+    return hub_graph
 
 
 def _build_hub_graph_dict(

@@ -127,8 +127,7 @@ def use_exact(oracle: str, hub_graph: HubGraph) -> bool:
         return True
     if oracle != "auto":
         return False
-    num_elements = hub_graph.num_vertices + len(hub_graph.cross_edges)
-    return num_elements <= EXACT_AUTO_MAX_ELEMENTS
+    return hub_graph.num_elements <= EXACT_AUTO_MAX_ELEMENTS
 
 
 class ExactOracle:

@@ -251,6 +251,7 @@ class TestUpdate:
         printed = capsys.readouterr().out
         assert "delta: events=30" in printed
         assert "refreshes=" in printed and "repairs=" in printed
+        assert "materialized=" in printed
 
     def test_update_state_out_resumes(self, churn_setup, tmp_path, capsys):
         path, _graph, _workload, schedule_path, _events, events_path = churn_setup

@@ -31,6 +31,7 @@ from repro.core.tolerances import DELTA_QUALITY_EPSILON
 from repro.errors import ScheduleError
 from repro.flow import jit_kernel
 from repro.flow.jit_kernel import jit_available
+from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload import ChurnEvent, churn_stream, log_degree_workload, replay
 
@@ -62,6 +63,22 @@ def completed_run(graph, workload, backend: str = "dict"):
     scheduler = ChitchatScheduler(graph, workload, backend=backend)
     scheduler.run()
     return scheduler
+
+
+def mega_hub_instance(degree: int):
+    """Hub 0 follows ``degree`` producers and is followed by ``degree``
+    consumers; producer ``i`` also feeds consumers ``i`` and ``i + 1``
+    directly, so the hub's maximal hub-graph holds ~4 * degree elements."""
+    producers = range(1, degree + 1)
+    consumers = range(degree + 1, 2 * degree + 1)
+    graph = SocialGraph()
+    for i, p in enumerate(producers):
+        graph.add_edge(p, 0)
+        graph.add_edge(p, consumers[i])
+        graph.add_edge(p, consumers[(i + 1) % degree])
+    for c in consumers:
+        graph.add_edge(0, c)
+    return graph, log_degree_workload(graph)
 
 
 def absent_edge(graph):
@@ -257,6 +274,37 @@ class TestLocality:
         # eager re-evaluation after the single selection
         assert delta.stats.hub_refreshes <= len(candidates) + 1
         assert delta.stats.hub_refreshes < full_run_calls
+
+    @pytest.mark.parametrize("degree", [1000, 2000])
+    def test_repair_work_is_bounded_by_reopened_elements(self, degree):
+        """Bounded locality as a *work* bound: one edge added next to a
+        mega-hub materializes O(sum over re-opened elements of 2 + wedges)
+        hub-graph elements — a leg in two hub-graphs, a cross-edge (with
+        its two endpoints) in one per wedge — whatever the hub's degree."""
+        graph, workload = mega_hub_instance(degree)
+        delta = DeltaScheduler.from_scheduler(completed_run(graph, workload))
+        u, v = edge = (1, degree + 5)  # producer -> consumer, a wedge of hub 0
+        assert delta.apply(ChurnEvent(kind="add", edge=edge)) is True
+        assert delta.repair() == 1  # the added edge is the one re-opened element
+        wedges = delta.graph.successors_view(u) & delta.graph.predecessors_view(v)
+        assert 0 in wedges
+        budget = 2 + len(wedges)
+        assert 0 < delta.stats.elements_materialized <= 3 * budget
+        assert 3 * budget < degree  # the bound never saw the hub's degree
+        assert delta.is_feasible()
+
+    def test_truncated_repair_pays_for_the_whole_neighbourhood(self):
+        """The other side of the branch: ``max_cross_edges`` is defined on
+        the maximal enumeration order, so that path still builds it."""
+        degree = 1000
+        graph, workload = mega_hub_instance(degree)
+        delta = DeltaScheduler.from_scheduler(
+            completed_run(graph, workload), max_cross_edges=8
+        )
+        delta.apply(ChurnEvent(kind="add", edge=(1, degree + 5)))
+        delta.repair()
+        assert delta.stats.elements_materialized >= 2 * degree
+        assert delta.is_feasible()
 
     def test_untouched_covers_survive(self):
         """Events far from a cover leave its hub assignment in place."""
