@@ -855,7 +855,8 @@ def e21_shard(scale: float) -> dict:
     schedules it once with sequential lazy CHITCHAT and once with the
     :mod:`repro.shard` tier (:data:`E21_NUM_SHARDS` hash shards, spawn
     workers over shared-memory CSR slabs, boundary-hub reconciliation),
-    and prices both.  Headlines:
+    and prices both.  Both sides run their default oracle — the peel —
+    so the bench measures what users get.  Headlines:
 
     * ``shard_wall_speedup`` — sequential wall / sharded wall.  The
       acceptance criterion (>=3x) only binds on the 10^6-node instance
@@ -876,9 +877,7 @@ def e21_shard(scale: float) -> dict:
     csr = to_csr(graph)
 
     started = time.perf_counter()
-    sequential = ChitchatScheduler(
-        csr, workload, backend="csr", lazy=True, oracle="auto"
-    )
+    sequential = ChitchatScheduler(csr, workload, backend="csr", lazy=True)
     seq_schedule = sequential.run()
     seq_wall = time.perf_counter() - started
     seq_cost = schedule_cost(seq_schedule, workload)
@@ -890,7 +889,6 @@ def e21_shard(scale: float) -> dict:
         num_shards=E21_NUM_SHARDS,
         num_workers=workers,
         seed=21,
-        oracle="auto",
     )
     validate_schedule(csr, execution.schedule)
     recon = execution.reconciliation

@@ -42,6 +42,7 @@ from repro.core.serialize import (
     save_delta_state,
     save_schedule,
 )
+from repro.core.tolerances import BATCH_K
 from repro.errors import ReproError
 from repro.flow.exact_oracle import ORACLE_MODES
 from repro.flow.maxflow import FLOW_METHODS
@@ -61,7 +62,7 @@ def _run_chitchat(graph, workload, args):
             workload,
             num_shards=args.shards,
             num_workers=getattr(args, "workers", None),
-            oracle=getattr(args, "oracle", "auto"),
+            oracle=getattr(args, "oracle", "peel"),
             method=getattr(args, "flow_method", "auto"),
             epsilon=getattr(args, "epsilon", 0.0),
             batch_k=getattr(args, "batch_k", None),
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="batch_k",
         help="CHITCHAT batched flow tier width: solve up to this many "
         "dirty heap-top hubs in one block-diagonal arena pass "
-        "(default repro.core.tolerances.BATCH_K = 8; 0 disables; "
+        f"(default repro.core.tolerances.BATCH_K = {BATCH_K}; 0 disables; "
         "schedules are identical at every width)",
     )
     opt.add_argument(

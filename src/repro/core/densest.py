@@ -23,13 +23,33 @@ uniformly: an element stays alive while all its weighted endpoints are alive.
 
 Implementation notes
 --------------------
-The peeling state (degrees, weights, liveness, incidence) is kept in flat
-index-addressed arrays rather than per-vertex dicts, and the peel only
-admits vertices incident to at least one *uncovered* element — vertices
-whose elements are all covered either peel off first at ratio 0 (positive
-weight) or are dropped from the result as useless (zero weight), so
-excluding them up front is output-equivalent and keeps late-run oracle
-calls proportional to the remaining uncovered elements, not the hub size.
+The peel only admits vertices incident to at least one *uncovered*
+element — vertices whose elements are all covered either peel off first at
+ratio 0 (positive weight) or are dropped from the result as useless (zero
+weight), so excluding them up front is output-equivalent and keeps
+late-run oracle calls proportional to the remaining uncovered elements,
+not the hub size.
+
+There is one peel loop (:func:`_peel`) over flat index-addressed lists,
+and two set-ups around it, chosen by the number of alive elements:
+
+* the **small-problem path** (at most ``_SMALL_PEEL_THRESHOLD`` alive
+  elements — most CELF re-evaluations late in a run, and every churn
+  repair) renumbers the alive elements and the vertices they touch into a
+  compact index and runs probe, peel and reconstruction on Python
+  scalars: nothing is hub-graph sized, only touched vertices are priced,
+  and no numpy runs after the alive-element gather;
+* the **general path** keeps hub-graph-sized lists and uses numpy for
+  degrees, weights and the reconstruction.
+
+Both perform the same float operations in the same order, so which one
+answers is unobservable (``tests/test_peel_kernel.py`` pins both, bit for
+bit, to the frozen tuple-keyed peel of ``tests/reference_peel.py``).  Heap
+entries are ``(ratio, rank, index)`` with ``rank`` the vertex's position in
+tuple order, precomputed per hub-graph (:attr:`PeelIndex.rank`): ratio ties
+cost one int compare instead of a nested-tuple compare.  A stale entry is
+one whose ratio no longer equals the vertex's current one; free vertices
+(weight <= 0) are never peeled and never enter the heap.
 
 When the hub-graph was built on the CSR backend it carries the global edge
 id of every element (:attr:`HubGraph.element_ids`); callers that maintain a
@@ -42,11 +62,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hubgraph import X_SIDE, HubGraph, HubVertex
+from repro.core.hubgraph import HubGraph
 from repro.core.tolerances import OPT_BOUND_MARGIN
 from repro.core.schedule import RequestSchedule
 from repro.errors import WorkloadError
@@ -204,103 +225,137 @@ _PROBE_ROUNDS = 6
 #: Charge fraction a cross-edge shifts toward its less congested endpoint
 #: per round.
 _PROBE_STEP = 0.25
-#: Below this element count the probe runs its scalar twin even on the
-#: CSR path — per-call numpy overhead dominates on tiny hub-graphs.
+#: Below this *hub-graph* element count the probe runs its scalar twin
+#: even on the CSR path — per-call numpy overhead dominates on tiny
+#: hub-graphs.  The twins are different iterations (vectorized = Jacobi,
+#: scalar = Gauss–Seidel) whose bounds differ in the last digits and
+#: become heap keys, so the choice must depend on the hub-graph alone,
+#: never on how many of its elements are still alive.
 _PROBE_VECTOR_THRESHOLD = 192
+#: At or below this many alive (still-uncovered) elements the oracle runs
+#: on Python scalars over the compact alive index; above it the numpy
+#: set-up and reconstruction pay for themselves.  Measured, not guessed:
+#: replaying recorded calls on warm hub-graphs, full peels break even at
+#: 64-96 alive elements (probe cutoffs earlier, at 8-16), and a hub-graph
+#: that never leaves the small path never builds its incidence lists and
+#: numpy mirrors.  End to end (perf ledger, seed 1, 6 interleaved runs per
+#: value, ``items_per_s`` against 64): 24 and 128 sit within +-4 % on
+#: ``copying_peel`` / ``churn_delta`` (a flat plateau); 0 — general path
+#: only — loses 26 % on ``churn_delta``, 15 % on ``ldbc_shard``, 17 % on
+#: ``copying_peel``; 10**9 — small path only — ties on the first two,
+#: loses 14 % on ``copying_peel`` and lengthens the E12 bench's walls by
+#: 19-27 %.  Neither set-up is dispensable.
+_SMALL_PEEL_THRESHOLD = 64
 
 
 def _probe_bound_vectorized(
-    peel,
+    prim: np.ndarray,
+    alt: np.ndarray,
     weight: np.ndarray,
-    alive: np.ndarray,
     num_verts: int,
 ) -> float:
     """Best water-filled mediant floor found (margin applied), vectorized.
 
-    Deterministic in the oracle inputs alone — it always runs to
-    stagnation (or the round cap) so callers may cache the answer per
-    hub-state and skip re-probing an unchanged state.
+    ``prim``/``alt`` are the alive elements' primary and alternate
+    vertices, indexing ``weight`` (finite, non-negative).  Deterministic
+    in the oracle inputs alone — it always runs to stagnation (or the
+    round cap) so callers may cache the answer per hub-state and skip
+    re-probing an unchanged state.
+
+    Every load is a sum of multiples of ``_PROBE_STEP`` (a power of two),
+    hence exact in any summation order: only the *movable* cross-edges
+    (both endpoints weighted) are iterated, as signed shifts on top of
+    the round-one loads, and the floors still equal, bit for bit, those
+    of recounting every element's charge each round.
     """
-    prim = peel.assign_vert[alive]
-    alt = peel.assign_alt[alive]
-    w_prim = weight[prim]
-    w_alt = weight[alt]
-    # start all charge on the X side, except crosses whose X endpoint is
+    prim_weighted = weight[prim] > 0.0
+    alt_weighted = weight[alt] > 0.0
+    # all charge starts on the X side, except crosses whose X endpoint is
     # already free while Y is not (charging a free vertex floors the bound
     # at zero; both endpoints free genuinely means free coverage)
-    z = np.where((w_prim <= 0.0) & (w_alt > 0.0), 0.0, 1.0)
-    movable = (prim != alt) & (w_prim > 0.0) & (w_alt > 0.0)
-    any_movable = bool(movable.any())
-    # zero-weight vertices get garbage congestion via the 1.0 stand-in;
-    # they are never endpoints of a movable element, so it is masked out
-    safe_weight = np.where(weight > 0.0, weight, 1.0)
+    start = np.where(alt_weighted > prim_weighted, alt, prim)
+    load = start_load = np.bincount(start, minlength=num_verts)
+    movable = (prim != alt) & prim_weighted & alt_weighted
+    num_movable = int(np.count_nonzero(movable))
+    ends = np.concatenate((prim[movable], alt[movable]))
+    end_weight = weight[ends]
+    # charge shifted so far from each movable cross-edge's primary (first
+    # half, negated) to its alternate (second half)
+    shifted = np.zeros(2 * num_movable)
+    from_prim = shifted[:num_movable]
+    to_alt = shifted[num_movable:]
     best = 0.0
-    for _ in range(_PROBE_ROUNDS):
-        load = np.bincount(prim, weights=z, minlength=num_verts)
-        load += np.bincount(alt, weights=1.0 - z, minlength=num_verts)
-        charged = load > 0.0
-        bound = float(np.min(weight[charged] / load[charged])) * OPT_BOUND_MARGIN
-        if bound <= best:
-            break  # water-filling stagnated
-        best = bound
-        if not any_movable:
-            break
-        congestion = load / safe_weight
-        delta = np.sign(congestion[prim] - congestion[alt])
-        z = np.where(movable, np.clip(z - _PROBE_STEP * delta, 0.0, 1.0), z)
+    # an uncharged vertex divides to inf (or, if free, to nan): fmin skips
+    # both, and some vertex is always charged
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rounds_left in range(_PROBE_ROUNDS - 1, -1, -1):
+            bound = float(np.fmin.reduce(weight / load)) * OPT_BOUND_MARGIN
+            if bound <= best:
+                break  # water-filling stagnated
+            best = bound
+            if not (num_movable and rounds_left):
+                break
+            # shift charge toward the less congested endpoint (Jacobi: all
+            # cross-edges move against the same loads)
+            congestion = load[ends] / end_weight
+            step = congestion[:num_movable] - congestion[num_movable:]
+            np.sign(step, out=step)
+            step *= _PROBE_STEP
+            to_alt += step
+            np.maximum(to_alt, 0.0, out=to_alt)
+            np.minimum(to_alt, 1.0, out=to_alt)
+            np.negative(to_alt, out=from_prim)
+            load = np.bincount(ends, weights=shifted, minlength=num_verts)
+            load += start_load
     return best
 
 
 def _probe_bound_python(
-    peel,
+    prim: list[int],
+    alt: list[int],
     weight: list[float],
-    alive_element: list[bool],
     num_verts: int,
 ) -> float:
     """Scalar twin of :func:`_probe_bound_vectorized`.
 
     Used on the dict backend and, for small hub-graphs, on the CSR path
     too (tight loops over a few dozen elements beat numpy call overhead).
+    Walks the alive elements only.
     """
-    prim_all = peel.assign_vert_list
-    alt_all = peel.assign_alt_list
-    prim: list[int] = []
-    alt: list[int] = []
-    z: list[float] = []
-    movable: list[int] = []
-    touched: set[int] = set()
-    for ei, is_alive in enumerate(alive_element):
-        if not is_alive:
-            continue
-        p, q = prim_all[ei], alt_all[ei]
-        wp, wq = weight[p], weight[q]
-        z.append(0.0 if (wp <= 0.0 and wq > 0.0) else 1.0)
-        prim.append(p)
-        alt.append(q)
-        touched.add(p)
-        touched.add(q)
-        if p != q and wp > 0.0 and wq > 0.0:
-            movable.append(len(z) - 1)
-    charged = list(touched)
     load = [0.0] * num_verts
-    for k, p in enumerate(prim):
-        load[p] += z[k]
-        load[alt[k]] += 1.0 - z[k]
+    # movable cross-edges (both endpoints weighted), each with the charge
+    # fraction ``z`` it keeps on its primary endpoint; every other element
+    # stays where it starts
+    mov_prim: list[int] = []
+    mov_alt: list[int] = []
+    for p, q in zip(prim, alt):
+        if weight[p] > 0.0:
+            load[p] += 1.0
+            if p != q and weight[q] > 0.0:
+                mov_prim.append(p)
+                mov_alt.append(q)
+        elif weight[q] > 0.0:
+            load[q] += 1.0  # charging the free X endpoint would floor at zero
+        else:
+            load[p] += 1.0
+    z = [1.0] * len(mov_prim)
+    charged = {*prim, *alt}
     best = 0.0
     for _ in range(_PROBE_ROUNDS):
-        bound = min(
-            weight[v] / load[v] for v in charged if load[v] > 0.0
-        ) * OPT_BOUND_MARGIN
+        bound = (
+            min([weight[v] / load[v] for v in charged if load[v] > 0.0])
+            * OPT_BOUND_MARGIN
+        )
         if bound <= best:
             break  # water-filling stagnated
         best = bound
-        if not movable:
+        if not z:
             break
         # shift charge toward the less congested endpoint, updating loads
         # in place (Gauss-Seidel) so each round is one pass over the
         # movable cross-edges instead of a full recount
-        for k in movable:
-            p, q = prim[k], alt[k]
+        for k, p in enumerate(mov_prim):
+            q = mov_alt[k]
             congestion_p = load[p] / weight[p]
             congestion_q = load[q] / weight[q]
             if congestion_p > congestion_q:
@@ -343,6 +398,13 @@ def dense_vertex_weights(
     return np.concatenate((weight_x, weight_y))
 
 
+def _vector_probe(alive_arr: np.ndarray | None, num_elems: int) -> bool:
+    """Which probe twin answers — decided by the hub-graph alone (see
+    :data:`_PROBE_VECTOR_THRESHOLD`): vectorized on CSR-built hub-graphs
+    filtered through a mask, of at least that many elements."""
+    return alive_arr is not None and num_elems >= _PROBE_VECTOR_THRESHOLD
+
+
 def probe_optimum_bound(
     peel,
     weight: list[float],
@@ -354,19 +416,122 @@ def probe_optimum_bound(
 ) -> float:
     """Certified optimum-cost lower bound via the water-filled mediant probe.
 
-    Backend dispatch shared by both oracles (the lazy schedulers memoize
-    probe outcomes per hub state, so every oracle must produce identical
-    bounds for identical inputs): vectorized on CSR-built hub-graphs
-    above :data:`_PROBE_VECTOR_THRESHOLD`, scalar otherwise.
+    The exact oracle's entry to the probe the peel runs (the lazy
+    schedulers memoize probe outcomes per hub state, so every oracle must
+    produce identical bounds for identical inputs): same twins, same
+    :func:`_vector_probe` dispatch, over the whole-hub-graph index.
     """
-    if alive_arr is not None and num_elems >= _PROBE_VECTOR_THRESHOLD:
+    if _vector_probe(alive_arr, num_elems):
         return _probe_bound_vectorized(
-            peel,
+            peel.assign_vert[alive_arr],
+            peel.assign_alt[alive_arr],
             weight_arr if weight_arr is not None else np.asarray(weight),
-            alive_arr,
             num_verts,
         )
-    return _probe_bound_python(peel, weight, alive_element, num_verts)
+    prim_all = peel.assign_vert_list
+    alt_all = peel.assign_alt_list
+    alive_pos = [ei for ei, alive in enumerate(alive_element) if alive]
+    return _probe_bound_python(
+        [prim_all[ei] for ei in alive_pos],
+        [alt_all[ei] for ei in alive_pos],
+        weight,
+        num_verts,
+    )
+
+
+def _peel(
+    active: Iterable[int],
+    weight: list[float],
+    degree: list[int],
+    rank: list[int],
+    incident: list[list[int]],
+    prim: list[int],
+    alt: list[int],
+    alive_element: list[bool],
+    alive_count: int,
+) -> tuple[list[int], float] | None:
+    """The weighted peel itself, on index-addressed state.
+
+    ``active`` lists, in ascending order, the vertices with an alive
+    element; ``weight``/``degree``/``rank``/``incident`` are indexed by
+    vertex and ``prim``/``alt`` (an element's two endpoints, equal for a
+    leg) / ``alive_element`` by element — in whatever index space the
+    caller set up (whole hub-graph or compact alive index).  Mutates
+    ``degree`` and ``alive_element``.
+
+    Returns the removed prefix that leaves the best intermediate
+    subgraph — never an empty one: a prefix only counts while an element
+    is still alive — and the maximum removal ratio seen, or ``None`` when
+    no prefix has a finite cost (the weights' sum overflows).
+    """
+    inf = math.inf
+    push = heapq.heappush
+    pop = heapq.heappop
+    # Heap keys are (ratio, rank); the trailing index is payload only.
+    # Free vertices (weight <= 0) are never peeled, so they never enter
+    # the heap and count as not peelable from the start.
+    peelable = [False] * len(weight)
+    current = [inf] * len(weight)  # the ratio of each vertex's live entry
+    heap: list[tuple[float, int, int]] = []
+    total_weight = 0.0
+    for i in active:
+        w = weight[i]
+        total_weight += w
+        if w > 0.0:
+            peelable[i] = True
+            current[i] = r = degree[i] / w
+            heap.append((r, rank[i], i))
+    heapq.heapify(heap)
+
+    # Track the best intermediate subgraph; the removal order's prefix of
+    # length `best_removed` reconstructs it.
+    best_cost = 0.0 if total_weight <= 0.0 else total_weight / alive_count
+    best_covered = alive_count
+    best_removed = 0
+    removal_order: list[int] = []
+    # Certificate for ``opt_lower_bound``: when the peel first removes a
+    # vertex u of the optimal subgraph S*, the whole of S* is still alive,
+    # so u's ratio is at least d(u in S*)/w(u) >= opt density (removing u
+    # from S* cannot improve its density).  Hence opt density <= the
+    # maximum removal ratio, i.e. optimum cost >= 1 / max_removal_ratio —
+    # usually far tighter than the factor-2 worst case.
+    max_removal_ratio = 0.0
+
+    while heap:
+        r, _, i = pop(heap)
+        if not peelable[i] or r != current[i]:
+            continue  # stale heap entry
+        if r == inf:
+            break  # degree / denormal weight overflowed: stop peeling
+        if r > max_removal_ratio:
+            max_removal_ratio = r
+        peelable[i] = False
+        removal_order.append(i)
+        total_weight -= weight[i]
+        for ei in incident[i]:
+            if not alive_element[ei]:
+                continue
+            alive_element[ei] = False
+            alive_count -= 1
+            j = prim[ei]
+            if j == i:
+                j = alt[ei]
+            if peelable[j]:  # false for j == i, removed just above
+                degree[j] = d = degree[j] - 1
+                current[j] = r = d / weight[j]
+                push(heap, (r, rank[j], j))
+        if alive_count > 0:
+            cost = 0.0 if total_weight <= 0.0 else total_weight / alive_count
+            if cost < best_cost or (
+                cost == best_cost and alive_count > best_covered
+            ):
+                best_cost = cost
+                best_covered = alive_count
+                best_removed = len(removal_order)
+
+    if best_cost == inf:
+        return None
+    return removal_order[:best_removed], max_removal_ratio
 
 
 def densest_subgraph(
@@ -393,32 +558,158 @@ def densest_subgraph(
     is abandoned and an :class:`OracleCutoff` carrying the certified
     bound is returned instead of a result.
     """
-    hub = hub_graph.hub
-    index = hub_graph.element_index()
-    peel = hub_graph.peel_index()
-    verts = peel.verts
-    endpoint_idx = peel.endpoint_idx
-    incident = peel.incident
-    num_verts = len(verts)
-    num_elems = len(index)
     element_ids = hub_graph.element_ids
-    vectorized = element_ids is not None
-    use_vectorized = vectorized and uncovered_mask is not None
-
-    # --- Restrict to the still-uncovered elements.
-    if use_vectorized:
+    # --- Restrict to the still-uncovered elements: the compact alive index.
+    if element_ids is not None and uncovered_mask is not None:
         alive_arr = uncovered_mask[element_ids]
-        alive_element = alive_arr.tolist()
-        alive_count = int(alive_arr.sum())
+        alive_pos = alive_arr.nonzero()[0]
     else:
         alive_arr = None
-        alive_element = [edge in uncovered for edge, _ in index]
-        alive_count = sum(alive_element)
-    if alive_count == 0:
+        arrays = None  # the dense mirrors are addressed by element_ids
+        alive_pos = [
+            ei
+            for ei, (edge, _) in enumerate(hub_graph.element_index())
+            if edge in uncovered
+        ]
+    if len(alive_pos) == 0:
         return None
-    # the peel mutates alive_element; reconstruction needs the initial
-    # state (alive_arr already preserves it on the vectorized path)
-    initial_alive = alive_element.copy() if alive_arr is None else None
+    solve = (
+        _densest_small
+        if len(alive_pos) <= _SMALL_PEEL_THRESHOLD
+        else _densest_general
+    )
+    return solve(
+        hub_graph, workload, schedule, alive_pos, alive_arr, arrays, upper_bound
+    )
+
+
+def _densest_small(
+    hub_graph: HubGraph,
+    workload: Workload,
+    schedule: RequestSchedule,
+    alive_pos,
+    alive_arr: np.ndarray | None,
+    arrays: OracleArrays | None,
+    upper_bound: float | None,
+) -> DensestResult | OracleCutoff | None:
+    """Small-problem path: Python scalars over the compact alive index.
+
+    Elements are renumbered ``0..m-1`` in ``alive_pos`` order and the
+    vertices they touch ``0..t-1`` in ascending vertex order, so every
+    list below is O(alive), whatever the hub-graph's size, and only
+    touched vertices are priced.  Performs the float operations of
+    :func:`_densest_general` in the same order — results are equal bit
+    for bit (``tests/test_peel_kernel.py``).
+    """
+    peel = hub_graph.peel_index()
+    if alive_arr is not None:
+        alive_pos = alive_pos.tolist()
+    prim_all = peel.assign_vert_list
+    alt_all = peel.assign_alt_list
+    prim_verts = [prim_all[ei] for ei in alive_pos]
+    alt_verts = [alt_all[ei] for ei in alive_pos]
+    active = sorted({*prim_verts, *alt_verts})
+    num_active = len(active)
+    local = dict(zip(active, range(num_active)))
+    prim = [local[i] for i in prim_verts]
+    alt = [local[i] for i in alt_verts]
+
+    verts = peel.verts
+    if arrays is not None:
+        num_x = len(hub_graph.x_nodes)
+        leg_id = hub_graph.element_ids.item
+        push_paid = arrays.push_mask.item
+        pull_paid = arrays.pull_mask.item
+        rp = arrays.rp.item
+        rc = arrays.rc.item
+        weight = [
+            (0.0 if push_paid(leg_id(i)) else rp(verts[i][1]))
+            if i < num_x
+            else (0.0 if pull_paid(leg_id(i)) else rc(verts[i][1]))
+            for i in active
+        ]
+    else:
+        vertex_weight = hub_graph.vertex_weight
+        weight = [vertex_weight(verts[i], workload, schedule) for i in active]
+
+    mediant_bound = 0.0
+    if upper_bound is not None:
+        # the twin is chosen by hub-graph size, as on the general path
+        if _vector_probe(alive_arr, len(prim_all)):
+            mediant_bound = _probe_bound_vectorized(
+                np.asarray(prim, dtype=np.int64),
+                np.asarray(alt, dtype=np.int64),
+                np.asarray(weight, dtype=np.float64),
+                num_active,
+            )
+        else:
+            mediant_bound = _probe_bound_python(prim, alt, weight, num_active)
+        if mediant_bound > upper_bound:
+            return OracleCutoff(hub=hub_graph.hub, lower_bound=mediant_bound)
+
+    incident: list[list[int]] = [[] for _ in active]
+    for k, (p, q) in enumerate(zip(prim, alt)):
+        incident[p].append(k)
+        if q != p:
+            incident[q].append(k)
+    rank = peel.rank
+    peeled = _peel(
+        range(num_active),
+        weight,
+        [len(elems) for elems in incident],
+        [rank[i] for i in active],
+        incident,
+        prim,
+        alt,
+        [True] * len(alive_pos),
+        len(alive_pos),
+    )
+    if peeled is None:
+        return None
+    removed_prefix, max_removal_ratio = peeled
+
+    # --- Reconstruct: covered = alive elements with no removed endpoint,
+    # selected = their endpoints (see _densest_general).
+    removed = [False] * num_active
+    for t in removed_prefix:
+        removed[t] = True
+    covered_local = [
+        k
+        for k, (p, q) in enumerate(zip(prim, alt))
+        if not (removed[p] or removed[q])
+    ]
+    useful = [False] * num_active
+    for k in covered_local:
+        useful[prim[k]] = True
+        useful[alt[k]] = True
+    selected_local = [t for t in range(num_active) if useful[t]]
+    return _package(
+        hub_graph,
+        [active[t] for t in selected_local],
+        sum([weight[t] for t in selected_local]),
+        [alive_pos[k] for k in covered_local],
+        mediant_bound,
+        max_removal_ratio,
+    )
+
+
+def _densest_general(
+    hub_graph: HubGraph,
+    workload: Workload,
+    schedule: RequestSchedule,
+    alive_pos,
+    alive_arr: np.ndarray | None,
+    arrays: OracleArrays | None,
+    upper_bound: float | None,
+) -> DensestResult | OracleCutoff | None:
+    """General path: hub-graph-sized index-addressed state, numpy set-up
+    and reconstruction around the shared :func:`_peel`."""
+    peel = hub_graph.peel_index()
+    verts = peel.verts
+    prim = peel.assign_vert_list
+    alt = peel.assign_alt_list
+    num_verts = len(verts)
+    num_elems = len(prim)
 
     # --- Degrees over alive elements; only incident vertices join the peel
     # (a positive-weight vertex with no alive element would peel off first
@@ -433,10 +724,10 @@ def densest_subgraph(
             )
             return degree_arr.tolist(), np.nonzero(degree_arr)[0].tolist()
         counts = [0] * num_verts
-        for ei, alive in enumerate(alive_element):
-            if alive:
-                for i in endpoint_idx[ei]:
-                    counts[i] += 1
+        for ei in alive_pos:
+            counts[prim[ei]] += 1
+            if alt[ei] != prim[ei]:
+                counts[alt[ei]] += 1
         return counts, [i for i in range(num_verts) if counts[i] > 0]
 
     # --- Vertex weights (vectorized when the leg masks are available;
@@ -446,7 +737,7 @@ def densest_subgraph(
     weight_arr: np.ndarray | None = None
     degree: list[int] | None = None
     active: list[int] | None = None
-    if arrays is not None and use_vectorized:
+    if arrays is not None:
         weight_arr = dense_vertex_weights(hub_graph, peel, arrays)
         weight = weight_arr.tolist()
     else:
@@ -470,117 +761,109 @@ def densest_subgraph(
     # it beats ``upper_bound`` the peel is abandoned.
     mediant_bound = 0.0
     if upper_bound is not None:
-        mediant_bound = probe_optimum_bound(
-            peel, weight, weight_arr, alive_element, alive_arr, num_verts, num_elems
-        )
+        if _vector_probe(alive_arr, num_elems):
+            mediant_bound = _probe_bound_vectorized(
+                peel.assign_vert[alive_pos],
+                peel.assign_alt[alive_pos],
+                weight_arr if weight_arr is not None else np.asarray(weight),
+                num_verts,
+            )
+        else:
+            alive_list = alive_pos if alive_arr is None else alive_pos.tolist()
+            mediant_bound = _probe_bound_python(
+                [prim[ei] for ei in alive_list],
+                [alt[ei] for ei in alive_list],
+                weight,
+                num_verts,
+            )
         if mediant_bound > upper_bound:
             # even the relaxation costs more than the caller's incumbent:
             # no sub-hub-graph here can win — abandon before peeling
-            return OracleCutoff(hub=hub, lower_bound=mediant_bound)
+            return OracleCutoff(hub=hub_graph.hub, lower_bound=mediant_bound)
 
+    # hub-graph-sized peel state, built only once the probe has let the
+    # call through
+    if alive_arr is not None:
+        alive_element = alive_arr.tolist()
+    else:
+        alive_element = [False] * num_elems
+        for ei in alive_pos:
+            alive_element[ei] = True
     if degree is None:
         degree, active = compute_degrees()
-
-    # --- Peeling state (index-addressed).
-    alive_vertex = [False] * num_verts
-    total_weight = 0.0
-    for i in active:
-        alive_vertex[i] = True
-        total_weight += weight[i]
-
-    def ratio(i: int) -> float:
-        if weight[i] <= 0.0:
-            return math.inf  # free vertices are never peeled
-        return degree[i] / weight[i]
-
-    # Heap keys are (ratio, vertex); the trailing index is payload only —
-    # it can never influence ordering since equal (ratio, vertex) implies
-    # the same vertex, hence the same index.
-    heap: list[tuple[float, HubVertex, int]] = [
-        (ratio(i), verts[i], i) for i in active
-    ]
-    heapq.heapify(heap)
-
-    # Track the best intermediate subgraph.  `removal_order` reconstructs it.
-    best_cost = 0.0 if total_weight <= 0.0 else total_weight / alive_count
-    best_covered = alive_count
-    best_removed = 0  # prefix length of removal_order giving the best set
-    removal_order: list[int] = []
-    # Certificate for ``opt_lower_bound``: when the peel first removes a
-    # vertex u of the optimal subgraph S*, the whole of S* is still alive,
-    # so u's ratio is at least d(u in S*)/w(u) >= opt density (removing u
-    # from S* cannot improve its density).  Hence opt density <= the
-    # maximum removal ratio, i.e. optimum cost >= 1 / max_removal_ratio —
-    # usually far tighter than the factor-2 worst case.
-    max_removal_ratio = 0.0
-
-    while heap:
-        r, v, i = heapq.heappop(heap)
-        if not alive_vertex[i] or r != ratio(i):
-            continue  # stale heap entry
-        if math.isinf(r):
-            break  # only free vertices remain; peeling them never helps
-        if r > max_removal_ratio:
-            max_removal_ratio = r
-        alive_vertex[i] = False
-        removal_order.append(i)
-        total_weight -= weight[i]
-        for ei in incident[i]:
-            if not alive_element[ei]:
-                continue
-            alive_element[ei] = False
-            alive_count -= 1
-            for j in endpoint_idx[ei]:
-                if j != i and alive_vertex[j]:
-                    degree[j] -= 1
-                    heapq.heappush(heap, (ratio(j), verts[j], j))
-        if alive_count > 0:
-            cost = 0.0 if total_weight <= 0.0 else total_weight / alive_count
-            if cost < best_cost or (
-                cost == best_cost and alive_count > best_covered
-            ):
-                best_cost = cost
-                best_covered = alive_count
-                best_removed = len(removal_order)
-
-    if best_covered <= 0 or math.isinf(best_cost):
+    peeled = _peel(
+        active,
+        weight,
+        degree,
+        peel.rank,
+        peel.incident,
+        prim,
+        alt,
+        alive_element,
+        len(alive_pos),
+    )
+    if peeled is None:
         return None
+    removed_prefix, max_removal_ratio = peeled
 
     # --- Reconstruct the best subgraph: everything not in the removed
     # prefix.  One pass over the flat incidence arrays marks elements with
     # a removed endpoint; survivors among the initially-alive elements are
-    # covered, and the distinct endpoints of covered elements (minus the
-    # removed) are the selected vertices — dropping positive-weight
-    # survivors that cover nothing (free-vertex early exit leaves them
+    # covered, and the distinct endpoints of covered elements are the
+    # selected vertices — dropping positive-weight survivors that cover
+    # nothing (the peel stops at the free vertices and leaves them
     # behind), which would pad the cost for no coverage.
-    removed_prefix = removal_order[:best_removed]
     removed_mask = np.zeros(num_verts, dtype=bool)
     if removed_prefix:
         removed_mask[np.asarray(removed_prefix, dtype=np.int64)] = True
-    elem_removed = np.zeros(num_elems, dtype=bool)
-    elem_removed[peel.inc_elem[removed_mask[peel.inc_vert]]] = True
-    covered_arr = ~elem_removed
-    covered_arr &= (
-        alive_arr
-        if alive_arr is not None
-        else np.asarray(initial_alive, dtype=bool)
-    )
+    covered_arr = np.zeros(num_elems, dtype=bool)
+    covered_arr[alive_pos] = True
+    covered_arr[peel.inc_elem[removed_mask[peel.inc_vert]]] = False
     covered_pos = np.nonzero(covered_arr)[0].tolist()
-    if not covered_pos:
-        return None
-    covered = {index[ei][0] for ei in covered_pos}
-    useful = np.unique(peel.inc_vert[covered_arr[peel.inc_elem]])
-    selected = useful[~removed_mask[useful]].tolist()
+    # ascending vertex indices, summed by Python's sequential ``sum``
+    # (``np.sum`` is pairwise and differs in the last bit)
+    selected = np.unique(peel.inc_vert[covered_arr[peel.inc_elem]]).tolist()
+    return _package(
+        hub_graph,
+        selected,
+        sum([weight[i] for i in selected]),
+        covered_pos,
+        mediant_bound,
+        max_removal_ratio,
+    )
+
+
+def _package(
+    hub_graph: HubGraph,
+    selected: list[int],
+    final_weight: float,
+    covered_pos: list[int],
+    mediant_bound: float,
+    max_removal_ratio: float,
+) -> DensestResult:
+    """The oracle's result for ``selected`` vertices covering the elements
+    at ``covered_pos`` (both ascending hub-graph indices)."""
+    hub = hub_graph.hub
+    element_ids = hub_graph.element_ids
     # `selected` is ascending vertex indices and the vertex list follows
     # the canonical (repr-sorted) x_nodes/y_nodes order, so splitting by
     # side preserves the historical output order without re-sorting.
-    xs = tuple(verts[i][1] for i in selected if verts[i][0] == X_SIDE)
-    ys = tuple(verts[i][1] for i in selected if verts[i][0] != X_SIDE)
-    final_weight = sum(weight[i] for i in selected)
-    covered_ids = (
-        element_ids[np.asarray(covered_pos, dtype=np.int64)]
-        if vectorized
-        else None
+    x_nodes = hub_graph.x_nodes
+    y_nodes = hub_graph.y_nodes
+    cross_edges = hub_graph.cross_edges
+    num_x = len(x_nodes)
+    num_verts = num_x + len(y_nodes)
+    # element order is push legs, pull legs, cross-edges (the element
+    # index's, without materializing it per hub-graph)
+    covered = frozenset(
+        [
+            (x_nodes[ei], hub)
+            if ei < num_x
+            else (hub, y_nodes[ei - num_x])
+            if ei < num_verts
+            else cross_edges[ei - num_verts]
+            for ei in covered_pos
+        ]
     )
     cost_per_element = final_weight / len(covered)
     opt_lb = max(mediant_bound, cost_per_element / 2.0)
@@ -591,11 +874,13 @@ def densest_subgraph(
     opt_lb = min(opt_lb, cost_per_element * OPT_BOUND_MARGIN)
     return DensestResult(
         hub=hub,
-        x_selected=xs,
-        y_selected=ys,
-        covered=frozenset(covered),
+        x_selected=tuple([x_nodes[i] for i in selected if i < num_x]),
+        y_selected=tuple([y_nodes[i - num_x] for i in selected if i >= num_x]),
+        covered=covered,
         weight=final_weight,
-        covered_ids=covered_ids,
+        covered_ids=(
+            element_ids.take(covered_pos) if element_ids is not None else None
+        ),
         opt_lower_bound=opt_lb,
     )
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,27 +58,94 @@ class PeelIndex:
 
     ``verts`` lists the weighted vertices X side first (in ``x_nodes``
     order) then Y side, so leg element ``i`` touches exactly vertex ``i``.
-    ``inc_vert``/``inc_elem`` are the flattened (vertex, element) incidence
-    pairs for vectorized degree counting; ``assign_vert[e]`` /
-    ``assign_alt[e]`` are the primary and alternate vertices element ``e``
-    can be *charged* to by the oracle's early-exit relaxation (legs touch
-    one vertex, so both are that vertex; a cross-edge's primary is its X
+    ``assign_vert_list[e]`` / ``assign_alt_list[e]`` are the primary and
+    alternate vertices of element ``e`` — its endpoints, and what the
+    oracle's early-exit relaxation can *charge* it to (legs touch one
+    vertex, so both are that vertex; a cross-edge's primary is its X
     endpoint and alternate its Y endpoint — the probe reroutes charge away
     from zero-weight endpoints); ``x_arr``/``y_arr`` are the side node ids
     as int64 arrays (CSR builds only, else ``None``).
+
+    Everything else is derived on first use and then kept: ``rank`` (the
+    peel's integer tie-break), ``incident`` (per-vertex element lists,
+    ascending), the numpy mirrors ``inc_vert``/``inc_elem`` (flattened
+    (vertex, element) incidence pairs for vectorized degree counting and
+    reconstruction) and ``assign_vert``/``assign_alt``, and
+    ``endpoint_idx`` (per-element endpoint tuples, the exact oracle's
+    network layout).  The oracle's small-problem path reads only the two
+    assign lists and the rank, so the single-use restricted hub-graphs of
+    delta repair never pay for the rest.
     """
 
     verts: list[HubVertex]
-    endpoint_idx: list[tuple[int, ...]]
-    incident: list[list[int]]
-    inc_vert: np.ndarray
-    inc_elem: np.ndarray
-    assign_vert: np.ndarray
-    assign_alt: np.ndarray
     assign_vert_list: list[int]
     assign_alt_list: list[int]
     x_arr: np.ndarray | None
     y_arr: np.ndarray | None
+
+    @cached_property
+    def rank(self) -> list[int]:
+        """``rank[i]`` = position of ``verts[i]`` in ``sorted(verts)``.
+
+        The peel breaks weighted-degree ties by vertex tuple order; one
+        int compare on the rank gives the same order.  It is *not* the
+        vertex index: index order is ``repr`` order (``"10" < "2"``).
+        """
+        verts = self.verts
+        rank = [0] * len(verts)
+        for position, i in enumerate(
+            sorted(range(len(verts)), key=verts.__getitem__)
+        ):
+            rank[i] = position
+        return rank
+
+    @cached_property
+    def endpoint_idx(self) -> list[tuple[int, ...]]:
+        return [
+            (p,) if p == q else (p, q)
+            for p, q in zip(self.assign_vert_list, self.assign_alt_list)
+        ]
+
+    @cached_property
+    def incident(self) -> list[list[int]]:
+        # leg element i touches vertex i alone; cross-edges follow
+        num_verts = len(self.verts)
+        incident: list[list[int]] = [[i] for i in range(num_verts)]
+        prim = self.assign_vert_list
+        alt = self.assign_alt_list
+        for ei in range(num_verts, len(prim)):
+            incident[prim[ei]].append(ei)
+            incident[alt[ei]].append(ei)
+        return incident
+
+    @cached_property
+    def inc_vert(self) -> np.ndarray:
+        num_verts = len(self.verts)
+        crosses = np.column_stack(
+            (self.assign_vert[num_verts:], self.assign_alt[num_verts:])
+        )
+        return np.concatenate((self.assign_vert[:num_verts], crosses.ravel()))
+
+    @cached_property
+    def inc_elem(self) -> np.ndarray:
+        num_verts = len(self.verts)
+        return np.concatenate(
+            (
+                np.arange(num_verts, dtype=np.int64),
+                np.repeat(
+                    np.arange(num_verts, len(self.assign_vert_list), dtype=np.int64),
+                    2,
+                ),
+            )
+        )
+
+    @cached_property
+    def assign_vert(self) -> np.ndarray:
+        return np.asarray(self.assign_vert_list, dtype=np.int64)
+
+    @cached_property
+    def assign_alt(self) -> np.ndarray:
+        return np.asarray(self.assign_alt_list, dtype=np.int64)
 
 
 @dataclass
@@ -157,48 +225,30 @@ class HubGraph:
         Built once per hub-graph and reused by every oracle call (the
         CHITCHAT schedulers cache hub-graphs for exactly this reason): the
         vertex list (X side then Y side, aligned so leg element ``i``
-        touches vertex ``i``), per-element endpoint indices, per-vertex
-        static incidence lists, and the flat incidence arrays the
-        vectorized degree computation bincounts over.
+        touches vertex ``i``) and each element's two endpoint indices, in
+        :meth:`element_index` order; incidence lists, the tie-break rank
+        and the flat numpy mirrors are derived by :class:`PeelIndex` on
+        first use.
         """
         if self._peel_index is None:
-            index = self.element_index()
             verts: list[HubVertex] = [(X_SIDE, x) for x in self.x_nodes]
             verts += [(Y_SIDE, y) for y in self.y_nodes]
-            vert_pos = {v: i for i, v in enumerate(verts)}
-            endpoint_idx = [
-                tuple(vert_pos[v] for v in endpoints) for _, endpoints in index
-            ]
-            incident: list[list[int]] = [[] for _ in verts]
-            for ei, idxs in enumerate(endpoint_idx):
-                for i in idxs:
-                    incident[i].append(ei)
-            pairs = [
-                (i, ei) for ei, idxs in enumerate(endpoint_idx) for i in idxs
-            ]
-            inc_vert = np.asarray([i for i, _ in pairs], dtype=np.int64)
-            inc_elem = np.asarray([ei for _, ei in pairs], dtype=np.int64)
-            assign_vert_list = [idxs[0] for idxs in endpoint_idx]
-            assign_alt_list = [idxs[-1] for idxs in endpoint_idx]
-            assign_vert = np.asarray(assign_vert_list, dtype=np.int64)
-            assign_alt = np.asarray(assign_alt_list, dtype=np.int64)
+            # legs first: leg element i touches vertex i alone
+            assign_vert_list = list(range(len(verts)))
+            assign_alt_list = list(range(len(verts)))
+            if self.cross_edges:
+                num_x = len(self.x_nodes)
+                x_pos = {x: i for i, x in enumerate(self.x_nodes)}
+                y_pos = {y: i for i, y in enumerate(self.y_nodes, num_x)}
+                assign_vert_list += [x_pos[x] for x, _ in self.cross_edges]
+                assign_alt_list += [y_pos[y] for _, y in self.cross_edges]
             if self.element_ids is not None:  # CSR build: integer node ids
                 x_arr = np.asarray(self.x_nodes, dtype=np.int64)
                 y_arr = np.asarray(self.y_nodes, dtype=np.int64)
             else:
                 x_arr = y_arr = None
             self._peel_index = PeelIndex(
-                verts,
-                endpoint_idx,
-                incident,
-                inc_vert,
-                inc_elem,
-                assign_vert,
-                assign_alt,
-                assign_vert_list,
-                assign_alt_list,
-                x_arr,
-                y_arr,
+                verts, assign_vert_list, assign_alt_list, x_arr, y_arr
             )
         return self._peel_index
 

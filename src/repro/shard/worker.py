@@ -3,9 +3,11 @@
 Each worker task attaches its shard's CSR slab and the shared rate slab
 (:mod:`repro.graph.slab`), rebuilds a zero-copy
 :class:`~repro.graph.csr.CSRGraph` plus a dense-path
-:class:`~repro.workload.rates.Workload`, runs lazy CHITCHAT — with its
-own warm :class:`~repro.flow.exact_oracle.ExactOracle` session and flow
-tier, exactly like a standalone run — and returns a plain-pickle result:
+:class:`~repro.workload.rates.Workload`, runs lazy CHITCHAT exactly like
+a standalone run — peel oracle unless the task names another; under
+``"exact"``/``"auto"`` the worker owns its warm
+:class:`~repro.flow.exact_oracle.ExactOracle` session and flow tier —
+and returns a plain-pickle result:
 the shard's schedule sets, the CELF heap's certified per-hub lower
 bounds (the reconciliation pass orders boundary hubs by them), counter
 snapshots, and (when tracing) the worker's span stream with a wall-clock
@@ -53,7 +55,7 @@ def run_shard_task(task: dict) -> dict:
             max_cross_edges=task.get("max_cross_edges"),
             backend="csr",
             lazy=True,
-            oracle=task.get("oracle", "auto"),
+            oracle=task.get("oracle", "peel"),
             epsilon=task.get("epsilon", 0.0),
             warm=True,
             batch_k=task.get("batch_k"),

@@ -195,6 +195,14 @@ class TestOptimize:
                 ]
             )
 
+    def test_batch_k_help_carries_the_live_default(self, capsys):
+        from repro.core.tolerances import BATCH_K
+
+        with pytest.raises(SystemExit):
+            main(["optimize", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"repro.core.tolerances.BATCH_K = {BATCH_K};" in help_text
+
     def test_optimize_stats_for_non_chitchat(self, graph_file, tmp_path, capsys):
         path, _graph = graph_file
         out = tmp_path / "s.json"

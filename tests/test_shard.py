@@ -68,24 +68,40 @@ class TestPlanShards:
 
 
 class TestWorkerTask:
-    def test_in_process_round_trip(self):
-        """run_shard_task is a plain function: callable without a pool."""
-        graph, workload = ldbc_instance(200, seed=3)
+    @staticmethod
+    def _run_task(graph, workload, **extra) -> dict:
         rp, rc = workload.as_arrays(graph.num_nodes)
         graph_slab = export_csr(graph)
         rates_slab = export_arrays({"rp": rp, "rc": rc})
         try:
-            result = run_shard_task(
+            return run_shard_task(
                 {
                     "shard_id": 0,
                     "graph_manifest": graph_slab.manifest,
                     "rates_manifest": rates_slab.manifest,
-                    "oracle": "peel",
+                    **extra,
                 }
             )
         finally:
             graph_slab.unlink()
             rates_slab.unlink()
+
+    def test_task_without_oracle_key_peels(self):
+        graph, workload = ldbc_instance(200, seed=3)
+        bare = self._run_task(graph, workload)
+        named = self._run_task(graph, workload, oracle="peel")
+        assert bare["stats"]["oracle_calls"] > 0
+        assert bare["stats"]["exact_oracle_calls"] == 0
+        for key in ("push", "pull", "hub_cover", "hub_bounds", "stats"):
+            assert bare[key] == named[key]
+        # the flow oracle is still one key away
+        exact = self._run_task(graph, workload, oracle="exact")
+        assert exact["stats"]["exact_oracle_calls"] > 0
+
+    def test_in_process_round_trip(self):
+        """run_shard_task is a plain function: callable without a pool."""
+        graph, workload = ldbc_instance(200, seed=3)
+        result = self._run_task(graph, workload, oracle="peel")
         assert result["shard_id"] == 0
         assert result["edges"] == graph.num_edges
         assert result["stats"]["oracle_calls"] > 0
@@ -112,6 +128,35 @@ class TestShardedSchedule:
         assert execution.cost <= execution.merged_cost + 1e-9
         assert len(execution.shard_reports) == 2
         assert execution.reconciliation["selected_hubs"] >= 0
+
+    def test_default_oracle_is_the_peel(self):
+        graph, workload = ldbc_instance(300, seed=5)
+        default = sharded_chitchat_schedule(
+            graph, workload, num_shards=2, num_workers=2
+        )
+        explicit = sharded_chitchat_schedule(
+            graph, workload, num_shards=2, num_workers=2, oracle="peel"
+        )
+        assert default.oracle_calls > 0
+        for report in default.shard_reports:
+            assert report["stats"]["exact_oracle_calls"] == 0
+        assert default.schedule.push == explicit.schedule.push
+        assert default.schedule.pull == explicit.schedule.pull
+        assert default.schedule.hub_cover == explicit.schedule.hub_cover
+
+    @pytest.mark.parametrize("oracle", ["auto", "exact"])
+    def test_flow_oracle_modes_still_run(self, oracle):
+        """Still accepted, still feasible (Theorem 1) — not required to
+        reproduce the peel's schedule."""
+        graph, workload = ldbc_instance(300, seed=5)
+        execution = sharded_chitchat_schedule(
+            graph, workload, num_shards=2, num_workers=2, oracle=oracle
+        )
+        validate_schedule(graph, execution.schedule)
+        assert sum(
+            r["stats"]["exact_oracle_calls"] for r in execution.shard_reports
+        ) > 0
+        assert execution.cost <= execution.merged_cost + 1e-9
 
     def test_single_shard_matches_sequential(self):
         from repro.core.chitchat import ChitchatScheduler
