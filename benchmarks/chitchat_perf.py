@@ -64,8 +64,11 @@ def e12_lazy_vs_eager(scale: float) -> dict:
     """E12 — lazy vs eager CHITCHAT on the CSR backend.
 
     Returns rows for both modes plus the headline ``call_ratio`` (eager
-    full peels / lazy full peels) and ``wall_ratio``; ``equal`` certifies
-    the two schedules are byte-identical.
+    full peels / lazy full peels) and ``wall_ratio``.  Both schedules are
+    validated here (infeasibility raises); ``lazy_cost_ratio`` (lazy cost
+    / eager cost) is the quality certificate — the lazy heap keeps peel
+    champions across covering events that miss them, so under the peel
+    the two modes are cost-equivalent, not byte-identical.
     """
     n = max(600, int(E12_BASE_NODES * scale))
     graph = social_copying_graph(
@@ -83,7 +86,8 @@ def e12_lazy_vs_eager(scale: float) -> dict:
         scheduler = ChitchatScheduler(graph, workload, backend="csr", lazy=lazy)
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started
-        runs[mode] = (schedule, scheduler.stats, elapsed)
+        validate_schedule(graph, schedule)
+        runs[mode] = (scheduler.stats, elapsed)
         rows.append(
             {
                 "mode": mode,
@@ -92,17 +96,18 @@ def e12_lazy_vs_eager(scale: float) -> dict:
                 "oracle_calls": scheduler.stats.oracle_calls,
                 "oracle_early_exits": scheduler.stats.oracle_early_exits,
                 "oracle_calls_saved": scheduler.stats.oracle_calls_saved,
+                "champions_retained": scheduler.stats.champions_retained,
                 "hubs_pruned": scheduler.stats.hubs_pruned,
                 "cost": round(scheduler.stats.final_cost, 1),
                 "seconds": round(elapsed, 2),
             }
         )
-    eager_schedule, eager_stats, eager_secs = runs["eager"]
-    lazy_schedule, lazy_stats, lazy_secs = runs["lazy"]
+    eager_stats, eager_secs = runs["eager"]
+    lazy_stats, lazy_secs = runs["lazy"]
     return {
         "nodes": n,
         "rows": rows,
-        "equal": _schedules_equal(eager_schedule, lazy_schedule),
+        "lazy_cost_ratio": lazy_stats.final_cost / eager_stats.final_cost,
         "call_ratio": eager_stats.oracle_calls / max(1, lazy_stats.oracle_calls),
         "wall_ratio": eager_secs / max(1e-9, lazy_secs),
     }

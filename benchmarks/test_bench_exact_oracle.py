@@ -2,12 +2,14 @@
 
 The ``repro.flow`` subsystem replaces the factor-2 peeling with Goldberg's
 fractional-programming construction solved by warm-restarted push-relabel
-(Dinkelbach density search).  Exact champions are true optima, which are
-monotone non-decreasing under coverage events — so the lazy CHITCHAT heap
-retains champions whose covered sets a selection did not touch, and parks
-dirtied hubs at keys a float margin below their true value instead of a
-factor-2 certificate.  Dirty hubs resurface only when genuinely
-competitive: the "near-frontier re-peels" the ROADMAP called out vanish.
+(Dinkelbach density search).  Exact champions are true optima, so the
+lazy CHITCHAT heap parks dirtied hubs at keys a float margin below their
+true value instead of a factor-2 certificate: dirty hubs resurface only
+when genuinely competitive.  (Retaining champions whose covered sets a
+selection did not touch used to be the exact oracle's privilege too;
+since ISSUE 24 the lazy heap does it for peel champions as well, which
+is why the re-evaluation edge measured here fell from 1.39x to 1.09x —
+the peel's count dropped, the exact oracle's did not move.)
 
 This bench runs lazy CHITCHAT with both oracles on the E13 copying-model
 instance (CSR backend) and asserts the acceptance criteria at the n=3000
@@ -15,7 +17,8 @@ instance (default ``REPRO_BENCH_SCALE`` of 0.25):
 
 * the exact schedule never prices above the peel's, and
 * lazy+exact performs strictly fewer full oracle re-evaluations than
-  lazy+peel, with the champion-retention machinery demonstrably firing.
+  lazy+peel, with the champion-retention machinery demonstrably firing
+  under both oracles.
 
 Quick tiers below the acceptance size keep the re-evaluation assertions
 but only tolerance-guard the cost: each greedy *step* picks an optimal
@@ -33,10 +36,12 @@ from benchmarks.chitchat_perf import e13_exact_vs_peel
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 
-#: Acceptance thresholds at the n>=3000 instance (ISSUE 3); smaller quick
-#: runs only assert that exactness pays at all.
+#: Size of the acceptance instance (ISSUE 3), the one that carries the
+#: hard cost invariant.  The former ``reeval_ratio >= 1.2`` gate went with
+#: ISSUE 24: the ratio's denominator (exact calls) is unchanged, its
+#: numerator (peel calls) fell once peel champions are retained too, so
+#: what is asserted — at every size — is "exact re-evaluates strictly less".
 ACCEPTANCE_NODES = 3000
-ACCEPTANCE_REEVAL_RATIO = 1.2
 
 
 def test_bench_exact_vs_peel_oracle(benchmark, bench_scale):
@@ -56,8 +61,8 @@ def test_bench_exact_vs_peel_oracle(benchmark, bench_scale):
     # lazy+exact re-evaluates strictly less than lazy+peel
     assert by_oracle["exact"]["oracle_calls"] < by_oracle["peel"]["oracle_calls"]
     assert by_oracle["exact"]["retained"] > 0
+    assert by_oracle["peel"]["retained"] > 0
     if result["nodes"] >= ACCEPTANCE_NODES:
-        assert result["reeval_ratio"] >= ACCEPTANCE_REEVAL_RATIO
         # the exact oracle must never price the acceptance schedule above
         # the peel's
         assert result["cost_ratio"] >= 1.0

@@ -10,11 +10,21 @@ after an O(m) pass.
 
 This bench runs both modes on a dense copying-model graph (the regime
 where eager invalidation's wedge blow-up dominates) on the CSR backend,
-asserts the schedules are byte-identical, and asserts the headline
-acceptance ratios at the n=3000 instance (default ``REPRO_BENCH_SCALE``
-of 0.25): >= 3x fewer full oracle peels and >= 2x faster wall clock.
-Oracle-call counts are deterministic; the wall-clock ratio compares two
-interleaved runs on the same machine, so CI noise largely cancels.
+asserts both schedules are feasible and cost-equivalent, and asserts the
+headline acceptance ratios at the n=3000 instance (default
+``REPRO_BENCH_SCALE`` of 0.25): >= 3x fewer full oracle peels and >= 2x
+faster wall clock.  Oracle-call counts are deterministic; the wall-clock
+ratio compares two back-to-back runs on the same machine.
+
+Since ISSUE 24 the lazy heap also keeps a hub's *peel* champion across
+covering events that take none of its elements.  A retained champion is
+still a factor-2 answer (Lemma 1) but not necessarily what a fresh peel
+would return, so the two modes' schedules may differ — here in 2 push
+legs and 1 hub assignment out of 69 k edges, at equal cost; by a few
+1e-5 of the cost on the perf ledger's ``copying_peel`` instances — and
+the bench certifies cost-equivalence (|lazy / eager - 1| <= 0.5 %) where
+it used to certify byte-identity.  The per-step guarantee is
+``tests/test_step_certificate.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ from repro.analysis.reporting import format_table
 ACCEPTANCE_NODES = 3000
 ACCEPTANCE_CALL_RATIO = 3.0
 ACCEPTANCE_WALL_RATIO = 2.0
+#: how far the lazy schedule's cost may sit from the eager one's
+COST_TOLERANCE = 0.005
 
 
 def test_bench_lazy_chitchat(benchmark, bench_scale):
@@ -36,12 +48,16 @@ def test_bench_lazy_chitchat(benchmark, bench_scale):
     print(format_table(result["rows"], title="E12: lazy vs eager CHITCHAT (CSR)"))
     print(
         f"oracle-call ratio {result['call_ratio']:.2f}x, "
-        f"wall-clock ratio {result['wall_ratio']:.2f}x"
+        f"wall-clock ratio {result['wall_ratio']:.2f}x, "
+        f"lazy / eager cost {result['lazy_cost_ratio']:.6f}"
     )
-    # the lazy heap must reproduce the eager greedy exactly
-    assert result["equal"]
+    # both schedules validated inside the collector; the lazy heap's
+    # retained champions may reorder the greedy, never cheapen its quality
+    assert abs(result["lazy_cost_ratio"] - 1.0) <= COST_TOLERANCE
     by_mode = {row["mode"]: row for row in result["rows"]}
     assert by_mode["lazy"]["oracle_calls_saved"] > 0
+    assert by_mode["lazy"]["champions_retained"] > 0
+    assert by_mode["eager"]["champions_retained"] == 0
     assert by_mode["lazy"]["oracle_calls"] < by_mode["eager"]["oracle_calls"]
     if result["nodes"] >= ACCEPTANCE_NODES:
         assert result["call_ratio"] >= ACCEPTANCE_CALL_RATIO

@@ -490,6 +490,13 @@ class BatchedChitchat:
         payments need no carve-out: an acceptance pays only its own hub's
         legs, and that hub's champion always intersects its own covered
         set.
+
+        :class:`~repro.core.chitchat.ChitchatScheduler` applies the same
+        rule to peel champions too (Lemma 1 keeps them factor-2 answers);
+        that is deliberately *not* ported here — no perf-ledger workload
+        runs this scheduler, ROADMAP slates it for removal in favour of
+        ``ChitchatScheduler(batch_k=)``, and its lazy == eager identity
+        under the peel is still asserted by ``tests/test_lazy_chitchat.py``.
         """
         affected = affected_hubs(self._adjacency, covered_edges)
         if self._lazy and self._exact is not None:

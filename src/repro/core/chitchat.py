@@ -21,12 +21,18 @@ endpoints *plus every wedge intermediary*, so an eager implementation
 re-oracles a near-quadratic number of hubs over a run.  This scheduler
 applies the CELF trick instead, exploiting a monotonicity split:
 
-* **covering elements only raises** a hub champion's cost per element (the
-  same vertex weights buy less coverage), so a heap key computed before
-  the covering event is still a valid *lower bound* — those hubs are
-  merely marked dirty, and a dirty entry is re-oracled only when it
-  reaches the heap top (a clean top entry is therefore the true global
-  best);
+* **covering elements only raises** a hub's optimum cost per element (the
+  same vertex weights buy less coverage).  A covering event that takes
+  none of the elements a hub's champion covers leaves that champion
+  feasible at its old cost ``c``, and since ``c ≤ 2·OPT_old ≤ 2·OPT_new``
+  it is still the factor-2 answer Lemma 1 asks for (Theorem 4 is
+  unchanged) — the champion and its heap entry are *retained*, for every
+  oracle (``stats.champions_retained``).  An event that does take one of
+  its elements downgrades the entry to the certified optimum bound
+  recorded at the last oracle call — still a valid *lower bound* — and
+  marks the hub dirty; a dirty entry is re-oracled only when it reaches
+  the heap top (a clean top entry is therefore a factor-2 answer to the
+  whole step);
 * **paying a push/pull leg lowers** the owning hub-graph's vertex weight
   and can cheapen its champion below the stale key, so the (few) hubs
   incident to newly scheduled legs are refreshed eagerly.
@@ -36,22 +42,34 @@ hub's trivial champion lower bound in one vectorized pass (no peeling) and
 skips hubs that provably can never beat the singletons covering their own
 elements; and lazy recomputes pass the cheapest competing candidate as an
 ``upper_bound`` so the oracle can abandon non-competitive hubs after an
-``O(m)`` probe (:class:`~repro.core.densest.OracleCutoff`).  The lazy and
-eager modes produce byte-identical schedules (property-tested); eager
-remains available via ``lazy=False`` as the reference implementation.
+``O(m)`` probe (:class:`~repro.core.densest.OracleCutoff`).
+
+A retained peel champion is the peel of the state the hub was *last
+evaluated at*, not of the current one, so under ``oracle="peel"`` (and
+``"auto"``) the schedule is a function of evaluation order — of every
+heap key — and lazy mode is cost-equivalent to the eager ``lazy=False``
+reference (every step a factor-2 step in both; costs within a few 1e-5 of
+each other at n = 3000), **not** byte-identical to it.  Under
+``oracle="exact"`` a retained champion is still the optimum and the two
+modes stay byte-identical (property-tested).  Every heap key is
+backend-independent, so dict and CSR runs issue the identical oracle-call
+sequence either way.  ``tests/test_step_certificate.py`` checks the
+factor-2 claim at every greedy step against a cold exact oracle.
+(:class:`~repro.core.batched.BatchedChitchat` still retains exact
+champions only — see ``_mark_affected`` there.)
 
 Oracle modes
 ------------
 The densest-subgraph oracle itself is pluggable (``oracle=``): the
 default ``"peel"`` is the paper's factor-2 weighted peeling, ``"exact"``
 the parametric max-flow oracle of :mod:`repro.flow`, and ``"auto"``
-mixes them by hub-graph size.  Exact champions are true optima, which
-strengthens the lazy split: the optimum is monotone non-decreasing under
-coverage events, so a dirtied exact champion whose covered set the event
-did not touch is *retained* as-is (no downgrade, no re-evaluation — see
-``_invalidate``), and when a downgrade is needed the certified bound is
+mixes them by hub-graph size.  Retention is the same rule for all three;
+what exactness adds is the *downgrade*: when an event does take one of an
+exact champion's elements, the certified bound the entry falls back to is
 the optimum itself less a float margin rather than a factor-2
-certificate — dirty hubs resurface only when genuinely competitive.
+certificate — dirty hubs resurface only when genuinely competitive — and
+a retained exact champion is still exactly optimal, which is what keeps
+lazy and eager byte-identical there.
 The exact oracle is a *warm session* by default (``warm=True``): each
 per-hub flow problem persists across calls and repairs its previous
 preflow instead of resetting, since coverage only ever shrinks a hub's
@@ -141,13 +159,16 @@ class ChitchatStats(StatsView):
     ``exact_oracle_calls`` went through the parametric max-flow oracle;
     ``oracle_early_exits`` counts bounded probes the oracle abandoned via
     its pre-evaluation lower bound; ``oracle_calls_saved`` is the number
-    of full evaluations the eager invalidation rule would have run that
-    the lazy dirty-hub heap never needed (0 in eager mode);
+    of full evaluations the eager invalidation rule would have run along
+    *this run's own* selection sequence that the lazy dirty-hub heap
+    never needed (0 in eager mode; an eager run's selections can differ
+    under the peel, so this is not ``eager.oracle_calls`` minus ours);
     ``hubs_pruned`` counts hubs the lazy bootstrap proved can never beat
-    their own singletons; ``champions_retained`` counts coverage events
-    whose hub kept its exact champion untouched because the covered edges
-    missed the champion's covered set (exact oracle + lazy mode only —
-    the peel's 2-approximate output cannot be retained);
+    their own singletons; ``champions_retained`` counts (coverage event,
+    hub) pairs where the event shrank the hub-graph but took none of the
+    elements its champion covers, so the hub kept champion and heap entry
+    untouched (lazy mode, every oracle: a peel champion stays a factor-2
+    answer, an exact one stays optimal);
     ``epsilon_accepts`` counts greedy steps the ``(1 + ε)`` relaxation
     resolved with a clean candidate instead of re-evaluating the dirty
     heap top (0 whenever ``epsilon=0``).
@@ -256,16 +277,18 @@ class ChitchatScheduler:
         :data:`~repro.graph.view.CSR_FASTPATH_THRESHOLD` nodes; ``"csr"``
         and ``"dict"`` force a backend.
     lazy:
-        When True (default) hubs invalidated by coverage-only events are
+        When True (default) hubs invalidated by coverage-only events keep
+        their champion while the events miss it and are otherwise
         re-oracled lazily via the CELF dirty-hub heap (see the module
         docstring); ``False`` restores the eager Algorithm 1 line 14
-        refresh — identical schedules, far more oracle calls.
+        refresh — far more oracle calls for a byte-identical schedule
+        under ``oracle="exact"`` and a cost-equivalent one under the peel.
     oracle:
         ``"peel"`` (default) uses the factor-2 weighted peeling of
         :mod:`repro.core.densest`; ``"exact"`` the parametric max-flow
-        oracle of :mod:`repro.flow`, whose champions are true optima —
-        monotone under covering, so the lazy heap re-evaluates a dirty
-        hub only when a covering event actually touched its champion;
+        oracle of :mod:`repro.flow`, whose champions are true optima, so
+        a dirtied hub is parked a float margin below its true cost
+        instead of at a factor-2 certificate;
         ``"auto"`` picks exact for hub-graphs up to
         :data:`~repro.flow.exact_oracle.EXACT_AUTO_MAX_ELEMENTS`
         elements and the peel beyond.
@@ -395,7 +418,7 @@ class ChitchatScheduler:
         self._hub_version: dict[Node, int] = {}
         self._hub_cache: dict[Node, HubGraph] = {}
         # each hub's live full champion (absent after cutoffs/retires);
-        # exact champions back the lazy retention check in _invalidate
+        # backs the lazy retention check in _invalidate
         self._champion: dict[Node, DensestResult] = {}
         self._hub_heap: list[HubEntry] = []
         # hubs whose heap key is a stale-but-valid lower bound, re-oracled
@@ -404,8 +427,9 @@ class ChitchatScheduler:
         # hubs with a live heap entry (retired / pruned hubs are absent)
         self._queued: set[Node] = set()
         # best certified lower bound on each hub's *true optimum* cost per
-        # element — valid across coverage events (unlike the peel output,
-        # which is only 2-approximate and can dip when elements vanish);
+        # element — valid across coverage events (unlike a fresh peel's
+        # output, which is only 2-approximate and can dip when elements
+        # vanish);
         # reset whenever the hub is re-oracled, which eager weight-drop
         # refreshes guarantee happens before any weight can fall
         self._opt_lb: dict[Node, float] = {}
@@ -972,9 +996,11 @@ class ChitchatScheduler:
     def _invalidate(self, covered_edges, weight_drops: tuple[Node, ...]) -> None:
         """Algorithm 1 line 14, split by how a hub's champion can move.
 
-        Covering elements only *raises* champion costs, so in lazy mode
-        those hubs' heap keys remain valid lower bounds and the hubs are
-        merely marked dirty.  Paying a leg *lowers* the owning hub-graph's
+        Covering elements only *raises* a hub's optimum, so in lazy mode a
+        hub whose champion the event missed keeps it (still a factor-2
+        answer), and a hub whose champion lost an element falls back to
+        its certified optimum bound — a valid lower bound — and is merely
+        marked dirty.  Paying a leg *lowers* the owning hub-graph's
         vertex weight, which can cheapen its champion below the stale key,
         so ``weight_drops`` (the selection's own hub, or the singleton's
         push/pull counterpart) is refreshed eagerly.  Eager mode refreshes
@@ -995,25 +1021,22 @@ class ChitchatScheduler:
                 if hub in weight_drops:
                     continue  # the eager refresh below replaces its entry
                 champion = self._champion.get(hub)
-                if (
-                    champion is not None
-                    and champion.exact
-                    and champion.covered.isdisjoint(covered_edges)
+                if champion is not None and champion.covered.isdisjoint(
+                    covered_edges
                 ):
-                    # an exact champion untouched by this covering event
-                    # is still exactly optimal: covering elements outside
-                    # its covered set can only *shrink* competing
-                    # subgraphs' coverage, and the maximal optimum it
-                    # came from never contained them — keep the entry
-                    # clean, no re-evaluation will be needed for it
+                    # the event removed nothing this champion covers and
+                    # paid none of its hub's legs, so it is still feasible
+                    # at the same cost c; the hub's optimum only rose, so
+                    # c <= 2 * OPT_old <= 2 * OPT_new (an exact champion
+                    # stays optimal) — keep the entry clean, it needs no
+                    # re-evaluation until an event takes one of its elements
                     self.stats.champions_retained += 1
                     continue
-                # the live entry's key is the peel *output*, which is only
-                # 2-approximate and may overestimate the hub's champion
-                # after this covering event — downgrade the key to the
-                # certified optimum bound recorded at the last oracle call
-                # (for an exact champion the bound is the optimum itself
-                # less a float margin, so the downgrade is nearly free)
+                # the champion lost an element, so its key no longer prices
+                # a candidate that exists — downgrade it to the certified
+                # optimum bound recorded at the last oracle call (for an
+                # exact champion that is the optimum itself less a float
+                # margin, so the downgrade is nearly free)
                 version = self._hub_version.get(hub, 0) + 1
                 self._hub_version[hub] = version
                 self._dirty.add(hub)

@@ -96,8 +96,11 @@ class DensestResult:
     ``exact`` marks results produced by the parametric max-flow oracle
     (:mod:`repro.flow`): ``cost_per_element`` is then the true optimum
     itself, not a 2-approximation, so ``opt_lower_bound`` sits a float
-    margin below it and the lazy schedulers can retain the champion
-    outright across coverage events that do not touch ``covered``.
+    margin below it.  The lazy CHITCHAT heap retains *any* champion
+    across coverage events that do not touch ``covered`` (its cost is
+    unchanged and the optimum only rose, so a factor-2 answer stays one);
+    for an ``exact`` one the retained champion is moreover still optimal,
+    which keeps lazy and eager schedules byte-identical under that oracle.
     """
 
     hub: Node
@@ -225,12 +228,14 @@ _PROBE_ROUNDS = 6
 #: Charge fraction a cross-edge shifts toward its less congested endpoint
 #: per round.
 _PROBE_STEP = 0.25
-#: Below this *hub-graph* element count the probe runs its scalar twin
-#: even on the CSR path — per-call numpy overhead dominates on tiny
-#: hub-graphs.  The twins are different iterations (vectorized = Jacobi,
-#: scalar = Gauss–Seidel) whose bounds differ in the last digits and
-#: become heap keys, so the choice must depend on the hub-graph alone,
-#: never on how many of its elements are still alive.
+#: Below this *hub-graph* element count the probe runs its scalar twin —
+#: per-call numpy overhead dominates on tiny hub-graphs.  The twins are
+#: different iterations (vectorized = Jacobi, scalar = Gauss–Seidel) whose
+#: bounds differ in the last digits and become heap keys, and the lazy
+#: scheduler's retained champions make the schedule a function of every
+#: heap key, so the choice must depend on the hub-graph's size alone:
+#: never on how many of its elements are still alive, nor on which graph
+#: backend built it.
 _PROBE_VECTOR_THRESHOLD = 192
 #: At or below this many alive (still-uncovered) elements the oracle runs
 #: on Python scalars over the compact alive index; above it the numpy
@@ -318,9 +323,8 @@ def _probe_bound_python(
 ) -> float:
     """Scalar twin of :func:`_probe_bound_vectorized`.
 
-    Used on the dict backend and, for small hub-graphs, on the CSR path
-    too (tight loops over a few dozen elements beat numpy call overhead).
-    Walks the alive elements only.
+    Used for small hub-graphs (tight loops over a few dozen elements beat
+    numpy call overhead).  Walks the alive elements only.
     """
     load = [0.0] * num_verts
     # movable cross-edges (both endpoints weighted), each with the charge
@@ -398,11 +402,10 @@ def dense_vertex_weights(
     return np.concatenate((weight_x, weight_y))
 
 
-def _vector_probe(alive_arr: np.ndarray | None, num_elems: int) -> bool:
-    """Which probe twin answers — decided by the hub-graph alone (see
-    :data:`_PROBE_VECTOR_THRESHOLD`): vectorized on CSR-built hub-graphs
-    filtered through a mask, of at least that many elements."""
-    return alive_arr is not None and num_elems >= _PROBE_VECTOR_THRESHOLD
+def _vector_probe(num_elems: int) -> bool:
+    """Which probe twin answers — decided by the hub-graph's size alone
+    (see :data:`_PROBE_VECTOR_THRESHOLD`), the same on every backend."""
+    return num_elems >= _PROBE_VECTOR_THRESHOLD
 
 
 def probe_optimum_bound(
@@ -421,7 +424,9 @@ def probe_optimum_bound(
     produce identical bounds for identical inputs): same twins, same
     :func:`_vector_probe` dispatch, over the whole-hub-graph index.
     """
-    if _vector_probe(alive_arr, num_elems):
+    if _vector_probe(num_elems):
+        if alive_arr is None:
+            alive_arr = np.asarray(alive_element, dtype=bool)
         return _probe_bound_vectorized(
             peel.assign_vert[alive_arr],
             peel.assign_alt[alive_arr],
@@ -635,7 +640,7 @@ def _densest_small(
     mediant_bound = 0.0
     if upper_bound is not None:
         # the twin is chosen by hub-graph size, as on the general path
-        if _vector_probe(alive_arr, len(prim_all)):
+        if _vector_probe(len(prim_all)):
             mediant_bound = _probe_bound_vectorized(
                 np.asarray(prim, dtype=np.int64),
                 np.asarray(alt, dtype=np.int64),
@@ -761,7 +766,7 @@ def _densest_general(
     # it beats ``upper_bound`` the peel is abandoned.
     mediant_bound = 0.0
     if upper_bound is not None:
-        if _vector_probe(alive_arr, num_elems):
+        if _vector_probe(num_elems):
             mediant_bound = _probe_bound_vectorized(
                 peel.assign_vert[alive_pos],
                 peel.assign_alt[alive_pos],

@@ -9,11 +9,13 @@ It is also a *session*: per-hub flow problems persist across calls
 (LRU-capped), and with ``warm=True`` each call repairs the previous
 preflow instead of rebuilding it — see the class docstring.
 Results carry ``exact=True`` and an ``opt_lower_bound`` one float margin
-below the optimum itself, which is what lets the lazy CHITCHAT heap
-retain dirtied champions outright: the exact optimum is monotone
-non-decreasing under coverage events, so a champion whose covered set a
-covering event does not touch stays exactly optimal (see
-``ChitchatScheduler._invalidate``).
+below the optimum itself.  The lazy CHITCHAT heap retains any champion
+whose covered set a covering event does not touch (see
+``ChitchatScheduler._invalidate``); the exact optimum is monotone
+non-decreasing under coverage events, so a retained *exact* champion
+stays exactly optimal — which keeps lazy and eager runs byte-identical
+under this oracle — and a dirtied one is parked at its true cost rather
+than at a factor-2 certificate.
 
 The probe-based ``upper_bound`` early exit is *shared* with the peel
 (:func:`repro.core.densest.probe_optimum_bound`): the lazy schedulers

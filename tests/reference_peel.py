@@ -7,7 +7,9 @@ scalar small-problem path and integer heap keys: heap entries are
 every list is hub-graph sized, and the probe walks all elements.
 ``tests/test_peel_kernel.py`` requires the production kernel to equal it
 bit for bit.  Do not optimize or "fix" this file: it is the definition of
-the schedule digests the perf ledger pins.
+the schedule digests the perf ledger pins.  (One deliberate exception, in
+lock-step with production: :func:`probe_optimum_bound` picks the probe twin
+by hub-graph size on every backend — see its docstring.)
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ _PROBE_ROUNDS = 6
 #: Charge fraction a cross-edge shifts toward its less congested endpoint
 #: per round.
 _PROBE_STEP = 0.25
-#: Below this element count the probe runs its scalar twin even on the
-#: CSR path — per-call numpy overhead dominates on tiny hub-graphs.
+#: Below this element count the probe runs its scalar twin — per-call
+#: numpy overhead dominates on tiny hub-graphs.
 _PROBE_VECTOR_THRESHOLD = 192
 
 
@@ -86,8 +88,8 @@ def _probe_bound_python(
 ) -> float:
     """Scalar twin of :func:`_probe_bound_vectorized`.
 
-    Used on the dict backend and, for small hub-graphs, on the CSR path
-    too (tight loops over a few dozen elements beat numpy call overhead).
+    Used for small hub-graphs (tight loops over a few dozen elements beat
+    numpy call overhead).
     """
     prim_all = peel.assign_vert_list
     alt_all = peel.assign_alt_list
@@ -181,16 +183,23 @@ def probe_optimum_bound(
 ) -> float:
     """Certified optimum-cost lower bound via the water-filled mediant probe.
 
-    Backend dispatch shared by both oracles (the lazy schedulers memoize
+    Twin dispatch shared by both oracles (the lazy schedulers memoize
     probe outcomes per hub state, so every oracle must produce identical
-    bounds for identical inputs): vectorized on CSR-built hub-graphs
-    above :data:`_PROBE_VECTOR_THRESHOLD`, scalar otherwise.
+    bounds for identical inputs): vectorized on hub-graphs of at least
+    :data:`_PROBE_VECTOR_THRESHOLD` elements, scalar otherwise — on every
+    backend.  This dispatch is the one part of the file that is *not* the
+    PR 19 parent's: that one ran the scalar twin on every dict-built
+    hub-graph, which made heap keys (and, once the lazy scheduler kept
+    peel champions across coverage events, schedules) depend on the graph
+    backend.  The twins and the peel below are untouched.
     """
-    if alive_arr is not None and num_elems >= _PROBE_VECTOR_THRESHOLD:
+    if num_elems >= _PROBE_VECTOR_THRESHOLD:
         return _probe_bound_vectorized(
             peel,
             weight_arr if weight_arr is not None else np.asarray(weight),
-            alive_arr,
+            alive_arr
+            if alive_arr is not None
+            else np.asarray(alive_element, dtype=bool),
             num_verts,
         )
     return _probe_bound_python(peel, weight, alive_element, num_verts)

@@ -8,9 +8,12 @@ Three layers of evidence:
 * the Lemma-1 peel must land within its factor-2 guarantee of the exact
   optimum — asserted from both sides: ``exact ≤ peel ≤ 2 · exact``;
 * at the scheduler level, ``oracle="exact"`` must preserve every
-  invariant the peel satisfies (lazy == eager, dict == CSR, feasibility)
-  while running strictly fewer full oracle evaluations and never pricing
-  a schedule above the peel's on the tuned instances.
+  invariant the peel satisfies (dict == CSR, feasibility) and one the
+  peel does not — lazy == eager byte for byte, because a retained exact
+  champion is still the optimum (``"auto"`` mixes in peel champions and
+  gets the peel's cost-equivalence instead) — while running strictly
+  fewer full oracle evaluations and never pricing a schedule above the
+  peel's on the tuned instances.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from hypothesis import HealthCheck, given, settings
 
 from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
 from tests.test_densest import brute_force_best
+from tests.test_lazy_chitchat import assert_lazy_equivalent
 from repro.core.chitchat import ChitchatScheduler
-from repro.core.coverage import validate_schedule
 from repro.core.cost import schedule_cost
 from repro.core.densest import OracleCutoff, densest_subgraph
 from repro.core.hubgraph import build_hub_graph
@@ -238,7 +241,9 @@ class TestExactScheduler:
 
     @pytest.mark.parametrize("oracle", ["exact", "auto"])
     @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_lazy_matches_eager(self, backend, oracle):
+    def test_lazy_vs_eager(self, backend, oracle):
+        """Byte-identical under ``"exact"``; ``"auto"`` routes large hubs to
+        the peel, whose retained champions only guarantee cost-equivalence."""
         graph, workload = self._instance()
         eager = ChitchatScheduler(
             graph, workload, backend=backend, lazy=False, oracle=oracle
@@ -246,13 +251,8 @@ class TestExactScheduler:
         lazy = ChitchatScheduler(
             graph, workload, backend=backend, lazy=True, oracle=oracle
         )
-        eager_schedule = eager.run()
-        lazy_schedule = lazy.run()
-        assert lazy_schedule.push == eager_schedule.push
-        assert lazy_schedule.pull == eager_schedule.pull
-        assert lazy_schedule.hub_cover == eager_schedule.hub_cover
-        validate_schedule(graph, lazy_schedule)
-        assert lazy.stats.oracle_calls <= eager.stats.oracle_calls
+        assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
+        assert lazy.stats.oracle_calls < eager.stats.oracle_calls
 
     @pytest.mark.parametrize("oracle", ["exact", "auto"])
     def test_backends_agree(self, oracle):

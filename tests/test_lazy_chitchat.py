@@ -1,14 +1,25 @@
-"""Laziness tests: the dirty-hub heap must be invisible in the output.
+"""Laziness tests: what the dirty-hub heap may and may not change.
 
-The CELF-style lazy CHITCHAT (and the lazy BATCHEDCHITCHAT round refresh)
-may only change *how often the oracle runs*, never what gets scheduled:
+The CELF-style lazy CHITCHAT keeps a hub's champion across every covering
+event that takes none of the champion's elements, whatever oracle priced
+it.  What that leaves of "lazy == eager" depends on the oracle:
 
-* property tests assert lazy and eager modes produce byte-identical
-  schedules (same push/pull/hub_cover sets, same cost) on random
-  instances, on both adjacency backends;
-* ``stats.oracle_calls`` must be strictly lower in lazy mode on
-  non-trivial instances, with ``oracle_calls_saved`` accounting for the
-  eager-equivalent refreshes the heap never ran;
+* under ``oracle="exact"`` a retained champion is still the optimum, so
+  lazy and eager schedules stay **byte-identical** (property-tested on
+  both backends), as do the lazy and eager BATCHEDCHITCHAT rounds (whose
+  ``_mark_affected`` retains exact champions only);
+* under ``"peel"`` / ``"auto"`` a retained champion is the peel of the
+  state it was *last evaluated at* — still a factor-2 answer (Lemma 1:
+  the hub's optimum only rises under covering), but not necessarily what
+  a fresh peel would return, so the schedule is a function of evaluation
+  order.  On the small graphs used here the two modes happen to coincide
+  (they part at n = 3000, see the E12 bench); the suite therefore asserts
+  what is *guaranteed* — feasibility, cost at most hybrid, cost within
+  0.5 % of eager, fewer full oracle calls — and never equality by luck.
+  The per-step factor-2 certificate is ``tests/test_step_certificate.py``;
+* dict and CSR runs issue the identical oracle-call sequence (every heap
+  key is backend-independent), so they agree byte for byte *and* counter
+  for counter;
 * the bootstrap prune may only drop hubs that provably can never win.
 """
 
@@ -19,9 +30,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.batched import BatchedChitchat
-from repro.core.chitchat import ChitchatScheduler, chitchat_with_stats
+from repro.core.chitchat import (
+    ChitchatScheduler,
+    chitchat_with_stats,
+    greedy_upper_bound,
+)
 from repro.core.coverage import validate_schedule
 from repro.core.cost import schedule_cost
+from repro.core.densest import _PROBE_VECTOR_THRESHOLD
+from repro.core.hubgraph import build_hub_graph
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
@@ -51,18 +68,77 @@ def instances(draw, max_nodes: int = 12, max_edges: int = 40):
     return graph, Workload(production=production, consumption=consumption)
 
 
+#: how far a lazy peel schedule's cost may sit from the eager one's (the
+#: measured gap at n = 3000 is a few 1e-5; each greedy step is a factor-2
+#: answer in both modes, so nothing forces the gap to zero)
+LAZY_COST_TOLERANCE = 0.005
+
+
 def assert_same_schedule(a, b):
     assert a.push == b.push
     assert a.pull == b.pull
     assert a.hub_cover == b.hub_cover
 
 
-class TestLazyEagerEquality:
+def assert_lazy_equivalent(graph, workload, eager, lazy, oracle):
+    """Run both schedulers and assert what laziness guarantees for ``oracle``.
+
+    Byte-identity under the exact oracle; feasibility, the hybrid bound
+    and cost-equivalence under the 2-approximate ones (see the module
+    docstring).  Never more full oracle calls than the eager rule.
+    """
+    eager_schedule = eager.run()
+    lazy_schedule = lazy.run()
+    validate_schedule(graph, lazy_schedule)
+    if oracle == "exact":
+        assert_same_schedule(eager_schedule, lazy_schedule)
+    else:
+        lazy_cost = schedule_cost(lazy_schedule, workload)
+        assert lazy_cost <= greedy_upper_bound(graph, workload) + 1e-9
+        assert lazy_cost == pytest.approx(
+            schedule_cost(eager_schedule, workload), rel=LAZY_COST_TOLERANCE
+        )
+    assert lazy.stats.oracle_calls <= eager.stats.oracle_calls
+    assert lazy.stats.oracle_calls_saved >= 0
+    assert eager.stats.oracle_calls_saved == 0
+    assert eager.stats.champions_retained == 0
+
+
+class CountingScheduler(ChitchatScheduler):
+    """Counts what the eager rule (Algorithm 1 line 14) would peel along
+    *this run's own* selections: every relay-capable hub once at bootstrap,
+    then every relay-capable hub whose hub-graph holds an edge a selection
+    covered.  Takes the instance as a dict graph (set algebra)."""
+
+    def __init__(self, graph: SocialGraph, *args, **kwargs) -> None:
+        super().__init__(graph, *args, **kwargs)
+        self.social = graph
+        self.relays = {
+            node
+            for node in graph.nodes()
+            if graph.predecessors(node) and graph.successors(node)
+        }
+        self.eager_rule_calls = 0
+
+    def _seed_lazy_heap(self):
+        self.eager_rule_calls += len(self.relays)
+        super()._seed_lazy_heap()
+
+    def _invalidate(self, covered_edges, weight_drops):
+        touched = set()
+        for u, v in covered_edges:
+            touched |= {u, v}
+            touched |= self.social.successors(u) & self.social.predecessors(v)
+        self.eager_rule_calls += len(touched & self.relays)
+        super()._invalidate(covered_edges, weight_drops)
+
+
+class TestLazyEagerEquivalence:
     @SMALL
     @given(instances())
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
     @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_chitchat_lazy_matches_eager(self, backend, oracle, instance):
+    def test_chitchat_lazy_vs_eager(self, backend, oracle, instance):
         graph, workload = instance
         eager = ChitchatScheduler(
             graph, workload, backend=backend, lazy=False, oracle=oracle
@@ -70,17 +146,7 @@ class TestLazyEagerEquality:
         lazy = ChitchatScheduler(
             graph, workload, backend=backend, lazy=True, oracle=oracle
         )
-        eager_schedule = eager.run()
-        lazy_schedule = lazy.run()
-        assert_same_schedule(eager_schedule, lazy_schedule)
-        assert schedule_cost(lazy_schedule, workload) == pytest.approx(
-            schedule_cost(eager_schedule, workload)
-        )
-        validate_schedule(graph, lazy_schedule)
-        # laziness never runs more full peels than the eager rule
-        assert lazy.stats.oracle_calls <= eager.stats.oracle_calls
-        assert lazy.stats.oracle_calls_saved >= 0
-        assert eager.stats.oracle_calls_saved == 0
+        assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
 
     @SMALL
     @given(instances())
@@ -96,37 +162,70 @@ class TestLazyEagerEquality:
         )
         assert_same_schedule(eager.run(), lazy.run())
 
-    def test_lazy_matches_eager_across_backends(self):
-        """Lazy mode must also keep the dict/CSR backend equivalence."""
-        graph = social_copying_graph(
-            200, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=11
-        )
-        workload = log_degree_workload(graph, read_write_ratio=3.0)
-        schedules = [
-            ChitchatScheduler(graph, workload, backend=backend, lazy=lazy).run()
-            for backend in ("dict", "csr")
-            for lazy in (False, True)
-        ]
-        for other in schedules[1:]:
-            assert_same_schedule(schedules[0], other)
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_backends_agree_call_for_call(self, lazy):
+        """Dict and CSR runs issue the same oracle calls in the same order.
 
-
-class TestOracleCallSavings:
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_strictly_fewer_oracle_calls_on_nontrivial_instance(self, backend):
+        Retained peel champions make the schedule depend on every heap
+        key, and the one key that used to differ between backends was the
+        bounded probe's (the scalar twin on every dict-built hub-graph,
+        the vectorized one on CSR-built hub-graphs of at least
+        ``_PROBE_VECTOR_THRESHOLD`` elements).  With the twin chosen by
+        hub-graph size alone, the counters match exactly, not just the
+        schedules — on an instance that has such hub-graphs.
+        """
         graph = social_copying_graph(
             250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
-        eager = ChitchatScheduler(graph, workload, backend=backend, lazy=False)
-        lazy = ChitchatScheduler(graph, workload, backend=backend, lazy=True)
-        assert_same_schedule(eager.run(), lazy.run())
+        assert any(
+            build_hub_graph(graph, hub).num_elements >= _PROBE_VECTOR_THRESHOLD
+            for hub in graph.nodes()
+        )
+        by_dict, by_csr = (
+            ChitchatScheduler(graph, workload, backend=backend, lazy=lazy)
+            for backend in ("dict", "csr")
+        )
+        assert_same_schedule(by_dict.run(), by_csr.run())
+        for counter in (
+            "oracle_calls",
+            "oracle_early_exits",
+            "champions_retained",
+            "hub_selections",
+            "singleton_selections",
+        ):
+            assert getattr(by_dict.stats, counter) == getattr(by_csr.stats, counter)
+        assert (by_csr.stats.champions_retained > 0) == lazy
+
+
+class TestOracleCallSavings:
+    @pytest.mark.parametrize("oracle", ["peel", "exact"])
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_strictly_fewer_oracle_calls_on_nontrivial_instance(
+        self, backend, oracle
+    ):
+        graph = social_copying_graph(
+            250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
+        )
+        workload = log_degree_workload(graph, read_write_ratio=5.0)
+        eager = ChitchatScheduler(
+            graph, workload, backend=backend, lazy=False, oracle=oracle
+        )
+        lazy = CountingScheduler(
+            graph, workload, backend=backend, lazy=True, oracle=oracle
+        )
+        assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
+        assert lazy.stats.champions_retained > 0
         assert lazy.stats.oracle_calls_saved > 0
-        # saved = what eager would have peeled minus what lazy peeled
+        # saved = what the eager rule would have evaluated along lazy's own
+        # selection sequence, minus what lazy evaluated.  (Not "minus
+        # eager's calls": a retained peel champion can split one eager hub
+        # selection in two — 840 vs 839 here — so the two runs' event
+        # sequences differ even where their schedules coincide.)
         assert (
             lazy.stats.oracle_calls + lazy.stats.oracle_calls_saved
-            == eager.stats.oracle_calls
+            == lazy.eager_rule_calls
         )
 
     def test_early_exits_happen_and_are_not_counted_as_calls(self):
@@ -195,7 +294,14 @@ class TestBootstrapPrune:
     @SMALL
     @given(instances())
     def test_prune_never_changes_the_schedule(self, instance):
+        """Under the exact oracle lazy == eager byte for byte, so a pruned
+        hub that could have won a step would show as a schedule diff (the
+        prune itself is oracle-agnostic)."""
         graph, workload = instance
-        lazy = ChitchatScheduler(graph, workload, backend="dict", lazy=True)
-        eager = ChitchatScheduler(graph, workload, backend="dict", lazy=False)
+        lazy = ChitchatScheduler(
+            graph, workload, backend="dict", lazy=True, oracle="exact"
+        )
+        eager = ChitchatScheduler(
+            graph, workload, backend="dict", lazy=False, oracle="exact"
+        )
         assert_same_schedule(eager.run(), lazy.run())

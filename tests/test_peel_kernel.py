@@ -14,8 +14,9 @@ The generators aim at what a rewrite of this kernel trips over:
 
 * the bounded probe's twins differ (vectorized = Jacobi, scalar =
   Gauss–Seidel) and their bounds become heap keys, so the twin is chosen
-  by *hub-graph size* — hub-graphs on both sides of the 192-element
-  threshold, each with few and with many alive elements; within the
+  by *hub-graph size* alone, the same on every input shape — hub-graphs
+  on both sides of the 192-element threshold, each with few and with
+  many alive elements; within the
   vectorized twin loads are exact (charges are multiples of 1/4), which
   is what lets it iterate movable cross-edges only;
 * float sums are order-sensitive: rates are non-dyadic, and selections
@@ -272,7 +273,11 @@ class TestDifferential:
 class TestNamedInvariants:
     def test_probe_twin_is_chosen_by_hub_size_not_alive_count(self):
         """Large hub-graph, few alive: the small path must still run the
-        vectorized (Jacobi) twin — and the twins do disagree here.
+        vectorized (Jacobi) twin, on the dict input shape as on the CSR
+        ones — the bound becomes a heap key, and the lazy scheduler's
+        retained champions make schedules depend on every key, so a
+        backend-dependent twin would fork dict and CSR runs.  The twins do
+        disagree here (the scalar one is forced by raising the threshold).
 
         ``upper_bound=0.0`` with all-positive weights always cuts off, so
         the probe's bound comes back verbatim as the cutoff's.
@@ -282,18 +287,19 @@ class TestNamedInvariants:
             problem = make_problem(
                 seed, 16, 16, 1, 1.0, paid=0.0, alive=12, rates=POSITIVE_RATES
             )
-            graph, hub, *_ = problem
-            assert (
-                build_hub_graph(graph, hub).num_elements
-                >= REFERENCE_PROBE_THRESHOLD
-            )
-            # the dict input shape always runs the scalar twin
-            scalar, mask_only, with_arrays = (
+            graph, hub, workload, schedule, uncovered = problem
+            hub_graph = build_hub_graph(graph, hub)
+            assert hub_graph.num_elements >= REFERENCE_PROBE_THRESHOLD
+            from_dict, mask_only, with_arrays = (
                 cutoff.lower_bound
                 for cutoff in check_against_reference(problem, [0.0])
             )
-            assert bits(mask_only) == bits(with_arrays)
-            disagreements += bits(scalar) != bits(mask_only)
+            assert bits(from_dict) == bits(mask_only) == bits(with_arrays)
+            with mock.patch.object(densest_module, "_PROBE_VECTOR_THRESHOLD", 10**9):
+                scalar = densest_subgraph(
+                    hub_graph, workload, schedule, set(uncovered), upper_bound=0.0
+                ).lower_bound
+            disagreements += bits(scalar) != bits(from_dict)
         assert disagreements > 0, "no instance separates the probe twins"
 
     def test_vectorized_probe_shifts_equal_a_full_recount(self):

@@ -92,9 +92,12 @@ def random_instance(seed: int, num_nodes: int = 8, num_edges: int = 18):
 class TestChitchatAgainstReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_same_cost_on_random_instances(self, seed):
-        """The lazy-refresh scheduler must match the full-recompute
-        reference exactly: identical tie-breaking makes the greedy
-        sequences (and therefore the schedules and costs) equal."""
+        """The lazy-refresh scheduler matches the full-recompute reference
+        on these 8-node instances: identical tie-breaking makes the
+        greedy sequences equal as long as every champion the lazy heap
+        retained is also what a fresh peel returns — true here, not a
+        guarantee at scale (``tests/test_lazy_chitchat.py`` states what
+        is guaranteed)."""
         graph, workload = random_instance(seed)
         reference = naive_chitchat(graph, workload)
         validate_schedule(graph, reference)
