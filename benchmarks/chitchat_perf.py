@@ -13,7 +13,6 @@ import os
 import time
 
 from repro.core.baselines import hybrid_schedule
-from repro.core.batched import batched_chitchat_with_stats
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
@@ -188,17 +187,6 @@ def e10_scaling(scale: float) -> dict:
         )
 
     started = time.perf_counter()
-    bc_schedule, bc_stats = batched_chitchat_with_stats(sample, workload)
-    rows.append(
-        {
-            "algorithm": "BatchedChitChat",
-            "vs_hybrid": round(ff_cost / schedule_cost(bc_schedule, workload), 3),
-            "oracle_calls": bc_stats.oracle_calls,
-            "seconds": round(time.perf_counter() - started, 2),
-        }
-    )
-
-    started = time.perf_counter()
     pn_schedule = parallel_nosy_schedule(sample, workload, max_iterations=10)
     rows.append(
         {
@@ -262,8 +250,7 @@ def e14_flow_kernel(scale: float) -> dict:
 
     Rows bucket the hubs by element count and also time the factor-2
     peel on the same hub-graphs — the crossover data behind
-    :data:`~repro.flow.maxflow.WAVE_AUTO_MIN_ARCS` and the raised
-    :data:`~repro.flow.exact_oracle.EXACT_AUTO_MAX_ELEMENTS`.
+    :data:`~repro.flow.maxflow.WAVE_AUTO_MIN_ARCS`.
     Headlines: ``kernel_speedup`` (total pr3 seconds / total new
     seconds, the ISSUE 4 acceptance metric) and ``exact_vs_peel`` (total
     new seconds / total peel seconds); ``equal`` certifies that both
@@ -377,11 +364,12 @@ def e15_warm_oracle(scale: float) -> dict:
     """E15 — cross-call warm starts of the exact oracle (ISSUE 5 + 6).
 
     Runs lazy exact-oracle CHITCHAT on the E13 instance (CSR backend)
-    three times: ``cold`` (``warm=False`` — every oracle call resets its
-    hub's flow network and rebuilds the preflow from zero, the PR 4
-    behavior), ``warm-fixed`` (``warm=True`` with the warm-aware
-    global-relabel cadence disabled — the original fixed interval), and
-    ``warm`` (``warm=True`` with
+    three times: ``cold`` (the scheduler's session swapped for the cold
+    reference ``ExactOracle(warm=False)`` before the run — every oracle
+    call resets its hub's flow network and rebuilds the preflow from
+    zero, the PR 4 behavior), ``warm-fixed`` (the scheduler's own warm
+    session with the warm-aware global-relabel cadence disabled — the
+    original fixed interval), and ``warm`` (the warm session with
     :data:`~repro.flow.maxflow.ADAPTIVE_WARM_RELABEL` on: the relabel
     interval stretches by how intact the resumed preflow is).  All
     three run with ``batch_k=0`` so the rows measure the sequential
@@ -394,6 +382,7 @@ def e15_warm_oracle(scale: float) -> dict:
     certifying all three schedules are byte-identical.
     """
     from repro.flow import maxflow
+    from repro.flow.exact_oracle import ExactOracle
 
     n = max(600, int(E13_BASE_NODES * scale))
     graph = social_copying_graph(
@@ -422,9 +411,12 @@ def e15_warm_oracle(scale: float) -> dict:
                 backend="csr",
                 lazy=True,
                 oracle="exact",
-                warm=warm,
                 batch_k=0,
             )
+            if not warm:
+                scheduler._exact = ExactOracle(
+                    warm=False, metrics=scheduler.metrics.node("scheduler", "oracle")
+                )
             schedule = scheduler.run()
             elapsed = time.perf_counter() - started
         finally:
@@ -535,94 +527,6 @@ def e18_batched_solve(scale: float) -> dict:
         "wall_ratio": seq_secs / max(1e-9, bat_secs),
         "batched_solves": bat_stats.batched_solves,
         "blocks_per_batch": bat_stats.blocks_per_batch,
-    }
-
-
-def e19_jit_kernel(scale: float) -> dict:
-    """E19 — the compiled (Numba) flow-kernel tier vs wave (ISSUE 7).
-
-    Runs lazy exact-oracle CHITCHAT on the E13 instance (CSR backend,
-    default ``batch_k``) three times, forcing each flow kernel in turn:
-    ``loop`` (pure-Python reference; its arena tier still runs wave),
-    ``wave`` (vectorized numpy), and ``jit`` (the Numba-compiled fused
-    discharge loops — both the per-hub kernel and the multi-block arena
-    kernel).  :func:`~repro.flow.jit_kernel.ensure_compiled` is called
-    up front so the one-off compilation is excluded from every wall
-    below; it is reported separately as ``jit_compile_s``.
-
-    Headlines: ``jit_wall_speedup`` — wave solve-tier wall (sequential
-    ``flow_solve_seconds`` + arena discharge + relabel) over the jit
-    run's (the ISSUE 7 acceptance metric, floor 1.5× at n>=3000) — and
-    ``equal``, certifying byte-identical schedules across all three
-    kernels (the compiled tier is a pure performance change).
-
-    Without numba the experiment cannot run; the returned document
-    carries a ``skipped`` reason instead of rows, and the pytest gate
-    skips (every other suite must pass without the ``[jit]`` extra).
-    """
-    from repro.flow.jit_kernel import (
-        compile_seconds,
-        ensure_compiled,
-        jit_available,
-        missing_reason,
-    )
-
-    if not jit_available():
-        return {"nodes": 0, "rows": [], "equal": True, "skipped": missing_reason()}
-    ensure_compiled()  # one-off kernel compilation, excluded from walls
-    n = max(600, int(E13_BASE_NODES * scale))
-    graph = social_copying_graph(
-        num_nodes=n,
-        out_degree=E13_OUT_DEGREE,
-        copy_fraction=0.7,
-        reciprocity=0.2,
-        seed=7,
-    )
-    workload = log_degree_workload(graph, read_write_ratio=E13_READ_WRITE_RATIO)
-    rows = []
-    runs = {}
-    for method in ("loop", "wave", "jit"):
-        started = time.perf_counter()
-        scheduler = ChitchatScheduler(
-            graph,
-            workload,
-            backend="csr",
-            lazy=True,
-            oracle="exact",
-            method=method,
-        )
-        schedule = scheduler.run()
-        elapsed = time.perf_counter() - started
-        stats = scheduler.stats
-        solve_wall = (
-            stats.flow_solve_seconds
-            + stats.batch_discharge_seconds
-            + stats.batch_relabel_seconds
-        )
-        runs[method] = (schedule, solve_wall)
-        rows.append(
-            {
-                "method": method,
-                "nodes": n,
-                "edges": graph.num_edges,
-                "kernel_invocations": stats.kernel_invocations,
-                "solve_wall_s": round(solve_wall, 3),
-                "sequential_s": round(stats.flow_solve_seconds, 3),
-                "discharge_s": round(stats.batch_discharge_seconds, 3),
-                "relabel_s": round(stats.batch_relabel_seconds, 3),
-                "cost": round(stats.final_cost, 1),
-                "seconds": round(elapsed, 2),
-            }
-        )
-    equal = _schedules_equal(runs["loop"][0], runs["wave"][0]) and _schedules_equal(
-        runs["wave"][0], runs["jit"][0]
-    )
-    return {
-        "nodes": n,
-        "rows": rows,
-        "equal": equal,
-        "jit_wall_speedup": runs["wave"][1] / max(runs["jit"][1], 1e-9),
-        "jit_compile_s": round(compile_seconds(), 3),
     }
 
 
@@ -950,7 +854,6 @@ COLLECTORS = {
     "E15": e15_warm_oracle,
     "E16": e16_churn,
     "E18": e18_batched_solve,
-    "E19": e19_jit_kernel,
     "E20": e20_obs_overhead,
     "E21": e21_shard,
 }

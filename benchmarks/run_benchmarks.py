@@ -65,7 +65,6 @@ RATIO_HEADLINES = (
     "cadence_pass_ratio",
     "invocation_ratio",
     "kernel_speedup",
-    "jit_wall_speedup",
     "reeval_ratio",
     "refresh_ratio",
     "shard_wall_speedup",

@@ -1,6 +1,6 @@
 """E18 — batched block-diagonal multi-hub flow solves (ISSUE 6).
 
-ISSUE 6 added a batched tier to the lazy schedulers: up to
+ISSUE 6 added a batched tier to the lazy scheduler: up to
 :data:`~repro.core.tolerances.BATCH_K` dirty heap-top hubs are popped
 together and their Dinkelbach flow problems advance in lockstep on one
 block-diagonal :class:`~repro.flow.batched_solve.BatchedNetwork`, so one

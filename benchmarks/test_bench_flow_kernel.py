@@ -10,8 +10,7 @@ reference (loop discharge, full-graph seed, available via
 ``method="loop"`` / ``seed_lambda=False``) and the new default
 (``method="auto"``: wave at or above ``WAVE_AUTO_MIN_ARCS`` forward
 arcs, seeded) — and times the factor-2 peel on the same hub-graphs for
-the crossover context that justifies raising
-``EXACT_AUTO_MAX_ELEMENTS``.
+the exact-vs-peel crossover context.
 
 Acceptance (ISSUE 4, at the n≥3000 default-scale instance): the new
 kernel is ≥3× faster than the PR 3 loop overall, with identical

@@ -9,9 +9,9 @@ pricing) pay off as the instance grows.
 
 Two instances, both scaled by ``REPRO_BENCH_SCALE`` (default 0.25):
 
-* a 10^4-node copying-model graph for the bulk schedulers (hybrid and
-  BATCHEDCHITCHAT) — backends must produce *identical* schedules, and the
-  per-backend wall clock is reported;
+* a 10^4-node copying-model graph for the bulk hybrid scheduler —
+  backends must produce *identical* schedules, and the per-backend wall
+  clock is reported;
 * a ~3·10^3-node graph for sequential CHITCHAT, the oracle-heaviest
   algorithm and the headline beneficiary of the CSR kernels (every
   selection re-oracles every touched hub, so hub-graph element filtering
@@ -26,7 +26,6 @@ import time
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.core.baselines import hybrid_schedule
-from repro.core.batched import batched_chitchat_schedule
 from repro.core.chitchat import chitchat_schedule
 from repro.core.cost import schedule_cost
 from repro.graph.generators import social_copying_graph
@@ -89,15 +88,6 @@ def test_bench_graphview_backends(benchmark, bench_scale):
             bulk_graph,
             bulk_workload,
             lambda g, b: hybrid_schedule(g, bulk_workload),
-            rows,
-        )
-        _compare_backends(
-            "BatchedChitChat (6 rounds)",
-            bulk_graph,
-            bulk_workload,
-            lambda g, b: batched_chitchat_schedule(
-                g, bulk_workload, max_rounds=6, backend=b
-            ),
             rows,
         )
         chitchat_ratio = _compare_backends(

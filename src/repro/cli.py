@@ -85,7 +85,6 @@ def _run_chitchat(graph, workload, args):
         max_cross_edges=args.cross_edge_bound,
         oracle=getattr(args, "oracle", "peel"),
         epsilon=getattr(args, "epsilon", 0.0),
-        warm=getattr(args, "warm", True),
         batch_k=getattr(args, "batch_k", None),
         method=getattr(args, "flow_method", "auto"),
     )
@@ -118,8 +117,6 @@ def _oracle_stats_line(oracle: str, stats: ChitchatStats) -> str:
             f"relabel={stats.batch_relabel_seconds:.3f}s "
             f"solve={stats.flow_solve_seconds:.3f}s"
         )
-        if stats.jit_compile_seconds:
-            line += f" jit_compile={stats.jit_compile_seconds:.3f}s"
     return line
 
 
@@ -223,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ORACLE_MODES,
         default="peel",
         help="CHITCHAT densest-subgraph oracle: the factor-2 peel "
-        "(default), the exact parametric max-flow oracle, or auto "
-        "(exact on small hub-graphs, peel on dense ones)",
+        "(default) or the exact parametric max-flow oracle",
     )
     opt.add_argument(
         "--epsilon",
@@ -235,15 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "within this factor of its certified bound (default 0 = exact "
         "greedy; the measured production recommendation is "
         "repro.core.tolerances.PRODUCTION_EPSILON = 0.01)",
-    )
-    opt.add_argument(
-        "--warm",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cross-call warm starts of the exact oracle's per-hub flow "
-        "problems (repair the previous preflow instead of resetting; "
-        "identical schedules, fewer discharge passes).  --no-warm "
-        "restores per-call cold solves",
     )
     opt.add_argument(
         "--batch-k",
@@ -260,12 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FLOW_METHODS,
         default="auto",
         dest="flow_method",
-        help="CHITCHAT exact-oracle flow kernel: auto (default; picks "
-        "the Numba jit tier when the [jit] extra is installed and the "
-        "network is large enough), wave (vectorized numpy), loop "
-        "(pure-Python reference), or jit (force the compiled tier; "
-        "errors without the extra).  A pure perf knob: schedules are "
-        "identical across kernels",
+        help="CHITCHAT exact-oracle flow kernel: auto (default; wave on "
+        "large networks, loop on small ones), wave (vectorized numpy), "
+        "or loop (pure-Python reference).  A pure perf knob: schedules "
+        "are identical across kernels",
     )
     opt.add_argument(
         "--shards",
@@ -320,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repair-greedy densest-subgraph oracle (see optimize --oracle)",
     )
     upd.add_argument(
-        "--warm",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="warm flow sessions across repairs (see optimize --warm)",
-    )
-    upd.add_argument(
         "--flow-method",
         choices=FLOW_METHODS,
         default="auto",
@@ -374,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="CHITCHAT (1+epsilon) approximately-greedy relaxation "
         "(see optimize --epsilon)",
-    )
-    cmp_.add_argument(
-        "--warm",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="CHITCHAT exact-oracle warm starts (see optimize --warm)",
     )
     cmp_.add_argument(
         "--batch-k",
@@ -435,7 +408,6 @@ def cmd_optimize(args) -> int:
     if args.algorithm == "chitchat":
         metadata["oracle"] = args.oracle
         metadata["epsilon"] = args.epsilon
-        metadata["warm"] = args.warm
         if args.batch_k is not None:
             metadata["batch_k"] = args.batch_k
         if args.flow_method != "auto":
@@ -468,7 +440,6 @@ def cmd_update(args) -> int:
         workload,
         schedule,
         oracle=args.oracle,
-        warm=args.warm,
         method=args.flow_method,
     )
     tracing = _start_tracing(args)

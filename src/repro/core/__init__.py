@@ -16,9 +16,8 @@ pure performance choice.
 
 The CHITCHAT schedulers additionally take an ``oracle=`` parameter
 selecting the densest-subgraph oracle: ``"peel"`` (the paper's factor-2
-peeling, default), ``"exact"`` (the parametric max-flow subsystem of
-:mod:`repro.flow`, true optima), or ``"auto"`` (exact on small
-hub-graphs, peel on dense ones).  Shared float-comparison tolerances
+peeling, default) or ``"exact"`` (the parametric max-flow subsystem of
+:mod:`repro.flow`, true optima).  Shared float-comparison tolerances
 live in :mod:`repro.core.tolerances`.
 """
 
@@ -27,12 +26,6 @@ from repro.core.active import (
     active_cost,
     reachable_views,
     to_passive,
-)
-from repro.core.batched import (
-    BatchedChitchat,
-    BatchedStats,
-    batched_chitchat_schedule,
-    batched_chitchat_with_stats,
 )
 from repro.core.async_model import (
     accumulated_cost,
@@ -98,11 +91,7 @@ from repro.core.schedule import RequestSchedule
 __all__ = [
     "ActiveSchedule",
     "BASELINES",
-    "BatchedChitchat",
-    "BatchedStats",
     "accumulated_cost",
-    "batched_chitchat_schedule",
-    "batched_chitchat_with_stats",
     "effective_workload",
     "frontier",
     "knee_period",

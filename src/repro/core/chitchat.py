@@ -45,35 +45,32 @@ elements; and lazy recomputes pass the cheapest competing candidate as an
 ``O(m)`` probe (:class:`~repro.core.densest.OracleCutoff`).
 
 A retained peel champion is the peel of the state the hub was *last
-evaluated at*, not of the current one, so under ``oracle="peel"`` (and
-``"auto"``) the schedule is a function of evaluation order — of every
-heap key — and lazy mode is cost-equivalent to the eager ``lazy=False``
-reference (every step a factor-2 step in both; costs within a few 1e-5 of
-each other at n = 3000), **not** byte-identical to it.  Under
+evaluated at*, not of the current one, so under ``oracle="peel"`` the
+schedule is a function of evaluation order — of every heap key — and
+lazy mode is cost-equivalent to the eager ``lazy=False`` reference
+(every step a factor-2 step in both; costs within a few 1e-5 of each
+other at n = 3000), **not** byte-identical to it.  Under
 ``oracle="exact"`` a retained champion is still the optimum and the two
 modes stay byte-identical (property-tested).  Every heap key is
 backend-independent, so dict and CSR runs issue the identical oracle-call
 sequence either way.  ``tests/test_step_certificate.py`` checks the
 factor-2 claim at every greedy step against a cold exact oracle.
-(:class:`~repro.core.batched.BatchedChitchat` still retains exact
-champions only — see ``_mark_affected`` there.)
 
 Oracle modes
 ------------
 The densest-subgraph oracle itself is pluggable (``oracle=``): the
 default ``"peel"`` is the paper's factor-2 weighted peeling, ``"exact"``
-the parametric max-flow oracle of :mod:`repro.flow`, and ``"auto"``
-mixes them by hub-graph size.  Retention is the same rule for all three;
-what exactness adds is the *downgrade*: when an event does take one of an
-exact champion's elements, the certified bound the entry falls back to is
-the optimum itself less a float margin rather than a factor-2
-certificate — dirty hubs resurface only when genuinely competitive — and
-a retained exact champion is still exactly optimal, which is what keeps
-lazy and eager byte-identical there.
-The exact oracle is a *warm session* by default (``warm=True``): each
-per-hub flow problem persists across calls and repairs its previous
-preflow instead of resetting, since coverage only ever shrinks a hub's
-element set (see :class:`~repro.flow.exact_oracle.ExactOracle`).
+the parametric max-flow oracle of :mod:`repro.flow`.  Retention is the
+same rule for both; what exactness adds is the *downgrade*: when an
+event does take one of an exact champion's elements, the certified bound
+the entry falls back to is the optimum itself less a float margin rather
+than a factor-2 certificate — dirty hubs resurface only when genuinely
+competitive — and a retained exact champion is still exactly optimal,
+which is what keeps lazy and eager byte-identical there.
+The exact oracle is a *warm session*: each per-hub flow problem
+persists across calls and repairs its previous preflow instead of
+resetting, since coverage only ever shrinks a hub's element set (see
+:class:`~repro.flow.exact_oracle.ExactOracle`).
 
 Approximately-greedy mode (ε)
 -----------------------------
@@ -123,9 +120,9 @@ from repro.graph.digraph import Edge, Node
 from repro.flow.exact_oracle import (
     ExactOracle,
     MultiHubSession,
-    use_exact,
     validate_oracle_mode,
 )
+from repro.flow.maxflow import validate_flow_method
 from repro.graph.view import (
     GraphView,
     NeighborSetCache,
@@ -189,9 +186,7 @@ class ChitchatStats(StatsView):
     ratio); ``batch_freeze_seconds`` / ``batch_discharge_seconds`` /
     ``batch_relabel_seconds`` — the batched tier's kernel time split
     (arena assembly / wave sweeps / exact-label BFS share);
-    ``flow_solve_seconds`` — the sequential tier's solve wall;
-    ``jit_compile_seconds`` — the process-wide one-off Numba warm-up
-    when the jit kernel ran (excluded from every other timer).
+    ``flow_solve_seconds`` — the sequential tier's solve wall.
 
     Since ISSUE 8 this is a :class:`~repro.obs.metrics.StatsView` over
     the scheduler's metrics registry: scheduler-phase counters live at
@@ -240,10 +235,6 @@ class ChitchatStats(StatsView):
             "timer",
         ),
         "flow_solve_seconds": (("oracle", "flow", "solve_seconds"), "timer"),
-        "jit_compile_seconds": (
-            ("oracle", "flow", "jit_compile_seconds"),
-            "timer",
-        ),
         "edges_covered_by_hubs": (("edges_covered_by_hubs",), "counter"),
         "final_cost": (("final_cost",), "gauge"),
     }
@@ -288,10 +279,11 @@ class ChitchatScheduler:
         :mod:`repro.core.densest`; ``"exact"`` the parametric max-flow
         oracle of :mod:`repro.flow`, whose champions are true optima, so
         a dirtied hub is parked a float margin below its true cost
-        instead of at a factor-2 certificate;
-        ``"auto"`` picks exact for hub-graphs up to
-        :data:`~repro.flow.exact_oracle.EXACT_AUTO_MAX_ELEMENTS`
-        elements and the peel beyond.
+        instead of at a factor-2 certificate.  Its session is always
+        warm: each oracle call repairs the preflow the hub's previous
+        call left behind — coverage only removes element arcs, leg
+        payments only shrink vertex weights — instead of rebuilding the
+        flow from zero.
     epsilon:
         ``(1 + ε)`` relaxation of the greedy selection (lazy mode only):
         a dirty heap top whose certified lower-bound key is within
@@ -300,16 +292,6 @@ class ChitchatScheduler:
         each accepted step costs at most ``(1 + ε)`` times the true
         step optimum.  ``0.0`` (default) disables the relaxation and is
         byte-identical to exact greedy.
-    warm:
-        Cross-call warm starts of the exact oracle's per-hub flow
-        problems (``True`` by default; irrelevant under
-        ``oracle="peel"``): each oracle call repairs the preflow the
-        hub's previous call left behind — coverage only removes element
-        arcs, leg payments only shrink vertex weights — instead of
-        rebuilding the flow from zero, and seeds the density search from
-        the hub's previous optimum.  Schedules are byte-identical warm
-        or cold (property-tested); ``False`` restores per-call cold
-        solves, the E15 benchmark's reference configuration.
     batch_k:
         Speculative batch width of the exact oracle's multi-hub flow
         tier (lazy mode; ``None`` defaults to
@@ -325,11 +307,9 @@ class ChitchatScheduler:
         at every width (property-tested), and with ``epsilon > 0`` the
         relaxation can accept clean champions straight from the batch.
     method:
-        Flow kernel of the exact oracle's networks and arenas
-        (irrelevant under ``oracle="peel"``): ``"auto"`` (default),
-        ``"wave"``, ``"loop"``, or ``"jit"`` — the Numba-compiled tier,
-        which requires the optional ``[jit]`` extra and raises
-        :class:`~repro.flow.maxflow.FlowConfigError` without it.
+        Flow kernel of the exact oracle's per-hub networks: ``"auto"``
+        (default), ``"wave"`` or ``"loop"``.  Checked at construction
+        under every oracle, though only ``oracle="exact"`` uses it.
         Kernel choice is a pure perf knob: schedules are byte-identical
         across methods (property-tested).
     """
@@ -344,10 +324,11 @@ class ChitchatScheduler:
         lazy: bool = True,
         oracle: str = "peel",
         epsilon: float = 0.0,
-        warm: bool = True,
         batch_k: int | None = None,
         method: str = "auto",
     ) -> None:
+        validate_oracle_mode(oracle)
+        validate_flow_method(method)
         if epsilon < 0.0:
             raise ReproError(f"epsilon must be >= 0, got {epsilon!r}")
         if batch_k is not None and batch_k < 0:
@@ -363,14 +344,12 @@ class ChitchatScheduler:
         self._record_log = record_log
         self._lazy = lazy
         self._epsilon = float(epsilon)
-        self._oracle_mode = validate_oracle_mode(oracle)
         self._exact = (
             ExactOracle(
-                warm=warm,
                 method=method,
                 metrics=self.metrics.node("scheduler", "oracle"),
             )
-            if oracle != "peel"
+            if oracle == "exact"
             else None
         )
         self._batch_k = BATCH_K if batch_k is None else int(batch_k)
@@ -499,7 +478,6 @@ class ChitchatScheduler:
             self.stats.batch_discharge_seconds = flow_stats.discharge_seconds
             self.stats.batch_relabel_seconds = flow_stats.relabel_seconds
             self.stats.flow_solve_seconds = flow_stats.solve_seconds
-            self.stats.jit_compile_seconds = flow_stats.jit_compile_seconds
         self.stats.final_cost = schedule_cost(self.schedule, self.workload)
         return self.schedule
 
@@ -667,10 +645,7 @@ class ChitchatScheduler:
         if hub_graph is None:
             hub_graph = build_hub_graph(self.graph, hub, self.max_cross_edges)
             self._hub_cache[hub] = hub_graph
-        oracle = densest_subgraph
-        exact = self._exact is not None and use_exact(self._oracle_mode, hub_graph)
-        if exact:
-            oracle = self._exact
+        oracle = self._exact if self._exact is not None else densest_subgraph
         mirror = self._mirror
         result = oracle(
             hub_graph,
@@ -681,14 +656,13 @@ class ChitchatScheduler:
             arrays=mirror.arrays if mirror else None,
             upper_bound=upper_bound,
         )
-        self._install_result(hub, version, result, exact)
+        self._install_result(hub, version, result)
 
     def _install_result(
         self,
         hub: Node,
         version: int,
         result: DensestResult | OracleCutoff | None,
-        exact: bool,
     ) -> None:
         """Install one oracle outcome: requeue, retire, or crown the hub.
 
@@ -710,7 +684,7 @@ class ChitchatScheduler:
             )
             return
         self.stats.oracle_calls += 1
-        if exact:
+        if self._exact is not None:
             self.stats.exact_oracle_calls += 1
         if result is None or not result.covered:
             # no uncovered element left in this hub-graph: coverage only
@@ -756,14 +730,14 @@ class ChitchatScheduler:
     ) -> None:
         """Recompute several hubs' champions in one batched oracle call.
 
-        Exact-eligible hub-graphs go through the
+        The hub-graphs go through the
         :class:`~repro.flow.exact_oracle.MultiHubSession` arena as one
-        block-diagonal flow solve; stragglers (``oracle="auto"`` hubs
-        beyond the exact ceiling) take the ordinary peel.  Each hub
-        carries the same bounded-probe bar the sequential path would
-        have passed — the cheapest *competing* candidate: the limit, the
-        next heap key, or another gathered hub's certified key — so
-        speculative evaluation pays an O(m) probe, not a full solve, for
+        block-diagonal flow solve (batching exists only under
+        ``oracle="exact"``).  Each hub carries the same bounded-probe bar
+        the sequential path would have passed — the cheapest *competing*
+        candidate: the limit, the next heap key, or another gathered
+        hub's certified key — so speculative evaluation pays an O(m)
+        probe, not a full solve, for
         hubs that provably cannot win this step.  Hubs whose probe was
         already memoized for this state skip the probe (it cannot cut
         off twice), exactly as the sequential path peels them directly.
@@ -791,22 +765,7 @@ class ChitchatScheduler:
                     self.graph, hub, self.max_cross_edges
                 )
                 self._hub_cache[hub] = hub_graph
-            if use_exact(self._oracle_mode, hub_graph):
-                jobs.append((hub, hub_graph, version, bar))
-            else:
-                mirror = self._mirror
-                result = densest_subgraph(
-                    hub_graph,
-                    self.workload,
-                    self.schedule,
-                    self._uncovered,
-                    uncovered_mask=mirror.uncovered_mask if mirror else None,
-                    arrays=mirror.arrays if mirror else None,
-                    upper_bound=bar,
-                )
-                self._install_result(hub, version, result, exact=False)
-        if not jobs:
-            return
+            jobs.append((hub, hub_graph, version, bar))
         mirror = self._mirror
         results = self._multi(
             [hub_graph for _hub, hub_graph, _version, _bar in jobs],
@@ -818,7 +777,7 @@ class ChitchatScheduler:
             upper_bounds=[bar for _hub, _hub_graph, _version, bar in jobs],
         )
         for (hub, _hub_graph, version, _bar), result in zip(jobs, results):
-            self._install_result(hub, version, result, exact=True)
+            self._install_result(hub, version, result)
 
     @trace.traced("scheduler.heap_pop")
     def _pop_best_hub_entry(self, limit: float = math.inf) -> HubEntry | None:
@@ -1065,7 +1024,6 @@ def chitchat_schedule(
     lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
-    warm: bool = True,
     batch_k: int | None = None,
     method: str = "auto",
 ) -> RequestSchedule:
@@ -1078,7 +1036,6 @@ def chitchat_schedule(
         lazy=lazy,
         oracle=oracle,
         epsilon=epsilon,
-        warm=warm,
         batch_k=batch_k,
         method=method,
     ).run()
@@ -1092,7 +1049,6 @@ def chitchat_with_stats(
     lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
-    warm: bool = True,
     batch_k: int | None = None,
     method: str = "auto",
 ) -> tuple[RequestSchedule, ChitchatStats]:
@@ -1106,7 +1062,6 @@ def chitchat_with_stats(
         lazy=lazy,
         oracle=oracle,
         epsilon=epsilon,
-        warm=warm,
         batch_k=batch_k,
         method=method,
     )

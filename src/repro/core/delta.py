@@ -81,7 +81,8 @@ from repro.core.densest import DensestResult, densest_subgraph
 from repro.core.hubgraph import HubGraph, build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.errors import ScheduleError, WorkloadError
-from repro.flow.exact_oracle import ExactOracle, use_exact, validate_oracle_mode
+from repro.flow.exact_oracle import ExactOracle, validate_oracle_mode
+from repro.flow.maxflow import validate_flow_method
 from repro.graph.digraph import Edge, Node, SocialGraph
 from repro.graph.view import edge_list
 from repro.obs import trace
@@ -161,13 +162,11 @@ class DeltaScheduler:
     schedule:
         A feasible schedule for ``graph`` (validated unless
         ``validate=False``), typically a completed CHITCHAT run's.
-    oracle, warm, method, max_cross_edges:
-        The repair greedy's oracle stack, with the same semantics as on
+    oracle, method, max_cross_edges:
+        The repair greedy's oracle stack, with the same semantics (and
+        the same up-front validation) as on
         :class:`~repro.core.chitchat.ChitchatScheduler`: ``"peel"``
-        (default), ``"exact"`` (warm parametric max-flow sessions), or
-        ``"auto"`` — which here sizes the *restricted* hub-graph a repair
-        actually solves (the re-opened elements a hub can serve), not the
-        hub's whole neighbourhood, so mega-hubs stay exact too.
+        (default) or ``"exact"`` (warm parametric max-flow sessions).
         ``max_cross_edges`` (default ``None``) makes repairs build
         maximal, truncated hub-graphs as the full run does, at
         O(hub degree) per evaluation.
@@ -179,11 +178,12 @@ class DeltaScheduler:
         workload: Workload,
         schedule: RequestSchedule,
         oracle: str = "peel",
-        warm: bool = True,
         method: str = "auto",
         max_cross_edges: int | None = None,
         validate: bool = True,
     ) -> None:
+        validate_oracle_mode(oracle)
+        validate_flow_method(method)
         self.graph = graph
         self.schedule = schedule
         self.max_cross_edges = max_cross_edges
@@ -221,16 +221,14 @@ class DeltaScheduler:
         #: Direct-served edges whose assignment an event may have left
         #: improvable; consumed (and re-screened) by :meth:`repair`.
         self._residue: set[Edge] = set()
-        self._oracle_mode = validate_oracle_mode(oracle)
         self.metrics = MetricsRegistry()
         self.stats = DeltaStats(node=self.metrics.node("delta"))
         self._exact = (
             ExactOracle(
-                warm=warm,
                 method=method,
                 metrics=self.metrics.node("delta", "oracle"),
             )
-            if oracle != "peel"
+            if oracle == "exact"
             else None
         )
         self.stats.maintained_cost = self._cost
@@ -591,16 +589,10 @@ class DeltaScheduler:
         version[hub] = version.get(hub, 0) + 1
         if not uncovered:
             return
-        hub_graph = hub_graphs[hub]
-        oracle = densest_subgraph
-        exact = self._exact is not None and use_exact(
-            self._oracle_mode, hub_graph
-        )
-        if exact:
-            oracle = self._exact
-        result = oracle(hub_graph, self.workload, self.schedule, uncovered)
+        oracle = self._exact if self._exact is not None else densest_subgraph
+        result = oracle(hub_graphs[hub], self.workload, self.schedule, uncovered)
         self.stats.hub_refreshes += 1
-        if exact:
+        if self._exact is not None:
             self.stats.exact_refreshes += 1
         if result is None or not result.covered:
             return  # nothing of the element set left in this hub-graph

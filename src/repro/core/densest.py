@@ -174,8 +174,8 @@ class OracleArrays:
 class ScheduleMirror:
     """Keeps the dense oracle mirrors in lockstep with a scheduler's state.
 
-    CSR-mode schedulers (CHITCHAT, BATCHEDCHITCHAT) own one of these and
-    route every mutation through it: :meth:`add_push`/:meth:`add_pull`
+    A CSR-mode ``ChitchatScheduler`` owns one of these and routes
+    every mutation through it: :meth:`add_push`/:meth:`add_pull`
     after the corresponding :class:`RequestSchedule` update, and
     :meth:`cover` whenever edges leave the uncovered set.  ``arrays`` is
     ``None`` when the workload has no dense id space (the oracle then

@@ -352,7 +352,7 @@ def save_delta_state(delta, path: str | Path, metadata: dict | None = None) -> i
 def load_delta_state(path: str | Path, **options):
     """Rebuild a :class:`~repro.core.delta.DeltaScheduler` from a snapshot.
 
-    ``options`` (``oracle=``, ``warm=``, ``method=``, …) forward to the
+    ``options`` (``oracle=``, ``method=``, …) forward to the
     scheduler constructor, so the resuming process picks its own oracle
     stack; returns ``(delta, header_metadata)``.
     """

@@ -5,8 +5,8 @@ different code paths (scalar vs vectorized, peel vs max-flow, cached vs
 recomputed), so every comparison that must not flip on rounding noise
 goes through the constants below.  Keeping them in one module stops the
 epsilons from drifting apart: a bound certified with one margin must be
-compared with the same margin everywhere, or the lazy schedulers can
-diverge from their eager reference implementations on cost ties.
+compared with the same margin everywhere, or the lazy scheduler can
+diverge from its eager reference implementation on cost ties.
 """
 
 from __future__ import annotations
@@ -20,19 +20,13 @@ from __future__ import annotations
 #: the lazy scheduler diverge from eager on cost ties.
 OPT_BOUND_MARGIN = 1.0 - 1e-9
 
-#: Absolute slack added to cost-per-element acceptance comparisons
-#: (BATCHEDCHITCHAT's round threshold and its ≤-hybrid charging rule):
-#: champions priced equal up to summation noise must land on the same
-#: side of the bar in lazy and eager rounds.
-COST_EPS = 1e-12
-
 #: Absolute slack added to the ``(1 + ε)``-acceptance comparison of the
-#: approximately-greedy schedulers (``epsilon=`` on ``ChitchatScheduler``
-#: and ``BatchedChitchat``): a clean candidate priced exactly at
-#: ``(1 + ε) ×`` a dirty certified bound must be accepted on both float
-#: evaluation paths, or the ε-run would depend on summation order.  At
-#: ``ε = 0`` the relaxation is disabled outright, so this slack can never
-#: perturb an exact-greedy run.
+#: approximately-greedy scheduler (``epsilon=`` on ``ChitchatScheduler``):
+#: a clean candidate priced exactly at ``(1 + ε) ×`` a dirty certified
+#: bound must be accepted on both float evaluation paths (dict and CSR),
+#: or the ε-run would depend on summation order.  At ``ε = 0`` the
+#: relaxation is disabled outright, so this slack can never perturb an
+#: exact-greedy run.
 EPS_ACCEPT_SLACK = 1e-12
 
 #: Residual capacities at or below this are treated as saturated by the
@@ -47,10 +41,10 @@ FLOW_EPS = 1e-10
 #: incumbent density by more than this fraction of the covered count.
 DINKELBACH_RTOL = 1e-12
 
-#: Default speculative batch width of the lazy schedulers' batched
-#: multi-hub flow tier (``batch_k=`` on ``ChitchatScheduler`` and
-#: ``BatchedChitchat``): up to this many dirty heap-top hubs are popped
-#: together and solved in one block-diagonal arena pass
+#: Default speculative batch width of the lazy scheduler's batched
+#: multi-hub flow tier (``batch_k=`` on ``ChitchatScheduler``): up to
+#: this many dirty heap-top hubs are popped together and solved in one
+#: block-diagonal arena pass
 #: (:class:`repro.flow.batched_solve.BatchedNetwork`).  Refreshing the
 #: runners-up is pure speculation — the greedy winner is re-derived from
 #: the refreshed true costs with the same tie-breaks, so the schedule is

@@ -5,17 +5,13 @@ Three layers, bottom up:
 * :mod:`repro.flow.maxflow` — push-relabel on flat paired-arc arrays,
   with warm restarts after capacity raises *and* capacity decreases
   (the preflow is repaired in place: overflowing flow is cancelled and
-  the deficit drained out of the downstream paths).  Three
+  the deficit drained out of the downstream paths).  Two
   interchangeable solvers: the numpy-vectorized *wave* kernel (batched
   pushes over the active frontier in descending level sweeps,
-  segment-minima relabels, vectorized reverse-BFS global relabeling),
-  the pure-Python FIFO discharge *loop* kept from PR 3 as the
-  reference, and the optional Numba-compiled *jit* tier
-  (:mod:`repro.flow.jit_kernel`, the ``[jit]`` extra — fused
-  single-loop discharge over the same grouped arrays; forcing it
-  without numba raises :class:`FlowConfigError`); ``method="auto"``
-  picks by network size and numba availability
-  (:data:`JIT_AUTO_MIN_ARCS` / :data:`WAVE_AUTO_MIN_ARCS`).
+  segment-minima relabels, vectorized reverse-BFS global relabeling)
+  and the pure-Python FIFO discharge *loop* kept from PR 3 as the
+  reference and the small-network tier; ``method="auto"`` picks by
+  network size (:data:`WAVE_AUTO_MIN_ARCS`).
 * :mod:`repro.flow.parametric` — Goldberg's fractional-programming
   construction for the weighted hypergraph densest-subgraph problem,
   solved by a Dinkelbach density search that seeds ``λ`` at the best
@@ -29,14 +25,13 @@ Three layers, bottom up:
   batch, freeze/discharge/relabel time split).
 * :mod:`repro.flow.exact_oracle` — the :class:`ExactOracle` adapter
   exposing the peel oracle's exact calling contract to the CHITCHAT
-  schedulers, plus the ``oracle="peel"|"exact"|"auto"`` mode selection
-  (auto = exact up to :data:`EXACT_AUTO_MAX_ELEMENTS` elements).  The
+  schedulers, plus the ``oracle="peel"|"exact"`` mode validation.  The
   adapter is a *session*: per-hub flow problems persist across calls
-  (LRU-capped at :data:`ORACLE_SESSION_HUBS`) and are warm-started by
-  default — each call repairs the previous preflow, since coverage only
-  shrinks each hub's element set.  :class:`MultiHubSession` drives
-  several hubs' Dinkelbach iterations through the batched arena at once
-  (the schedulers' ``batch_k=`` speculative top-k evaluation).
+  (LRU-capped at :data:`ORACLE_SESSION_HUBS`) and are warm-started —
+  each call repairs the previous preflow, since coverage only shrinks
+  each hub's element set.  :class:`MultiHubSession` drives several
+  hubs' Dinkelbach iterations through the batched arena at once (the
+  scheduler's ``batch_k=`` speculative top-k evaluation).
 
 The schedulers in :mod:`repro.core` take an ``oracle=`` parameter wiring
 this subsystem in; ``"peel"`` (the default) never solves a flow network
@@ -47,27 +42,23 @@ peel on the E13 workload's hub-graphs.
 
 from repro.flow.batched_solve import BatchedNetwork, BlockTemplate, FlowStats
 from repro.flow.exact_oracle import (
-    EXACT_AUTO_MAX_ELEMENTS,
     ORACLE_MODES,
     ORACLE_SESSION_HUBS,
     ExactOracle,
     MultiHubSession,
-    use_exact,
     validate_oracle_mode,
 )
-from repro.flow.jit_kernel import jit_available
 from repro.flow.maxflow import (
     ADAPTIVE_WARM_RELABEL,
     FLOW_METHODS,
-    JIT_AUTO_MIN_ARCS,
     WAVE_AUTO_MIN_ARCS,
     WARM_RELABEL_MAX_STRETCH,
-    FlowConfigError,
     FlowError,
     FlowMidSolveError,
     FlowNetwork,
     FlowNotFrozenError,
     compile_grouped,
+    validate_flow_method,
 )
 from repro.flow.parametric import (
     DenseSelection,
@@ -77,9 +68,7 @@ from repro.flow.parametric import (
 
 __all__ = [
     "ADAPTIVE_WARM_RELABEL",
-    "EXACT_AUTO_MAX_ELEMENTS",
     "FLOW_METHODS",
-    "JIT_AUTO_MIN_ARCS",
     "ORACLE_MODES",
     "ORACLE_SESSION_HUBS",
     "WARM_RELABEL_MAX_STRETCH",
@@ -88,7 +77,6 @@ __all__ = [
     "BlockTemplate",
     "DenseSelection",
     "ExactOracle",
-    "FlowConfigError",
     "FlowError",
     "FlowMidSolveError",
     "FlowNetwork",
@@ -98,7 +86,6 @@ __all__ = [
     "ParametricDensest",
     "compile_grouped",
     "densest_selection",
-    "jit_available",
-    "use_exact",
+    "validate_flow_method",
     "validate_oracle_mode",
 ]

@@ -53,14 +53,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.tolerances import FLOW_EPS
-from repro.flow import jit_kernel, maxflow
-from repro.flow.maxflow import (
-    JIT_AUTO_MIN_ARCS,
-    FlowConfigError,
-    FlowError,
-    FlowNetwork,
-    compile_grouped,
-)
+from repro.flow import maxflow
+from repro.flow.maxflow import FlowError, FlowNetwork, compile_grouped
 from repro.obs import trace
 from repro.obs.metrics import StatsView
 
@@ -82,10 +76,7 @@ class FlowStats(StatsView):
     *sequential* tier's solve wall (diffed from
     :attr:`~repro.flow.maxflow.FlowNetwork.solve_seconds` around each
     oracle call), so sequential-vs-batched wall splits read off one
-    object.  ``jit_compile_seconds`` mirrors the process-wide one-off
-    Numba warm-up cost (:func:`repro.flow.jit_kernel.compile_seconds`)
-    — excluded from every other timer, so benchmark headlines are never
-    polluted by first-call compilation.
+    object.
 
     Since ISSUE 8 this is a :class:`~repro.obs.metrics.StatsView`: each
     field is a live view over a cell of a metrics-registry node (the
@@ -103,7 +94,6 @@ class FlowStats(StatsView):
         "discharge_seconds": (("arena", "discharge_seconds"), "timer"),
         "relabel_seconds": (("arena", "relabel_seconds"), "timer"),
         "solve_seconds": (("solve_seconds",), "timer"),
-        "jit_compile_seconds": (("jit_compile_seconds",), "timer"),
     }
 
     @property
@@ -193,16 +183,10 @@ class BatchedNetwork:
     stats:
         Optional :class:`FlowStats` accumulating assembly/discharge/
         relabel time and invocation counts across arenas.
-    method:
-        ``"wave"`` (segmented numpy sweeps over all blocks at once),
-        ``"jit"`` (one Numba-compiled call discharging every live block
-        — requires the ``[jit]`` extra, else :class:`FlowConfigError`),
-        or ``"auto"`` (default: jit when numba is available and the
-        arena holds at least
-        :data:`~repro.flow.maxflow.JIT_AUTO_MIN_ARCS` forward arcs,
-        wave otherwise).  The per-block ``"loop"`` tier has no batched
-        counterpart — arenas exist precisely to avoid per-block
-        dispatch.
+
+    The arena always runs the wave kernel (segmented numpy sweeps over
+    all blocks at once): the per-block ``"loop"`` tier has no batched
+    counterpart — arenas exist precisely to avoid per-block dispatch.
 
     :meth:`solve` discharges every live block to completion (max preflow
     per block); :meth:`block_value` reads a block's delivered flow,
@@ -217,21 +201,9 @@ class BatchedNetwork:
         blocks,
         stats: FlowStats | None = None,
         count_dispatch: bool = True,
-        method: str = "auto",
     ) -> None:
         if not blocks:
             raise FlowError("BatchedNetwork needs at least one block")
-        if method not in ("auto", "wave", "jit"):
-            raise FlowError(
-                f"unknown arena method {method!r}; options: "
-                "('auto', 'wave', 'jit')"
-            )
-        if method == "jit" and not jit_kernel.jit_available():
-            raise FlowConfigError(
-                f"method='jit' requires the optional [jit] extra: "
-                f"{jit_kernel.missing_reason()} "
-                "(pip install .[jit], or use method='auto' to fall back)"
-            )
         t0 = perf_counter()
         self.stats = stats
         templates = [t for t, _cap, _ex in blocks]
@@ -288,31 +260,6 @@ class BatchedNetwork:
         # frontier and its arcs leave every residual scan
         self._node_done = np.zeros(n, dtype=bool)
         self._arc_live = np.ones(len(self._g_head), dtype=bool)
-        if method == "auto":
-            if len(self._g_head) // 2 >= JIT_AUTO_MIN_ARCS:
-                if jit_kernel.jit_available():
-                    method = "jit"
-                else:
-                    jit_kernel.note_auto_fallback()
-            if method == "auto":
-                method = "wave"
-        self.method = method
-        if method == "jit":
-            # block-local grouped arrays for the compiled multi-block
-            # kernel: each block's slice is then exactly a standalone
-            # single-network problem, so the per-block discharge runs on
-            # plain array views of the arena state
-            self._head_local = np.concatenate([t.head for t in templates])
-            self._rev_local = np.concatenate([t.rev for t in templates])
-            self._forward = np.concatenate(
-                [t.perm % 2 == 0 for t in templates]
-            )
-            self._source_local = np.array(
-                [t.source for t in templates], dtype=np.int64
-            )
-            self._sink_local = np.array(
-                [t.sink for t in templates], dtype=np.int64
-            )
         self.cap = np.concatenate([cap for _t, cap, _ex in blocks]).astype(
             np.float64, copy=False
         )
@@ -436,14 +383,11 @@ class BatchedNetwork:
         discharge together), relabels lift to per-block parking
         sentinels, and the gap heuristic reads one per-block histogram.
         Per-block flow values are read afterwards via
-        :meth:`block_value`.  Under ``method="jit"`` the whole dispatch
-        is one compiled :meth:`_solve_jit` call instead.
+        :meth:`block_value`.
         """
         with trace.span("flow.arena.solve") as span:
-            span.set(method=self.method, blocks=self.num_blocks)
-            if self.method == "jit":
-                return self._solve_jit()
-            return self._solve_wave()
+            span.set(blocks=self.num_blocks)
+            self._solve_wave()
 
     def _solve_wave(self) -> None:
         t0 = perf_counter()
@@ -604,54 +548,6 @@ class BatchedNetwork:
                 # exact labels resolve the stall
                 label = self._global_relabel()
                 since_gr = 0
-        self.label = label
-        if self.stats is not None:
-            self.stats.discharge_seconds += perf_counter() - t0
-
-    def _solve_jit(self) -> None:
-        """One compiled call discharging every live block to completion.
-
-        :func:`repro.flow.jit_kernel.discharge_multi` runs the fused
-        FIFO push-relabel loop block by block on views of the arena
-        arrays — the Python->native boundary is crossed once per arena
-        dispatch, not once per block or per wave.  Labels land in the
-        arena's own convention (block-local distances, parked at the
-        block's node count).  The per-block global-relabel cadence is
-        the sequential kernel's, stretched on warm re-entries exactly
-        like the wave arena (re-entries are raise-only by construction).
-        Compilation warm-up runs before the discharge timer and accrues
-        to :attr:`FlowStats.jit_compile_seconds` instead.
-        """
-        jit_kernel.ensure_compiled()
-        if self.stats is not None:
-            self.stats.jit_compile_seconds = jit_kernel.compile_seconds()
-        t0 = perf_counter()
-        self.solves += 1
-        if self.stats is not None:
-            self.stats.kernel_invocations += 1
-        gr_base = _ARENA_RELABEL_INTERVAL
-        if self._has_solved and maxflow.ADAPTIVE_WARM_RELABEL:
-            gr_base *= maxflow.WARM_RELABEL_MAX_STRETCH
-        self._has_solved = True
-        live = ~self._block_done_mask()
-        label = self._park.copy()
-        passes = jit_kernel.discharge_multi(
-            self.cap,
-            self.excess,
-            self._head_local,
-            self._rev_local,
-            self._forward,
-            self._g_ptr,
-            label,
-            self._node_off,
-            self._arc_off,
-            self._source_local,
-            self._sink_local,
-            live,
-            FLOW_EPS,
-            gr_base,
-        )
-        self.passes += int(passes)
         self.label = label
         if self.stats is not None:
             self.stats.discharge_seconds += perf_counter() - t0

@@ -6,8 +6,8 @@
 returns is the *true optimum* sub-hub-graph (parametric max-flow,
 :mod:`repro.flow.parametric`) rather than the Lemma-1 2-approximation.
 It is also a *session*: per-hub flow problems persist across calls
-(LRU-capped), and with ``warm=True`` each call repairs the previous
-preflow instead of rebuilding it — see the class docstring.
+(LRU-capped), and each call repairs the previous preflow instead of
+rebuilding it — see the class docstring.
 Results carry ``exact=True`` and an ``opt_lower_bound`` one float margin
 below the optimum itself.  The lazy CHITCHAT heap retains any champion
 whose covered set a covering event does not touch (see
@@ -18,18 +18,13 @@ under this oracle — and a dirtied one is parked at its true cost rather
 than at a factor-2 certificate.
 
 The probe-based ``upper_bound`` early exit is *shared* with the peel
-(:func:`repro.core.densest.probe_optimum_bound`): the lazy schedulers
-memoize probe outcomes per hub state, so both oracles must certify
+(:func:`repro.core.densest.probe_optimum_bound`): the lazy scheduler
+memoizes probe outcomes per hub state, so both oracles must certify
 identical bounds for identical inputs — and the O(m) probe is exactly as
 valid a reason to skip an exact max-flow as it is to skip a peel.
 
-Oracle-mode selection lives here too: ``"peel"`` and ``"exact"`` force an
-oracle, ``"auto"`` uses exact for hub-graphs up to
-:data:`EXACT_AUTO_MAX_ELEMENTS` elements and falls back to the peel on
-bigger ones — a guard for the pathologically dense regime the E14
-kernel benchmark has not measured, now that the vectorized wave kernel
-and the λ-seeded Dinkelbach search price exactness within ~2-3x of a
-peel call at every measured size.
+Oracle-mode validation lives here too: ``oracle="peel"`` (the default
+everywhere) or ``"exact"`` (this module's oracle on every hub-graph).
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from repro.core.hubgraph import X_SIDE, HubGraph
 from repro.core.schedule import RequestSchedule
 from repro.core.tolerances import BATCH_MIN_BLOCKS, OPT_BOUND_MARGIN
 from repro.errors import ReproError
-from repro.flow import jit_kernel, maxflow
+from repro.flow.maxflow import validate_flow_method
 from repro.flow.batched_solve import BatchedNetwork, FlowStats
 from repro.flow.parametric import (
     MAX_DINKELBACH_ITERATIONS,
@@ -64,19 +59,7 @@ from repro.obs.metrics import MetricNode
 from repro.workload.rates import Workload
 
 #: Valid ``oracle=`` arguments of the scheduling entry points.
-ORACLE_MODES = ("peel", "exact", "auto")
-
-#: Element-count ceiling up to which ``oracle="auto"`` picks the exact
-#: max-flow oracle.  PR 3 capped this at 512: the pure-Python discharge
-#: loop ran ~3x the peel's wall-clock per call and fell further behind
-#: with size.  The E14 crossover measurement of the vectorized kernel
-#: (single-vertex-seeded Dinkelbach + wave discharge above
-#: :data:`~repro.flow.maxflow.WAVE_AUTO_MIN_ARCS` arcs) puts every
-#: measured tier up to ~2.3k elements within ~2-3x of a peel call, with
-#: the ratio *falling* as hubs grow — so auto now buys exactness on all
-#: but pathologically dense hubs, where the untested regime keeps a
-#: finite guard.
-EXACT_AUTO_MAX_ELEMENTS = 4096
+ORACLE_MODES = ("peel", "exact")
 
 #: Default ceiling on cached per-hub flow problems in an
 #: :class:`ExactOracle` session.  Each cached
@@ -114,22 +97,12 @@ class _PricedHub:
     num_elems: int
 
 
-def validate_oracle_mode(oracle: str) -> str:
-    """Check an ``oracle=`` argument, returning it for chaining."""
+def validate_oracle_mode(oracle: str) -> None:
+    """Raise :class:`ReproError` naming the options unless ``oracle`` is one."""
     if oracle not in ORACLE_MODES:
         raise ReproError(
             f"unknown oracle mode {oracle!r}; options: {ORACLE_MODES}"
         )
-    return oracle
-
-
-def use_exact(oracle: str, hub_graph: HubGraph) -> bool:
-    """Whether ``oracle`` mode solves this hub-graph with the flow oracle."""
-    if oracle == "exact":
-        return True
-    if oracle != "auto":
-        return False
-    return hub_graph.num_elements <= EXACT_AUTO_MAX_ELEMENTS
 
 
 class ExactOracle:
@@ -138,14 +111,14 @@ class ExactOracle:
     A hub-graph's incidence structure never changes over a scheduler run
     (only coverage and leg payments do), so the per-hub
     :class:`~repro.flow.parametric.ParametricDensest` network is compiled
-    once and re-parameterized on every call — and, with ``warm=True``
-    (the default), each call *repairs the previous call's preflow*
-    instead of resetting it: coverage only removes element arcs and leg
-    payments only shrink vertex weights, so most of the routed flow is
-    still valid and the per-hub solver re-runs its density search seeded
-    from the hub's previous optimum.  Warm and cold sessions return
-    byte-identical results (differential-tested), so the schedulers'
-    schedules cannot depend on the flag.
+    once and re-parameterized on every call — and each call *repairs the
+    previous call's preflow* instead of resetting it: coverage only
+    removes element arcs and leg payments only shrink vertex weights, so
+    most of the routed flow is still valid and the per-hub solver re-runs
+    its density search seeded from the hub's previous optimum.
+    ``warm=False`` (per-call cold solves) exists only as the reference
+    the differential tests compare warm sessions against: both return
+    byte-identical results, and every scheduler runs warm.
 
     Schedulers own one session per run; the cache is keyed by hub node
     and capped at ``max_cached`` problems (:data:`ORACLE_SESSION_HUBS`,
@@ -171,18 +144,14 @@ class ExactOracle:
             raise ReproError(
                 f"max_cached must be >= 1 or None, got {max_cached!r}"
             )
-        if method not in maxflow.FLOW_METHODS:
-            raise ReproError(
-                f"unknown flow method {method!r}; options: "
-                f"{maxflow.FLOW_METHODS}"
-            )
+        validate_flow_method(method)
         self.warm = warm
         self.max_cached = max_cached
         #: Flow kernel selection threaded into every per-hub network and
-        #: batched arena of this session (``"auto"``/``"wave"``/
-        #: ``"loop"``/``"jit"``, see
-        #: :data:`repro.flow.maxflow.FLOW_METHODS`).  Kernel choice is a
-        #: pure perf knob: results are byte-identical across methods.
+        #: network of this session (``"auto"``/``"wave"``/``"loop"``, see
+        #: :data:`repro.flow.maxflow.FLOW_METHODS`; batched arenas always
+        #: run the wave kernel).  Kernel choice is a pure perf knob:
+        #: results are byte-identical across methods.
         self.method = method
         self.warm_solves = 0
         self.preflow_repairs = 0
@@ -307,7 +276,6 @@ class ExactOracle:
         self.warm_solves += problem.warm_solves - warm_before
         self.flow_stats.kernel_invocations += net.solves - solves_before
         self.flow_stats.solve_seconds += net.solve_seconds - seconds_before
-        self.flow_stats.jit_compile_seconds = jit_kernel.compile_seconds()
         return self._package(priced, selection)
 
     def _price(
@@ -433,7 +401,7 @@ class MultiHubSession:
     early exit: a hub whose O(m) mediant bound exceeds its bound gets an
     :class:`~repro.core.densest.OracleCutoff` result slot and never
     reaches the flow — so speculative batch evaluation pays the same
-    probe the lazy schedulers would have paid, not a full solve.
+    probe the lazy scheduler would have paid, not a full solve.
     """
 
     def __init__(self, oracle: ExactOracle) -> None:
@@ -541,7 +509,6 @@ class MultiHubSession:
             oracle.warm_solves += problem.warm_solves - warm0
             oracle.flow_stats.kernel_invocations += net.solves - solves0
             oracle.flow_stats.solve_seconds += net.solve_seconds - seconds0
-        oracle.flow_stats.jit_compile_seconds = jit_kernel.compile_seconds()
         for i, hub_graph in repeats:
             results[i] = oracle(
                 hub_graph,
@@ -567,15 +534,7 @@ class MultiHubSession:
             (problem.template(), *problem.export_flow_state())
             for _i, _priced, problem, _prep in pending
         ]
-        # the arena has no per-block loop tier; a session forced to a
-        # sequential-only method batches on the wave kernel (jit and
-        # auto thread straight through)
-        arena_method = (
-            oracle.method if oracle.method in ("auto", "jit") else "wave"
-        )
-        arena = BatchedNetwork(
-            blocks, stats=oracle.flow_stats, method=arena_method
-        )
+        arena = BatchedNetwork(blocks, stats=oracle.flow_stats)
         # per-block raise-path arrays: incident verts' sink arcs, their
         # grouped positions, and weights — fixed for the whole batch, so
         # each "raise" round is three vectorized ops instead of a
@@ -651,10 +610,7 @@ class MultiHubSession:
                     compacted.append((pending[j][2].template(), cap, excess))
                     new_slot[j] = b
                 arena = BatchedNetwork(
-                    compacted,
-                    stats=oracle.flow_stats,
-                    count_dispatch=False,
-                    method=arena_method,
+                    compacted, stats=oracle.flow_stats, count_dispatch=False
                 )
                 slot = new_slot
             arena.solve()

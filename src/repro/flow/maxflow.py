@@ -69,18 +69,16 @@ purely combinatorial), so no integrality is assumed.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.tolerances import FLOW_EPS
 from repro.errors import ReproError
-from repro.flow import jit_kernel
 from repro.obs import trace
 from repro.obs.metrics import Stopwatch
 
 #: Valid ``method=`` arguments of :class:`FlowNetwork`.
-FLOW_METHODS = ("auto", "wave", "loop", "jit")
+FLOW_METHODS = ("auto", "wave", "loop")
 
 #: Forward-arc count at or above which ``method="auto"`` resolves to the
 #: vectorized wave solver.  Below it the pure-Python loop's lower constant
@@ -90,20 +88,6 @@ FLOW_METHODS = ("auto", "wave", "loop", "jit")
 #: 1.1k forward arcs (≈ 380 hub-graph elements), and the penalty for
 #: picking wave slightly early is under ~20% on the bucket below.
 WAVE_AUTO_MIN_ARCS = 1024
-
-#: Forward-arc count at or above which ``method="auto"`` resolves to the
-#: Numba-compiled jit solver when the ``[jit]`` extra is installed.
-#: Deliberately *below* the wave crossover: the compiled discharge loop
-#: has neither the pure-Python interpreter constant nor the wave
-#: kernel's per-wave/per-level numpy dispatch, so it wins as soon as a
-#: network is big enough that the fixed cost of crossing the
-#: Python->native boundary (a few microseconds per solve) is amortized
-#: — measured by the E19 benchmark on the E13 hub-graph family, where
-#: the jit/loop crossover sits near 0.2k forward arcs.  Below it the
-#: tiny-network loop tier stays preferable.  When numba is missing,
-#: ``"auto"`` degrades to the PR 4 wave/loop resolution with one
-#: debug-level notice (see :func:`repro.flow.jit_kernel.note_auto_fallback`).
-JIT_AUTO_MIN_ARCS = 256
 
 #: Relabel operations between global relabels of the wave solver.  Low
 #: values make the solver behave like Dinic's phase structure — exact
@@ -165,14 +149,17 @@ class FlowError(ReproError):
     """Invalid flow-network construction or capacity update."""
 
 
-class FlowConfigError(FlowError):
-    """A flow method was requested that this installation cannot run.
+def validate_flow_method(method: str) -> None:
+    """Raise :class:`FlowError` naming the options unless ``method`` is one.
 
-    Raised when ``method="jit"`` is forced but numba is missing or too
-    old — the compiled tier is the optional ``[jit]`` extra
-    (``pip install .[jit]``).  ``method="auto"`` never raises this: it
-    degrades to the wave/loop tiers with a debug-level notice instead.
+    Every entry point that takes a flow method calls this at
+    construction, whatever its oracle, so a bad value fails up front
+    rather than when (or if) the first flow network is built.
     """
+    if method not in FLOW_METHODS:
+        raise FlowError(
+            f"unknown flow method {method!r}; options: {FLOW_METHODS}"
+        )
 
 
 class FlowNotFrozenError(FlowError):
@@ -205,11 +192,8 @@ class FlowNetwork:
         two of them.
     method:
         ``"wave"`` (vectorized wave passes), ``"loop"`` (pure-Python FIFO
-        discharge, the reference), ``"jit"`` (Numba-compiled fused
-        discharge loop — requires the optional ``[jit]`` extra, else
-        :class:`FlowConfigError`), or ``"auto"`` (default: pick by arc
-        count and numba availability at :meth:`freeze`, see
-        :data:`JIT_AUTO_MIN_ARCS` / :data:`WAVE_AUTO_MIN_ARCS`).
+        discharge, the reference), or ``"auto"`` (default: pick by arc
+        count at :meth:`freeze`, see :data:`WAVE_AUTO_MIN_ARCS`).
 
     Usage::
 
@@ -223,8 +207,8 @@ class FlowNetwork:
 
     After :meth:`freeze`, :attr:`method` holds the resolved solver name.
     The capacity state lives in Python lists under ``"loop"`` and in the
-    grouped numpy arrays under ``"wave"`` and ``"jit"`` (the two share
-    one layout, see :attr:`grouped_layout`); all are updated consistently
+    grouped numpy arrays under ``"wave"`` (see :attr:`grouped_layout`);
+    both are updated consistently
     by :meth:`reset` / :meth:`raise_capacity` / :meth:`set_base_capacity`,
     so callers never need to know which solver runs.
     """
@@ -269,16 +253,7 @@ class FlowNetwork:
             raise FlowError("source/sink out of range")
         if source == sink:
             raise FlowError("source and sink must differ")
-        if method not in FLOW_METHODS:
-            raise FlowError(
-                f"unknown flow method {method!r}; options: {FLOW_METHODS}"
-            )
-        if method == "jit" and not jit_kernel.jit_available():
-            raise FlowConfigError(
-                f"method='jit' requires the optional [jit] extra: "
-                f"{jit_kernel.missing_reason()} "
-                "(pip install .[jit], or use method='auto' to fall back)"
-            )
+        validate_flow_method(method)
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
@@ -291,9 +266,9 @@ class FlowNetwork:
         self.excess = [0.0] * num_nodes
         self.label = [0] * num_nodes
         #: Work counters for the warm-start diagnostics: ``passes`` counts
-        #: solver progress units (node discharges under ``"loop"`` and
-        #: ``"jit"``, wave iterations under ``"wave"`` — comparable
-        #: across runs of the same network, not across methods); ``repairs`` counts capacity
+        #: solver progress units (node discharges under ``"loop"``, wave
+        #: iterations under ``"wave"`` — comparable across runs of the
+        #: same network, not across methods); ``repairs`` counts capacity
         #: decreases that had to cancel routed flow; ``solves`` counts
         #: :meth:`solve` entries (the per-network share of the oracle
         #: stack's kernel-invocation metric).  All cumulative; callers
@@ -301,11 +276,8 @@ class FlowNetwork:
         self.passes = 0
         self.repairs = 0
         self.solves = 0
-        #: Wall seconds spent inside :meth:`solve` (cumulative; jit
-        #: compilation warm-up is *excluded* — it happens before the
-        #: timer starts and accrues to
-        #: :func:`repro.flow.jit_kernel.compile_seconds`).  Callers diff
-        #: it around a solve, like the counters above.
+        #: Wall seconds spent inside :meth:`solve` (cumulative).  Callers
+        #: diff it around a solve, like the counters above.
         self.solve_seconds = 0.0
         self._frozen = False
         self._in_solve = False
@@ -337,28 +309,16 @@ class FlowNetwork:
     def freeze(self) -> None:
         """Seal the topology and resolve the solver; capacities stay rewritable.
 
-        ``method="auto"`` resolves to ``"jit"`` at or above
-        :data:`JIT_AUTO_MIN_ARCS` forward arcs when numba is installed;
-        otherwise (one debug-level notice when the jit tier was the
-        rightful pick) to ``"wave"`` at or above
-        :data:`WAVE_AUTO_MIN_ARCS`, ``"loop"`` below.  The grouped arc
-        arrays shared by the wave and jit solvers (arcs sorted by tail,
-        CSR-style segment pointers, reverse-arc position map) are built
-        here, once.
+        ``method="auto"`` resolves to ``"wave"`` at or above
+        :data:`WAVE_AUTO_MIN_ARCS` forward arcs, ``"loop"`` below.  The
+        wave solver's grouped arc arrays (arcs sorted by tail, CSR-style
+        segment pointers, reverse-arc position map) are built here, once.
         """
         self._frozen = True
         self.adj = self._adj_build
         if self.method == "auto":
             forward_arcs = len(self.head) // 2
-            if forward_arcs >= JIT_AUTO_MIN_ARCS:
-                if jit_kernel.jit_available():
-                    self.method = "jit"
-                else:
-                    jit_kernel.note_auto_fallback()
-            if self.method == "auto":
-                self.method = (
-                    "wave" if forward_arcs >= WAVE_AUTO_MIN_ARCS else "loop"
-                )
+            self.method = "wave" if forward_arcs >= WAVE_AUTO_MIN_ARCS else "loop"
         if self.grouped_layout:
             self._freeze_wave()
         else:
@@ -368,13 +328,12 @@ class FlowNetwork:
     def grouped_layout(self) -> bool:
         """Whether the capacity state lives in the grouped numpy arrays.
 
-        True for the ``"wave"`` and ``"jit"`` solvers (both operate on
-        the tail-sorted grouped layout compiled by :meth:`_freeze_wave`),
-        false for the arc-ordered Python lists of ``"loop"``.  Callers
-        that import/export raw flow state branch on this, never on
-        :attr:`method` itself.
+        True for the ``"wave"`` solver (the tail-sorted grouped layout
+        compiled by :meth:`_freeze_wave`), false for the arc-ordered
+        Python lists of ``"loop"``.  Callers that import/export raw flow
+        state branch on this, never on :attr:`method` itself.
         """
-        return self.method in ("wave", "jit")
+        return self.method == "wave"
 
     def _freeze_wave(self) -> None:
         """Compile the grouped (tail-sorted) arc arrays for the wave solver.
@@ -698,16 +657,12 @@ class FlowNetwork:
         Starts from the current preflow (zero after :meth:`reset`, the
         previous run's preflow after :meth:`raise_capacity`), saturates
         the source arcs, and discharges until no active node can reach
-        the sink.  Dispatches to the wave, loop, or jit solver resolved
-        at :meth:`freeze`; all compute the same value and expose the
-        same maximal min cut via :meth:`source_side`.  Wall time accrues
-        to :attr:`solve_seconds`; the jit tier's one-off compilation
-        warm-up runs *before* the timer starts and is accounted
-        separately (:func:`repro.flow.jit_kernel.compile_seconds`).
+        the sink.  Dispatches to the wave or loop solver resolved at
+        :meth:`freeze`; both compute the same value and expose the same
+        maximal min cut via :meth:`source_side`.  Wall time accrues to
+        :attr:`solve_seconds`.
         """
         self._check_mutable("solve()")
-        if self.method == "jit":
-            jit_kernel.ensure_compiled()
         self._in_solve = True
         self.solves += 1
         passes_at_entry = self.passes
@@ -716,8 +671,6 @@ class FlowNetwork:
             try:
                 if self.method == "wave":
                     value = self._solve_wave()
-                elif self.method == "jit":
-                    value = self._solve_jit()
                 else:
                     value = self._solve_loop()
             finally:
@@ -976,40 +929,6 @@ class FlowNetwork:
         return float(excess[sink])
 
     # ------------------------------------------------------------------
-    # JIT solver (Numba-compiled fused discharge loop)
-    # ------------------------------------------------------------------
-    def _solve_jit(self) -> float:
-        """One compiled call: the loop solver's algorithm at native speed.
-
-        Same FIFO discharge, gap heuristic and ``min(excess, residual)``
-        pushes as :meth:`_solve_loop` (hence naturally immune to the inf
-        λ·g sink capacities that force the wave kernel's denormal
-        clamp), plus periodic exact relabels at the warm-aware cadence.
-        Operates in place on the grouped ``cap``/``excess``/``label``
-        arrays shared with the wave tier, so warm starts, capacity
-        repair and state export work unchanged.  The wave cadence counts
-        batched lifts per wave; the scalar kernel counts individual
-        relabel operations, so the interval is scaled by the node count
-        (the classic every-O(n)-relabels global-relabel heuristic).
-        """
-        n = self.num_nodes
-        value, passes = jit_kernel.discharge_block(
-            self.cap,
-            self.excess,
-            self._g_head,
-            self._g_rev,
-            self._g_forward,
-            self._g_ptr,
-            self.label,
-            self.source,
-            self.sink,
-            FLOW_EPS,
-            self._relabel_interval() * max(1, n),
-        )
-        self.passes += int(passes)
-        return float(value)
-
-    # ------------------------------------------------------------------
     # Loop solver (pure-Python reference)
     # ------------------------------------------------------------------
     def _global_relabel(self) -> list[int]:
@@ -1140,7 +1059,7 @@ class FlowNetwork:
         optimum density it selects the largest optimal sub-hub-graph,
         mirroring the peel's preference for more coverage on cost ties.
         The maximal side is a property of the max-flow *value*, not of
-        the particular preflow found, so all three solvers agree.
+        the particular preflow found, so both solvers agree.
         """
         if self.grouped_layout:
             n = self.num_nodes

@@ -14,7 +14,7 @@ bumps themselves are plain attribute arithmetic (no lock), matching the
 pre-existing dataclass counters' cost and thread model.
 
 :class:`StatsView` keeps the historical flat stats dataclasses
-(``FlowStats``, ``ChitchatStats``, ``BatchedStats``, ``ClientCounters``)
+(``FlowStats``, ``ChitchatStats``, ``DeltaStats``, ``ClientCounters``)
 alive as *views* over registry cells: each declared field becomes a
 property bound to one cell, so ``stats.kernel_invocations += 1`` and the
 registry's ``snapshot()`` always agree, and two views sharing a node
@@ -214,8 +214,7 @@ class MetricsRegistry(MetricNode):
 
 
 #: Process-global registry for sites with no per-run registry in reach
-#: (e.g. the jit auto-fallback counter, recorded before any scheduler
-#: exists).
+#: (the default registry of :func:`repro.obs.export.json_summary`).
 _REGISTRY = MetricsRegistry()
 
 

@@ -16,9 +16,9 @@ schedules actually get computed:
    ``multiprocessing.shared_memory``; workers attach zero-copy views and
    run lazy CHITCHAT independently (:mod:`repro.shard.worker`) with the
    same default oracle as every other entry point, the factor-2 peel
-   (``oracle="peel"``; ``"exact"``/``"auto"`` opt a run into the flow
-   oracle of :mod:`repro.flow`).  The default start method is ``spawn``
-   so nothing rides on fork-inherited state.
+   (``oracle="peel"``; ``"exact"`` opts a run into the flow oracle of
+   :mod:`repro.flow`).  The default start method is ``spawn`` so nothing
+   rides on fork-inherited state.
 3. **merge** — union of the per-shard push/pull sets and hub covers.
    Disjoint elements + legs that are real graph edges ⇒ the union serves
    every edge of the full graph; shared legs deduplicate, so the merged
@@ -45,6 +45,8 @@ import numpy as np
 from repro.core.cost import schedule_cost
 from repro.core.schedule import RequestSchedule
 from repro.errors import ReproError
+from repro.flow.exact_oracle import validate_oracle_mode
+from repro.flow.maxflow import validate_flow_method
 from repro.graph.csr import CSRGraph
 from repro.graph.slab import Slab, export_arrays, export_csr
 from repro.graph.view import GraphView, to_csr
@@ -158,12 +160,15 @@ def sharded_chitchat_schedule(
     ``trace_workers=True`` collects each worker's span stream (merge
     them with :func:`repro.obs.merge_trace_streams`).
 
-    ``oracle`` is handed to every worker's scheduler.  The default is
+    ``oracle`` and ``method`` are handed to every worker's scheduler, and
+    checked here first — before any planning or slab export — so a bad
+    value fails in the driver, not in a spawned worker.  The default is
     the peel: on the degree-skewed, community-structured LDBC instance of
-    the perf ledger, ``"auto"`` sends every hub to the flow oracle and
-    returns the byte-identical schedule about 1.8x slower in 1.6x the
-    memory.
+    the perf ledger, the flow oracle returned the byte-identical schedule
+    about 1.8x slower in 1.6x the memory.
     """
+    validate_oracle_mode(oracle)
+    validate_flow_method(method)
     started = perf_counter()
     csr = graph if isinstance(graph, CSRGraph) else to_csr(graph)
     rp, rc = workload.as_arrays(csr.num_nodes)

@@ -5,7 +5,7 @@ Each worker task attaches its shard's CSR slab and the shared rate slab
 :class:`~repro.graph.csr.CSRGraph` plus a dense-path
 :class:`~repro.workload.rates.Workload`, runs lazy CHITCHAT exactly like
 a standalone run — peel oracle unless the task names another; under
-``"exact"``/``"auto"`` the worker owns its warm
+``"exact"`` the worker owns its warm
 :class:`~repro.flow.exact_oracle.ExactOracle` session and flow tier —
 and returns a plain-pickle result:
 the shard's schedule sets, the CELF heap's certified per-hub lower
@@ -57,7 +57,6 @@ def run_shard_task(task: dict) -> dict:
             lazy=True,
             oracle=task.get("oracle", "peel"),
             epsilon=task.get("epsilon", 0.0),
-            warm=True,
             batch_k=task.get("batch_k"),
             method=task.get("method", "auto"),
         )

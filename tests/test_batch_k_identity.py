@@ -6,10 +6,8 @@ them in one block-diagonal arena pass installs exactly the true costs
 the sequential scheduler would have installed refreshing each hub one
 at a time at the heap top, and the greedy winner is re-derived from
 those true costs with unchanged tie-breaks.  So at ``epsilon=0`` full
-scheduler runs must be *byte-identical* at every batch width — across
-both adjacency backends, the ``exact`` and ``auto`` oracles, and warm
-vs cold flow sessions — for both the sequential scheduler and
-BATCHEDCHITCHAT.  Property-tested on random instances here, plus
+scheduler runs must be *byte-identical* at every batch width on both
+adjacency backends.  Property-tested on random instances here, plus
 fixed-seed checks that batching actually fires at scale and cuts
 kernel invocations.
 
@@ -24,12 +22,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.batched import BatchedChitchat
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.coverage import validate_schedule
 from repro.core.cost import schedule_cost
 from repro.core.tolerances import BATCH_K
 from repro.errors import ReproError
+from repro.flow import FLOW_METHODS
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
@@ -82,37 +80,24 @@ class TestBatchKIdentity:
 
     @SMALL
     @given(instances())
-    @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize("oracle", ["exact", "auto"])
+    @pytest.mark.parametrize("method", FLOW_METHODS)
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_chitchat_batched_matches_sequential(
-        self, backend, oracle, warm, instance
+        self, backend, method, instance
     ):
+        """At every sequential kernel: arenas always run the wave kernel,
+        so a loop-kernel run batched must still match itself unbatched."""
         graph, workload = instance
         sequential = ChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle, warm=warm,
+            graph,
+            workload,
+            backend=backend,
+            oracle="exact",
             batch_k=0,
+            method=method,
         ).run()
         batched = ChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle, warm=warm,
-        ).run()
-        assert_same_schedule(sequential, batched)
-
-    @SMALL
-    @given(instances())
-    @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize("oracle", ["exact", "auto"])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_batched_chitchat_matches_sequential(
-        self, backend, oracle, warm, instance
-    ):
-        graph, workload = instance
-        sequential = BatchedChitchat(
-            graph, workload, backend=backend, oracle=oracle, warm=warm,
-            batch_k=0,
-        ).run()
-        batched = BatchedChitchat(
-            graph, workload, backend=backend, oracle=oracle, warm=warm,
+            graph, workload, backend=backend, oracle="exact", method=method
         ).run()
         assert_same_schedule(sequential, batched)
 
@@ -150,15 +135,6 @@ class TestBatchKFires:
             batched.stats.kernel_invocations
             < sequential.stats.kernel_invocations
         )
-
-    def test_batched_chitchat_batching_fires(self):
-        graph, workload = fixed_instance(2, nodes=250)
-        runner = BatchedChitchat(
-            graph, workload, backend="csr", oracle="exact"
-        )
-        runner.run()
-        assert runner.stats.batched_solves > 0
-        assert runner.stats.kernel_invocations > 0
 
     def test_width_one_disables_batching(self):
         graph, workload = fixed_instance(1, nodes=120)
@@ -199,19 +175,9 @@ class TestBatchKWithEpsilon:
         validate_schedule(graph, schedule)
         assert schedule_cost(schedule, workload) <= (1.0 + epsilon) * base + 1e-6
 
-    def test_batched_chitchat_epsilon_feasible(self):
-        graph, workload = fixed_instance(0, nodes=250)
-        runner = BatchedChitchat(
-            graph, workload, backend="csr", oracle="exact", epsilon=0.05
-        )
-        schedule = runner.run()
-        validate_schedule(graph, schedule)
-
 
 class TestValidation:
     def test_rejects_negative_batch_k(self):
         graph, workload = fixed_instance(0, nodes=50)
         with pytest.raises(ReproError):
             ChitchatScheduler(graph, workload, batch_k=-1)
-        with pytest.raises(ReproError):
-            BatchedChitchat(graph, workload, batch_k=-2)

@@ -5,23 +5,19 @@ ISSUE 6's contract, bottom layer up:
 * ``BatchedNetwork`` — an arena solve of ``k`` stacked blocks must
   reproduce, per block, the flow value and the *maximal* min-cut source
   side of ``k`` isolated ``FlowNetwork.solve()`` calls, on random block
-  mixes (mixed sizes, mixed ``loop``/``wave``/``jit`` per-block
-  kernels, since the grouped layout round-trips all three), under both
-  arena kernels (the shared wave sweeps and the compiled ``jit``
-  multi-block discharge — run un-jitted when numba is absent, see the
-  ``_python_jit`` fixture), cold and warm (resumed preflows, capacity
-  raises between passes), including blocks masked out mid-run via
-  ``mark_done``;
+  mixes (mixed sizes, mixed ``loop``/``wave`` per-block kernels, since
+  the grouped layout round-trips both), cold and warm (resumed
+  preflows, capacity raises between passes), including blocks masked
+  out mid-run via ``mark_done``;
 * ``MultiHubSession`` — a batched oracle call over ``k`` hub-graphs
   must return results byte-identical to ``k`` sequential
   ``ExactOracle`` calls at the same state, across covering sequences
   (the warm path), on both oracle input paths, and under LRU eviction
   pressure (``max_cached`` smaller than the batch).
 
-Scheduler-level byte-identity at ε=0 (``batch_k`` on full CHITCHAT /
-BATCHEDCHITCHAT runs, backends × oracles × warm) lives in
-``tests/test_epsilon_greedy.py``, which owns the schedule-equality
-harness.
+Scheduler-level byte-identity at ε=0 (``batch_k`` on full CHITCHAT
+runs, backends × oracles) lives in ``tests/test_epsilon_greedy.py``,
+which owns the schedule-equality harness.
 """
 
 from __future__ import annotations
@@ -34,34 +30,14 @@ import pytest
 from repro.core.densest import ScheduleMirror
 from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
-from repro.flow import jit_kernel
 from repro.flow.batched_solve import BatchedNetwork, BlockTemplate, FlowStats
 from repro.flow.exact_oracle import ExactOracle, MultiHubSession
-from repro.flow.jit_kernel import jit_available
-from repro.flow.maxflow import FlowConfigError, FlowError, FlowNetwork
+from repro.flow.maxflow import FlowError, FlowNetwork
 from repro.graph.digraph import SocialGraph
 from repro.graph.view import as_graph_view, edge_list
 from repro.workload.rates import Workload
 
-METHODS = ("loop", "wave", "jit")
-ARENA_METHODS = ("wave", "jit")
-
-
-@pytest.fixture(autouse=True)
-def _python_jit(monkeypatch):
-    """Run the jit tier un-jitted when numba is absent.
-
-    Its kernels are plain functions until numba wraps them at import,
-    so flipping the availability flag exercises the identical algorithm
-    interpreted (same trick as ``tests/test_flow.py``).
-    """
-    if not jit_available():
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", True)
-
-
-@pytest.fixture(params=ARENA_METHODS)
-def arena_method(request):
-    return request.param
+METHODS = ("loop", "wave")
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +75,14 @@ def layered_network(rng):
     return 2 + num_elems + num_verts, 0, 1, arcs
 
 
-def random_block(rng):
-    """One random solvable network, random per-block kernel."""
+#: per-block kernels of a block set: a random mix, or every block on one
+#: kernel — loop blocks export through the arc permutation, wave blocks
+#: already hold the grouped layout, so each forced set pins one path
+BLOCK_KERNELS = ("mixed",) + METHODS
+
+
+def random_block(rng, kernel="mixed"):
+    """One random solvable network on ``kernel`` (random when mixed)."""
     if rng.random() < 0.5:
         num_nodes, source, sink, arcs = layered_network(rng)
     else:
@@ -108,7 +90,13 @@ def random_block(rng):
         arcs = random_network(rng, num_nodes)
         if not arcs:
             arcs = [(0, 3, 1.0)]
-    return build_net(num_nodes, source, sink, arcs, rng.choice(METHODS))
+    method = rng.choice(METHODS) if kernel == "mixed" else kernel
+    return build_net(num_nodes, source, sink, arcs, method)
+
+
+@pytest.fixture(params=BLOCK_KERNELS)
+def kernel(request):
+    return request.param
 
 
 def export_state(net):
@@ -131,21 +119,19 @@ def assert_blocks_match(arena, nets):
 
 class TestBatchedNetworkDifferential:
     @pytest.mark.parametrize("seed", range(10))
-    def test_cold_mixed_blocks_match_isolated_solves(self, seed, arena_method):
-        """Random mixed-size mixed-kernel block sets, zero preflow."""
+    def test_cold_mixed_blocks_match_isolated_solves(self, seed, kernel):
+        """Random mixed-size block sets, zero preflow."""
         rng = random.Random(seed)
-        nets = [random_block(rng) for _ in range(rng.randint(1, 6))]
-        arena = BatchedNetwork(
-            [export_state(net) for net in nets], method=arena_method
-        )
+        nets = [random_block(rng, kernel) for _ in range(rng.randint(1, 6))]
+        arena = BatchedNetwork([export_state(net) for net in nets])
         arena.solve()
         assert_blocks_match(arena, nets)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_warm_resume_matches_isolated_warm_solves(self, seed, arena_method):
+    def test_warm_resume_matches_isolated_warm_solves(self, seed, kernel):
         """Blocks loaded with solved preflows + capacity raises."""
         rng = random.Random(100 + seed)
-        nets = [random_block(rng) for _ in range(rng.randint(2, 5))]
+        nets = [random_block(rng, kernel) for _ in range(rng.randint(2, 5))]
         for net in nets:
             net.solve()
             # raise a few forward arcs so there is genuinely new flow
@@ -154,20 +140,16 @@ class TestBatchedNetworkDifferential:
                     net.raise_capacity(
                         arc, net.base_cap[arc] + rng.uniform(0.1, 2.0)
                     )
-        arena = BatchedNetwork(
-            [export_state(net) for net in nets], method=arena_method
-        )
+        arena = BatchedNetwork([export_state(net) for net in nets])
         arena.solve()
         assert_blocks_match(arena, nets)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_arena_raise_then_resolve_matches(self, seed, arena_method):
+    def test_arena_raise_then_resolve_matches(self, seed, kernel):
         """add_capacity + a second arena pass == raises on the originals."""
         rng = random.Random(200 + seed)
-        nets = [random_block(rng) for _ in range(rng.randint(2, 4))]
-        arena = BatchedNetwork(
-            [export_state(net) for net in nets], method=arena_method
-        )
+        nets = [random_block(rng, kernel) for _ in range(rng.randint(2, 4))]
+        arena = BatchedNetwork([export_state(net) for net in nets])
         arena.solve()
         for j, net in enumerate(nets):
             tmpl = BlockTemplate.from_network(net)
@@ -182,12 +164,10 @@ class TestBatchedNetworkDifferential:
         arena.solve()
         assert_blocks_match(arena, nets)
 
-    def test_mark_done_freezes_block_and_masks_its_cut(self, arena_method):
+    def test_mark_done_freezes_block_and_masks_its_cut(self, kernel):
         rng = random.Random(7)
-        nets = [random_block(rng) for _ in range(3)]
-        arena = BatchedNetwork(
-            [export_state(net) for net in nets], method=arena_method
-        )
+        nets = [random_block(rng, kernel) for _ in range(3)]
+        arena = BatchedNetwork([export_state(net) for net in nets])
         arena.solve()
         done_value = arena.block_value(1)
         done_cap, done_excess = arena.export_block(1)
@@ -209,15 +189,13 @@ class TestBatchedNetworkDifferential:
             nets[j].solve()
             assert arena.block_side(sides, j).tolist() == nets[j].source_side()
 
-    def test_writeback_roundtrip_resumes_warm_on_own_network(
-        self, arena_method
-    ):
+    def test_writeback_roundtrip_resumes_warm_on_own_network(self):
         """An exported block adopted by its network keeps solving warm."""
         rng = random.Random(11)
         num_nodes, source, sink, arcs = layered_network(rng)
         for method in METHODS:
             net = build_net(num_nodes, source, sink, arcs, method)
-            arena = BatchedNetwork([export_state(net)], method=arena_method)
+            arena = BatchedNetwork([export_state(net)])
             arena.solve()
             cap, excess = arena.export_block(0)
             if net.grouped_layout:
@@ -231,15 +209,11 @@ class TestBatchedNetworkDifferential:
             assert net.solve() == pytest.approx(reference.solve(), abs=1e-8)
             assert net.source_side() == reference.source_side()
 
-    def test_stats_record_freeze_solves_and_blocks(self, arena_method):
+    def test_stats_record_freeze_solves_and_blocks(self, kernel):
         rng = random.Random(13)
-        nets = [random_block(rng) for _ in range(3)]
+        nets = [random_block(rng, kernel) for _ in range(3)]
         stats = FlowStats()
-        arena = BatchedNetwork(
-            [export_state(net) for net in nets],
-            stats=stats,
-            method=arena_method,
-        )
+        arena = BatchedNetwork([export_state(net) for net in nets], stats=stats)
         arena.solve()
         assert stats.batched_solves == 1
         assert stats.batched_blocks == 3
@@ -247,8 +221,6 @@ class TestBatchedNetworkDifferential:
         assert stats.kernel_invocations == 1
         assert stats.freeze_seconds > 0.0
         assert stats.discharge_seconds > 0.0
-        if arena_method == "jit":
-            assert stats.jit_compile_seconds >= 0.0
         assert FlowStats().blocks_per_batch == 0.0
 
     def test_rejects_empty_arena_unfrozen_template_and_negative_delta(self):
@@ -263,20 +235,6 @@ class TestBatchedNetworkDifferential:
         arena = BatchedNetwork([export_state(net)])
         with pytest.raises(FlowError):
             arena.add_capacity(0, [0], [-1.0])
-
-    def test_rejects_loop_method_and_forced_jit_without_numba(
-        self, monkeypatch
-    ):
-        net = FlowNetwork(2, 0, 1)
-        net.add_arc(0, 1, 1.0)
-        net.freeze()
-        net.reset()
-        with pytest.raises(FlowError):
-            BatchedNetwork([export_state(net)], method="loop")
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
-        with pytest.raises(FlowConfigError) as excinfo:
-            BatchedNetwork([export_state(net)], method="jit")
-        assert "[jit]" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -465,19 +423,20 @@ class TestMultiHubSessionDifferential:
         assert oracle.flow_stats.batched_solves == 0
         assert oracle.flow_stats.kernel_invocations > 0
 
-    def test_jit_oracle_matches_wave_oracle_across_covering(self):
-        """oracle method='jit' is a pure perf knob: identical results."""
+    @pytest.mark.parametrize("method", ("auto", "loop"))
+    def test_method_matches_wave_oracle_across_covering(self, method):
+        """The session's ``method`` is a pure perf knob: identical results."""
         rng = random.Random(17)
         graph, workload, hubs = merged_instances(7000, 3)
         hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
-        jit_session = MultiHubSession(ExactOracle(warm=True, method="jit"))
-        wave_session = MultiHubSession(ExactOracle(warm=True, method="wave"))
+        session = MultiHubSession(ExactOracle(method=method))
+        wave_session = MultiHubSession(ExactOracle(method="wave"))
         uncovered = set(graph.edges())
         schedule = RequestSchedule()
         for _round in range(4):
             if not uncovered:
                 break
-            a = jit_session(hub_graphs, workload, schedule, uncovered)
+            a = session(hub_graphs, workload, schedule, uncovered)
             b = wave_session(hub_graphs, workload, schedule, uncovered)
             for x, y in zip(a, b):
                 assert_same_result(x, y)

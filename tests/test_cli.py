@@ -85,7 +85,7 @@ class TestOptimize:
             ["optimize", str(path), "-o", str(out), "--workload-file", str(wpath)]
         ) == 0
 
-    @pytest.mark.parametrize("oracle", ["peel", "exact", "auto"])
+    @pytest.mark.parametrize("oracle", ["peel", "exact"])
     def test_optimize_chitchat_oracle_modes(self, graph_file, tmp_path, capsys, oracle):
         path, graph = graph_file
         out = tmp_path / f"chitchat-{oracle}.json"
@@ -133,12 +133,11 @@ class TestOptimize:
         assert metadata["epsilon"] == 0.05
         assert schedule.is_feasible(graph)
 
-    @pytest.mark.parametrize("flag,expected", [("--warm", True), ("--no-warm", False)])
-    def test_optimize_chitchat_warm_flag(
-        self, graph_file, tmp_path, capsys, flag, expected
+    def test_optimize_chitchat_exact_session_is_warm(
+        self, graph_file, tmp_path, capsys
     ):
         path, graph = graph_file
-        out = tmp_path / f"chitchat-warm-{expected}.json"
+        out = tmp_path / "chitchat-exact.json"
         code = main(
             [
                 "optimize",
@@ -149,19 +148,26 @@ class TestOptimize:
                 "chitchat",
                 "--oracle",
                 "exact",
-                flag,
                 "--stats",
             ]
         )
         assert code == 0
         printed = capsys.readouterr().out
         assert "warm_solves=" in printed and "preflow_repairs=" in printed
-        if not expected:
-            # a cold session must never report warm resumes
-            assert "warm_solves=0" in printed
+        assert "warm_solves=0 " not in printed
         schedule, metadata = load_schedule(out)
-        assert metadata["warm"] is expected
+        assert "warm" not in metadata
         assert schedule.is_feasible(graph)
+
+    @pytest.mark.parametrize("command", ["optimize", "update", "compare"])
+    def test_warm_flags_are_gone(self, command):
+        args = {
+            "optimize": ["optimize", "g.txt", "-o", "s.json"],
+            "update": ["update", "g.txt", "s.json", "e.json", "-o", "n.json"],
+            "compare": ["compare", "g.txt"],
+        }[command]
+        with pytest.raises(SystemExit):
+            main(args + ["--no-warm"])
 
     def test_optimize_rejects_negative_epsilon(self, graph_file, tmp_path):
         path, _graph = graph_file
@@ -179,7 +185,8 @@ class TestOptimize:
         )
         assert code == 2  # ReproError surfaces as the CLI error exit
 
-    def test_optimize_rejects_unknown_oracle(self, graph_file, tmp_path):
+    @pytest.mark.parametrize("oracle", ["bogus", "auto"])
+    def test_optimize_rejects_unknown_oracle(self, graph_file, tmp_path, oracle):
         path, _graph = graph_file
         with pytest.raises(SystemExit):
             main(
@@ -191,7 +198,7 @@ class TestOptimize:
                     "--algorithm",
                     "chitchat",
                     "--oracle",
-                    "bogus",
+                    oracle,
                 ]
             )
 

@@ -11,9 +11,7 @@ The contract under test (``repro.core.delta``):
 * repair never increases the maintained cost (each greedy step is
   charged at most the cheapest remaining singleton);
 
-parametrized over adjacency backends × oracles × warm/cold × flow
-methods (the jit leg falls back to the interpreted kernels when numba
-is absent — the kernels are valid plain Python).
+parametrized over adjacency backends × oracles × flow methods.
 """
 
 from __future__ import annotations
@@ -28,28 +26,20 @@ from repro.core.coverage import validate_schedule
 from repro.core.delta import DeltaScheduler
 from repro.core.serialize import save_schedule
 from repro.core.tolerances import DELTA_QUALITY_EPSILON
-from repro.errors import ScheduleError
-from repro.flow import jit_kernel
-from repro.flow.jit_kernel import jit_available
+from repro.errors import ReproError, ScheduleError
+from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload import ChurnEvent, churn_stream, log_degree_workload, replay
 
 #: oracle stacks the repair greedy must uphold the contract on:
-#: (oracle, warm, flow method)
+#: (oracle, flow method)
 ORACLE_STACKS = [
-    pytest.param("peel", True, "auto", id="peel"),
-    pytest.param("exact", True, "auto", id="exact-warm"),
-    pytest.param("exact", False, "auto", id="exact-cold"),
-    pytest.param("exact", True, "jit", id="exact-jit"),
+    pytest.param("peel", "auto", id="peel"),
+    pytest.param("exact", "auto", id="exact-auto"),
+    pytest.param("exact", "wave", id="exact-wave"),
+    pytest.param("exact", "loop", id="exact-loop"),
 ]
-
-
-@pytest.fixture
-def force_jit_fallback(monkeypatch):
-    """Let ``method="jit"`` run without numba (kernels are plain Python)."""
-    if not jit_available():
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", True)
 
 
 def make_instance(seed: int, nodes: int = 50):
@@ -150,16 +140,14 @@ class TestDifferential:
 class TestOracleMatrix:
     """The contract holds on every oracle stack and adjacency backend."""
 
-    @pytest.mark.parametrize("oracle,warm,method", ORACLE_STACKS)
+    @pytest.mark.parametrize("oracle,method", ORACLE_STACKS)
     @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_contract_across_stacks(
-        self, backend, oracle, warm, method, force_jit_fallback
-    ):
+    def test_contract_across_stacks(self, backend, oracle, method):
         graph, workload = make_instance(3)
         scheduler = completed_run(graph, workload, backend=backend)
         events = churn_stream(graph, workload, 25, seed=17)
         delta = DeltaScheduler.from_scheduler(
-            scheduler, oracle=oracle, warm=warm, method=method
+            scheduler, oracle=oracle, method=method
         )
         delta.apply_events(events)
         assert_contract(delta, graph, workload, events)
@@ -167,10 +155,8 @@ class TestOracleMatrix:
             assert delta.stats.exact_refreshes > 0
             assert delta.stats.sessions_invalidated > 0
 
-    @pytest.mark.parametrize("oracle,warm,method", ORACLE_STACKS)
-    def test_warm_and_cold_repairs_agree(
-        self, oracle, warm, method, force_jit_fallback
-    ):
+    @pytest.mark.parametrize("oracle,method", ORACLE_STACKS)
+    def test_stacks_repair_within_factor_two_of_peel(self, oracle, method):
         """Every stack repairs the same stream to the same maintained
         cost as the reference peel stack does feasibly — and the exact
         stacks must never do worse than peel on the repairs they price
@@ -180,7 +166,7 @@ class TestOracleMatrix:
         scheduler = completed_run(graph, workload)
         events = churn_stream(graph, workload, 20, seed=23)
         delta = DeltaScheduler.from_scheduler(
-            scheduler, oracle=oracle, warm=warm, method=method
+            scheduler, oracle=oracle, method=method
         )
         delta.apply_events(events)
         reference = DeltaScheduler.from_scheduler(scheduler)
@@ -188,6 +174,32 @@ class TestOracleMatrix:
         assert delta.is_feasible() and reference.is_feasible()
         if oracle == "exact":
             assert delta.cost() <= reference.cost() * 2.0 + 1e-9
+
+    @pytest.mark.parametrize("method", FLOW_METHODS)
+    def test_warm_and_cold_repairs_agree(self, method):
+        """The maintainer's warm session repairs a stream byte-identically
+        to the cold reference session ``ExactOracle(warm=False)``."""
+        graph, workload = make_instance(5)
+        scheduler = completed_run(graph, workload)
+        events = churn_stream(graph, workload, 20, seed=23)
+        warm = DeltaScheduler.from_scheduler(
+            scheduler, oracle="exact", method=method
+        )
+        cold = DeltaScheduler.from_scheduler(
+            scheduler, oracle="exact", method=method
+        )
+        cold._exact = ExactOracle(
+            warm=False,
+            method=method,
+            metrics=cold.metrics.node("delta", "oracle"),
+        )
+        warm.apply_events(events)
+        cold.apply_events(events)
+        assert warm.schedule.push == cold.schedule.push
+        assert warm.schedule.pull == cold.schedule.pull
+        assert warm.schedule.hub_cover == cold.schedule.hub_cover
+        assert warm.cost() == cold.cost()
+        assert warm.stats.exact_refreshes == cold.stats.exact_refreshes > 0
 
 
 class TestNoopByteIdentity:
@@ -350,3 +362,20 @@ class TestConstruction:
 
         with pytest.raises(WorkloadError):
             delta.apply_events([], repair_every=-1)
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"oracle": "auto"}, ORACLE_MODES),
+            ({"method": "bogus"}, FLOW_METHODS),
+            ({"method": "jit"}, FLOW_METHODS),
+        ],
+    )
+    def test_rejects_bad_option_up_front(self, options, named):
+        """Checked at construction even under the peel, which never builds
+        a flow network; a removed value names the options."""
+        graph, workload = make_instance(0)
+        scheduler = completed_run(graph, workload)
+        with pytest.raises(ReproError) as excinfo:
+            DeltaScheduler.from_scheduler(scheduler, **options)
+        assert str(named) in str(excinfo.value)

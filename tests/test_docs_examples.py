@@ -69,7 +69,7 @@ def test_python_examples_execute(name):
 
 @pytest.mark.parametrize(
     "module",
-    ["repro.flow", "repro.flow.maxflow", "repro.core.chitchat", "repro.core.batched"],
+    ["repro.flow", "repro.flow.maxflow", "repro.core.chitchat", "repro.flow.exact_oracle"],
 )
 def test_pydoc_renders(module):
     """``python -m pydoc`` must produce real documentation for the API."""

@@ -3,8 +3,7 @@
 Three contracts:
 
 * ``epsilon=0`` is *byte-identical* to exact greedy — property-tested on
-  random instances across both adjacency backends and both oracles, for
-  the sequential scheduler and the batched one;
+  random instances across both adjacency backends and both oracles;
 * ``epsilon>0`` keeps every feasibility invariant and the documented
   cost bound: the per-step acceptance costs at most ``(1+ε)`` times the
   true step optimum, and on the deterministic fixed-seed battery below
@@ -15,10 +14,10 @@ Three contracts:
 * the relaxation actually fires (``stats.epsilon_accepts``) and cuts
   full oracle evaluations on a non-trivial instance.
 
-ISSUE 5 adds the warm-oracle identity to the same harness
-(``TestWarmOracleIdentity``): full scheduler runs with the exact
-oracle's cross-call warm starts on vs off must be byte-identical, on
-both backends and for ε ∈ {0, 0.01}.
+The exact oracle's session is always warm.  ``TestWarmOracleIdentity``
+swaps a scheduler's session for the cold reference
+``ExactOracle(warm=False)`` and checks full runs stay byte-identical;
+per-call identity lives in ``tests/test_warm_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.batched import BatchedChitchat
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.coverage import validate_schedule
 from repro.core.cost import schedule_cost
 from repro.errors import ReproError
+from repro.flow.exact_oracle import ExactOracle, MultiHubSession
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
@@ -98,17 +97,6 @@ class TestEpsilonZeroIdentity:
         ).run()
         assert_same_schedule(plain, zero)
 
-    @SMALL
-    @given(instances())
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_batched_epsilon_zero_matches_default(self, backend, instance):
-        graph, workload = instance
-        plain = BatchedChitchat(graph, workload, backend=backend).run()
-        zero = BatchedChitchat(
-            graph, workload, backend=backend, epsilon=0.0
-        ).run()
-        assert_same_schedule(plain, zero)
-
     def test_epsilon_zero_never_counts_accepts(self):
         graph, workload = fixed_instance(0)
         scheduler = ChitchatScheduler(graph, workload, backend="csr")
@@ -116,11 +104,22 @@ class TestEpsilonZeroIdentity:
         assert scheduler.stats.epsilon_accepts == 0
 
 
+def with_cold_session(scheduler):
+    """Swap the scheduler's warm session for the cold reference
+    ``ExactOracle(warm=False)``, re-wrapping its batched tier."""
+    scheduler._exact = ExactOracle(
+        warm=False, metrics=scheduler.metrics.node("scheduler", "oracle")
+    )
+    if scheduler._multi is not None:
+        scheduler._multi = MultiHubSession(scheduler._exact)
+    return scheduler
+
+
 class TestWarmOracleIdentity:
     """Warm-started exact oracle == cold per-call solves, schedule-for-
     schedule (ISSUE 5): the preflow repairs and the λ re-seeding are pure
-    performance changes, so full CHITCHAT and BATCHEDCHITCHAT runs must
-    be byte-identical with ``warm=True`` vs ``warm=False`` on both
+    performance changes, so a full CHITCHAT run on its own (warm) session
+    must be byte-identical to one on the cold reference session, on both
     backends and across the ε relaxation."""
 
     @SMALL
@@ -129,45 +128,10 @@ class TestWarmOracleIdentity:
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_chitchat_warm_matches_cold(self, backend, epsilon, instance):
         graph, workload = instance
-        warm = ChitchatScheduler(
-            graph,
-            workload,
-            backend=backend,
-            oracle="exact",
-            epsilon=epsilon,
-            warm=True,
-        ).run()
-        cold = ChitchatScheduler(
-            graph,
-            workload,
-            backend=backend,
-            oracle="exact",
-            epsilon=epsilon,
-            warm=False,
-        ).run()
-        assert_same_schedule(warm, cold)
-
-    @SMALL
-    @given(instances())
-    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_batched_warm_matches_cold(self, backend, epsilon, instance):
-        graph, workload = instance
-        warm = BatchedChitchat(
-            graph,
-            workload,
-            backend=backend,
-            oracle="exact",
-            epsilon=epsilon,
-            warm=True,
-        ).run()
-        cold = BatchedChitchat(
-            graph,
-            workload,
-            backend=backend,
-            oracle="exact",
-            epsilon=epsilon,
-            warm=False,
+        options = dict(backend=backend, oracle="exact", epsilon=epsilon)
+        warm = ChitchatScheduler(graph, workload, **options).run()
+        cold = with_cold_session(
+            ChitchatScheduler(graph, workload, **options)
         ).run()
         assert_same_schedule(warm, cold)
 
@@ -175,11 +139,9 @@ class TestWarmOracleIdentity:
         """On a real instance the warm session must resume preflows
         (stats.warm_solves > 0, repairs > 0) and still match cold."""
         graph, workload = fixed_instance(3)
-        warm = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", warm=True
-        )
-        cold = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", warm=False
+        warm = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        cold = with_cold_session(
+            ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
         )
         warm_schedule = warm.run()
         cold_schedule = cold.run()
@@ -234,20 +196,6 @@ class TestEpsilonCostBound:
             validate_schedule(graph, schedule)
             assert schedule_cost(schedule, workload) <= hybrid_cost + 1e-6
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batched_epsilon_feasible_and_bounded(self, seed):
-        graph, workload = fixed_instance(seed, nodes=250)
-        from repro.core.baselines import hybrid_schedule
-
-        hybrid_cost = schedule_cost(hybrid_schedule(graph, workload), workload)
-        for epsilon in EPSILONS:
-            runner = BatchedChitchat(
-                graph, workload, backend="csr", epsilon=epsilon
-            )
-            schedule = runner.run()
-            validate_schedule(graph, schedule)
-            assert schedule_cost(schedule, workload) <= hybrid_cost + 1e-6
-
 
 class TestEpsilonSavings:
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
@@ -261,12 +209,6 @@ class TestEpsilonSavings:
         relaxed.run()
         assert relaxed.stats.epsilon_accepts > 0
         assert relaxed.stats.oracle_calls < exact.stats.oracle_calls
-
-    def test_batched_relaxation_fires(self):
-        graph, workload = fixed_instance(2, nodes=600)
-        runner = BatchedChitchat(graph, workload, backend="csr", epsilon=0.1)
-        runner.run()
-        assert runner.stats.epsilon_deferred > 0
 
 
 class TestProductionDefault:
@@ -312,5 +254,3 @@ class TestValidation:
         graph, workload = fixed_instance(0, nodes=50)
         with pytest.raises(ReproError):
             ChitchatScheduler(graph, workload, epsilon=-0.1)
-        with pytest.raises(ReproError):
-            BatchedChitchat(graph, workload, epsilon=-1.0)

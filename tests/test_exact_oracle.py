@@ -10,10 +10,9 @@ Three layers of evidence:
 * at the scheduler level, ``oracle="exact"`` must preserve every
   invariant the peel satisfies (dict == CSR, feasibility) and one the
   peel does not — lazy == eager byte for byte, because a retained exact
-  champion is still the optimum (``"auto"`` mixes in peel champions and
-  gets the peel's cost-equivalence instead) — while running strictly
-  fewer full oracle evaluations and never pricing a schedule above the
-  peel's on the tuned instances.
+  champion is still the optimum — while running strictly fewer full
+  oracle evaluations and never pricing a schedule above the peel's on
+  the tuned instances.
 """
 
 from __future__ import annotations
@@ -28,13 +27,17 @@ from hypothesis import HealthCheck, given, settings
 from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
 from tests.test_densest import brute_force_best
 from tests.test_lazy_chitchat import assert_lazy_equivalent
-from repro.core.chitchat import ChitchatScheduler
+from repro.core.chitchat import (
+    ChitchatScheduler,
+    chitchat_schedule,
+    chitchat_with_stats,
+)
 from repro.core.cost import schedule_cost
 from repro.core.densest import OracleCutoff, densest_subgraph
 from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.errors import ReproError
-from repro.flow import EXACT_AUTO_MAX_ELEMENTS, ExactOracle, use_exact
+from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
@@ -44,6 +47,16 @@ SMALL = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: (bad options, the tuple the error must name); ``"auto"`` and
+#: ``"jit"`` are removed values, ``"bogus"`` never existed
+BAD_OPTIONS = [
+    ({"oracle": "bogus"}, ORACLE_MODES),
+    ({"oracle": "auto"}, ORACLE_MODES),
+    ({"method": "bogus"}, FLOW_METHODS),
+    ({"method": "jit"}, FLOW_METHODS),
+    ({"oracle": "exact", "method": "jit"}, FLOW_METHODS),
+]
 
 
 @st.composite
@@ -210,24 +223,43 @@ class TestExactMatchesBruteForce:
         assert peel.cost_per_element <= 2.0 * exact.cost_per_element + 1e-9
 
 
-class TestOracleModeSelection:
-    def test_use_exact_modes(self, wedge_graph):
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        assert use_exact("exact", hub)
-        assert not use_exact("peel", hub)
-        assert use_exact("auto", hub)  # 3 elements << threshold
+class TestOptionValidation:
+    """``oracle=`` and ``method=`` fail at construction, whatever the
+    oracle — a flow method is checked even under the peel, which never
+    builds a flow network — and a removed value names the options."""
 
-    def test_auto_threshold_falls_back_to_peel(self):
-        producers = list(range(EXACT_AUTO_MAX_ELEMENTS + 1))
-        g = SocialGraph([(x, 9000) for x in producers] + [(9000, 9001)])
-        hub = build_hub_graph(g, 9000)
-        assert hub.num_vertices + len(hub.cross_edges) > EXACT_AUTO_MAX_ELEMENTS
-        assert not use_exact("auto", hub)
-        assert use_exact("exact", hub)
+    def test_option_tuples(self):
+        assert ORACLE_MODES == ("peel", "exact")
+        assert FLOW_METHODS == ("auto", "wave", "loop")
 
-    def test_invalid_mode_rejected(self, small_social, small_workload):
-        with pytest.raises(ReproError):
-            ChitchatScheduler(small_social, small_workload, oracle="bogus")
+    @pytest.mark.parametrize("options, named", BAD_OPTIONS)
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_scheduler_rejects_bad_option_up_front(self, backend, options, named):
+        graph = social_copying_graph(40, out_degree=4, seed=1)
+        workload = log_degree_workload(graph, read_write_ratio=5.0)
+        with pytest.raises(ReproError) as excinfo:
+            ChitchatScheduler(graph, workload, backend=backend, **options)
+        assert str(named) in str(excinfo.value)
+
+    @pytest.mark.parametrize("options, named", BAD_OPTIONS)
+    @pytest.mark.parametrize(
+        "one_shot",
+        [chitchat_schedule, chitchat_with_stats],
+        ids=["chitchat_schedule", "chitchat_with_stats"],
+    )
+    def test_one_shots_reject_bad_option_up_front(
+        self, one_shot, options, named
+    ):
+        graph = social_copying_graph(40, out_degree=4, seed=1)
+        workload = log_degree_workload(graph, read_write_ratio=5.0)
+        with pytest.raises(ReproError) as excinfo:
+            one_shot(graph, workload, **options)
+        assert str(named) in str(excinfo.value)
+
+    def test_session_rejects_removed_method(self):
+        with pytest.raises(ReproError) as excinfo:
+            ExactOracle(method="jit")
+        assert str(FLOW_METHODS) in str(excinfo.value)
 
 
 class TestExactScheduler:
@@ -239,27 +271,24 @@ class TestExactScheduler:
         )
         return graph, log_degree_workload(graph, read_write_ratio=5.0)
 
-    @pytest.mark.parametrize("oracle", ["exact", "auto"])
     @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_lazy_vs_eager(self, backend, oracle):
-        """Byte-identical under ``"exact"``; ``"auto"`` routes large hubs to
-        the peel, whose retained champions only guarantee cost-equivalence."""
+    def test_lazy_vs_eager(self, backend):
+        """Byte-identical: a retained exact champion is still the optimum."""
         graph, workload = self._instance()
         eager = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=False, oracle=oracle
+            graph, workload, backend=backend, lazy=False, oracle="exact"
         )
         lazy = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=True, oracle=oracle
+            graph, workload, backend=backend, lazy=True, oracle="exact"
         )
-        assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
+        assert_lazy_equivalent(graph, workload, eager, lazy, "exact")
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
 
-    @pytest.mark.parametrize("oracle", ["exact", "auto"])
-    def test_backends_agree(self, oracle):
+    def test_backends_agree(self):
         graph, workload = self._instance(n=200, seed=11)
         schedules = [
             ChitchatScheduler(
-                graph, workload, backend=backend, oracle=oracle
+                graph, workload, backend=backend, oracle="exact"
             ).run()
             for backend in ("dict", "csr")
         ]

@@ -1,58 +1,36 @@
 """Unit tests for the push-relabel max-flow kernel (``repro.flow.maxflow``).
 
-All three solvers — the numpy-vectorized wave kernel, the pure-Python
-FIFO discharge loop kept as the reference, and the optional Numba jit
-tier — are validated against exhaustive min-cut enumeration on small
-random networks (≤ 12 nodes, every source-containing subset priced),
-and their warm-restart path — the capacity raises the parametric
-densest search relies on — is checked to agree with from-scratch
-solves.  The solvers must also agree with each other on the flow value
-*and* on the maximal min-cut source side, which is a property of the
-instance, not of the particular preflow a solver finds.
-
-The jit tier's kernels are written in the numba-nopython subset that is
-also valid plain Python, so when numba is absent the suite still runs
-the exact jit algorithm un-jitted (``_force_python_jit``) — only true
-compilation needs the ``[jit]`` extra.  Hypothesis agreement suites
-live in :class:`TestJitHypothesisAgreement`.
+Both solvers — the numpy-vectorized wave kernel and the pure-Python
+FIFO discharge loop kept as the reference — are validated against
+exhaustive min-cut enumeration on small random networks (≤ 12 nodes,
+every source-containing subset priced), and their warm-restart path —
+the capacity raises the parametric densest search relies on — is
+checked to agree with from-scratch solves.  The solvers must also agree
+with each other on the flow value *and* on the maximal min-cut source
+side, which is a property of the instance, not of the particular
+preflow a solver finds.  Hypothesis agreement suites live in
+:class:`TestWaveHypothesisAgreement`.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.flow import jit_kernel
-from repro.flow.jit_kernel import jit_available
 from repro.flow.maxflow import (
     FLOW_METHODS,
-    JIT_AUTO_MIN_ARCS,
     WAVE_AUTO_MIN_ARCS,
-    FlowConfigError,
     FlowError,
     FlowMidSolveError,
     FlowNetwork,
     FlowNotFrozenError,
 )
 
-METHODS = ("loop", "wave", "jit")
-
-
-def _force_python_jit(monkeypatch):
-    """Let ``method="jit"`` run un-jitted when numba is absent.
-
-    The kernels in :mod:`repro.flow.jit_kernel` are plain functions
-    until numba wraps them at import, so flipping the availability flag
-    runs the identical algorithm interpreted — full differential
-    coverage of the jit tier without the optional dependency.
-    """
-    if not jit_available():
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", True)
+METHODS = ("loop", "wave")
 
 
 def brute_force_min_cut(num_nodes, source, sink, arcs):
@@ -85,10 +63,10 @@ def build(num_nodes, source, sink, arcs, method="auto"):
     return net
 
 
-@pytest.fixture(params=METHODS)
-def method(request, monkeypatch):
-    if request.param == "jit":
-        _force_python_jit(monkeypatch)
+@pytest.fixture(params=FLOW_METHODS)
+def method(request):
+    """Every accepted ``method=``: both forced kernels and the default
+    size-based ``"auto"`` dispatch callers get without asking."""
     return request.param
 
 
@@ -149,21 +127,25 @@ class TestMaxFlow:
                     assert all(side[v] for v in candidate)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_all_solvers_agree(self, seed, monkeypatch):
-        """Same value and same maximal cut from all three solvers."""
-        _force_python_jit(monkeypatch)
+    def test_all_solvers_agree(self, seed):
+        """Same value and same maximal cut from both solvers."""
         rng = random.Random(400 + seed)
         for num_nodes in (4, 7, 10):
             arcs = random_network(rng, num_nodes)
-            nets = {
-                m: build(num_nodes, 0, num_nodes - 1, arcs, m)
-                for m in METHODS
-            }
-            reference = nets["loop"].solve()
-            side = nets["loop"].source_side()
-            for m in ("wave", "jit"):
-                assert nets[m].solve() == pytest.approx(reference, abs=1e-8)
-                assert nets[m].source_side() == side
+            loop = build(num_nodes, 0, num_nodes - 1, arcs, "loop")
+            wave = build(num_nodes, 0, num_nodes - 1, arcs, "wave")
+            assert wave.solve() == pytest.approx(loop.solve(), abs=1e-8)
+            assert wave.source_side() == loop.source_side()
+
+    def test_solve_seconds_accumulates(self, method):
+        net = build(3, 0, 2, [(0, 1, 2.0), (1, 2, 1.5)], method)
+        assert net.solve_seconds == 0.0
+        net.solve()
+        after_one = net.solve_seconds
+        assert after_one > 0.0
+        net.reset()
+        net.solve()
+        assert net.solve_seconds > after_one
 
 
 class TestWarmRestart:
@@ -218,8 +200,7 @@ def star_network(num_arcs):
 
 
 class TestMethodResolution:
-    def test_auto_resolves_by_size(self, monkeypatch):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
+    def test_auto_resolves_by_size(self):
         small = FlowNetwork(3, 0, 2)
         small.add_arc(0, 1, 1.0)
         small.freeze()
@@ -227,18 +208,11 @@ class TestMethodResolution:
         big = star_network(WAVE_AUTO_MIN_ARCS)
         big.freeze()
         assert big.method == "wave"
+        below = star_network(WAVE_AUTO_MIN_ARCS - 1)
+        below.freeze()
+        assert below.method == "loop"
 
-    def test_auto_picks_jit_when_available_and_big_enough(self, monkeypatch):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", True)
-        big = star_network(JIT_AUTO_MIN_ARCS)
-        big.freeze()
-        assert big.method == "jit"
-        small = star_network(JIT_AUTO_MIN_ARCS - 1)
-        small.freeze()
-        assert small.method != "jit"
-
-    def test_forced_methods_survive_freeze(self, monkeypatch):
-        _force_python_jit(monkeypatch)
+    def test_forced_methods_survive_freeze(self):
         for method in METHODS:
             net = FlowNetwork(3, 0, 2, method=method)
             net.add_arc(0, 1, 1.0)
@@ -247,74 +221,12 @@ class TestMethodResolution:
             assert net.method == method
 
     def test_methods_tuple_is_exported(self):
-        assert set(FLOW_METHODS) == {"auto", "wave", "loop", "jit"}
+        assert FLOW_METHODS == ("auto", "wave", "loop")
 
-
-class TestJitDegradation:
-    """Importing works without numba; forcing jit fails loud, auto falls
-    back quiet (one debug notice per process)."""
-
-    def test_config_error_is_a_flow_error(self):
-        assert issubclass(FlowConfigError, FlowError)
-
-    def test_forced_jit_without_numba_raises_config_error(self, monkeypatch):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
-        monkeypatch.setattr(
-            jit_kernel, "_MISSING_REASON", "numba is not installed"
-        )
-        with pytest.raises(FlowConfigError) as excinfo:
+    def test_removed_jit_method_is_rejected_naming_the_options(self):
+        with pytest.raises(FlowError) as excinfo:
             FlowNetwork(3, 0, 2, method="jit")
-        message = str(excinfo.value)
-        assert "[jit]" in message
-        assert "numba is not installed" in message
-        assert "auto" in message  # points at the silent-fallback escape
-
-    def test_auto_fallback_logs_one_debug_notice(self, monkeypatch, caplog):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
-        monkeypatch.setattr(jit_kernel, "_fallback_noted", False)
-        num_arcs = max(JIT_AUTO_MIN_ARCS, WAVE_AUTO_MIN_ARCS)
-        with caplog.at_level(logging.DEBUG, logger="repro.flow.jit_kernel"):
-            first = star_network(num_arcs)
-            first.freeze()
-            second = star_network(num_arcs)
-            second.freeze()
-        assert first.method == "wave" and second.method == "wave"
-        records = [
-            r for r in caplog.records if r.name == "repro.flow.jit_kernel"
-        ]
-        assert len(records) == 1  # once per process, not per network
-        assert records[0].levelno == logging.DEBUG
-        assert "[jit]" in records[0].getMessage()
-
-    def test_small_auto_network_logs_nothing(self, monkeypatch, caplog):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
-        monkeypatch.setattr(jit_kernel, "_fallback_noted", False)
-        with caplog.at_level(logging.DEBUG, logger="repro.flow.jit_kernel"):
-            net = star_network(4)
-            net.freeze()
-        assert net.method == "loop"
-        assert not [
-            r for r in caplog.records if r.name == "repro.flow.jit_kernel"
-        ]
-
-    def test_ensure_compiled_is_idempotent_and_timed(self, monkeypatch):
-        _force_python_jit(monkeypatch)
-        jit_kernel.ensure_compiled()
-        before = jit_kernel.compile_seconds()
-        assert before >= 0.0
-        jit_kernel.ensure_compiled()  # second call must not re-warm
-        assert jit_kernel.compile_seconds() == before
-
-    def test_solve_seconds_accumulates_and_excludes_compile(self, monkeypatch):
-        _force_python_jit(monkeypatch)
-        net = build(3, 0, 2, [(0, 1, 2.0), (1, 2, 1.5)], "jit")
-        assert net.solve_seconds == 0.0
-        net.solve()
-        after_one = net.solve_seconds
-        assert after_one > 0.0
-        net.reset()
-        net.solve()
-        assert net.solve_seconds > after_one
+        assert str(FLOW_METHODS) in str(excinfo.value)
 
 
 SMALL = settings(
@@ -353,28 +265,24 @@ def flow_instances(draw, max_nodes=9):
     return num_nodes, arcs, factors
 
 
-class TestJitHypothesisAgreement:
-    """Property suites: the jit tier is byte-identical to the reference
-    loop solver on value, maximal cut, and the warm repair paths."""
-
-    @pytest.fixture(autouse=True)
-    def _python_jit(self, monkeypatch):
-        _force_python_jit(monkeypatch)
+class TestWaveHypothesisAgreement:
+    """Property suites: the wave kernel agrees with the reference loop
+    solver on value, maximal cut, and the warm repair paths."""
 
     @SMALL
     @given(flow_instances())
     def test_value_and_maximal_cut_agree(self, instance):
         num_nodes, arcs, _ = instance
-        jit = build(num_nodes, 0, num_nodes - 1, arcs, "jit")
+        wave = build(num_nodes, 0, num_nodes - 1, arcs, "wave")
         loop = build(num_nodes, 0, num_nodes - 1, arcs, "loop")
-        assert jit.solve() == pytest.approx(loop.solve(), abs=1e-8)
-        assert jit.source_side() == loop.source_side()
+        assert wave.solve() == pytest.approx(loop.solve(), abs=1e-8)
+        assert wave.source_side() == loop.source_side()
 
     @SMALL
     @given(flow_instances())
     def test_warm_raise_repair_matches_cold(self, instance):
         num_nodes, arcs, factors = instance
-        warm = build(num_nodes, 0, num_nodes - 1, arcs, "jit")
+        warm = build(num_nodes, 0, num_nodes - 1, arcs, "wave")
         warm.solve()
         grown = [
             (u, v, c + 4.0 * f)
@@ -391,7 +299,7 @@ class TestJitHypothesisAgreement:
     @given(flow_instances())
     def test_warm_lower_repair_matches_cold(self, instance):
         num_nodes, arcs, factors = instance
-        warm = build(num_nodes, 0, num_nodes - 1, arcs, "jit")
+        warm = build(num_nodes, 0, num_nodes - 1, arcs, "wave")
         warm.solve()
         shrunk = [
             (u, v, c * f) for (u, v, c), f in zip(arcs, factors)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import hybrid_schedule
-from repro.core.batched import batched_chitchat_schedule
 from repro.core.chitchat import chitchat_schedule, chitchat_with_stats
 from repro.core.cost import schedule_cost
 from repro.core.densest import densest_subgraph
@@ -101,15 +100,6 @@ class TestSchedulerParity:
         assert_same_schedule(
             parallel_nosy_schedule(graph, workload, 5, backend="dict"),
             parallel_nosy_schedule(graph, workload, 5, backend="csr"),
-        )
-
-    @SMALL
-    @given(instances())
-    def test_batched_chitchat_backends_identical(self, instance):
-        graph, workload = instance
-        assert_same_schedule(
-            batched_chitchat_schedule(graph, workload, backend="dict"),
-            batched_chitchat_schedule(graph, workload, backend="csr"),
         )
 
     @SMALL

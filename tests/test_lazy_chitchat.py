@@ -6,9 +6,8 @@ it.  What that leaves of "lazy == eager" depends on the oracle:
 
 * under ``oracle="exact"`` a retained champion is still the optimum, so
   lazy and eager schedules stay **byte-identical** (property-tested on
-  both backends), as do the lazy and eager BATCHEDCHITCHAT rounds (whose
-  ``_mark_affected`` retains exact champions only);
-* under ``"peel"`` / ``"auto"`` a retained champion is the peel of the
+  both backends);
+* under ``"peel"`` a retained champion is the peel of the
   state it was *last evaluated at* — still a factor-2 answer (Lemma 1:
   the hub's optimum only rises under covering), but not necessarily what
   a fresh peel would return, so the schedule is a function of evaluation
@@ -29,7 +28,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.batched import BatchedChitchat
 from repro.core.chitchat import (
     ChitchatScheduler,
     chitchat_with_stats,
@@ -148,20 +146,6 @@ class TestLazyEagerEquivalence:
         )
         assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
 
-    @SMALL
-    @given(instances())
-    @pytest.mark.parametrize("oracle", ["peel", "exact"])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_batched_lazy_matches_eager(self, backend, oracle, instance):
-        graph, workload = instance
-        eager = BatchedChitchat(
-            graph, workload, backend=backend, lazy=False, oracle=oracle
-        )
-        lazy = BatchedChitchat(
-            graph, workload, backend=backend, lazy=True, oracle=oracle
-        )
-        assert_same_schedule(eager.run(), lazy.run())
-
     @pytest.mark.parametrize("lazy", [False, True])
     def test_backends_agree_call_for_call(self, lazy):
         """Dict and CSR runs issue the same oracle calls in the same order.
@@ -235,32 +219,6 @@ class TestOracleCallSavings:
         workload = log_degree_workload(graph, read_write_ratio=5.0)
         _schedule, stats = chitchat_with_stats(graph, workload, backend="csr")
         assert stats.oracle_early_exits > 0
-
-    def test_batched_lazy_saves_oracle_calls(self):
-        graph = social_copying_graph(
-            250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
-        )
-        workload = log_degree_workload(graph, read_write_ratio=5.0)
-        eager = BatchedChitchat(graph, workload, backend="csr", lazy=False)
-        lazy = BatchedChitchat(graph, workload, backend="csr", lazy=True)
-        assert_same_schedule(eager.run(), lazy.run())
-        assert lazy.stats.oracle_calls < eager.stats.oracle_calls
-        assert lazy.stats.oracle_calls_saved > 0
-
-    def test_batched_exact_retains_champions_across_rounds(self):
-        graph = social_copying_graph(
-            250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
-        )
-        workload = log_degree_workload(graph, read_write_ratio=5.0)
-        peel = BatchedChitchat(graph, workload, backend="csr", oracle="peel")
-        exact = BatchedChitchat(graph, workload, backend="csr", oracle="exact")
-        peel.run()
-        exact.run()
-        # exact champions survive rounds whose acceptances miss them, so
-        # the flow oracle re-evaluates strictly less than the peel
-        assert exact.stats.champions_retained > 0
-        assert exact.stats.oracle_calls < peel.stats.oracle_calls
-        assert exact.stats.exact_oracle_calls == exact.stats.oracle_calls
 
 
 class TestBootstrapPrune:

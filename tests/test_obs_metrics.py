@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flow import jit_kernel
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -159,13 +158,3 @@ class TestStatsView:
         assert _View().__eq__(object()) is NotImplemented
         assert "calls=1" in repr(_View(calls=1))
 
-
-class TestJitFallbackCounter:
-    def test_auto_fallback_increments_global_counter(self, monkeypatch):
-        monkeypatch.setattr(jit_kernel, "_NUMBA_OK", False)
-        monkeypatch.setattr(jit_kernel, "_MISSING_REASON", "numba not here")
-        counter = global_registry().node("flow", "jit").counter("auto_fallbacks")
-        before = counter.value
-        jit_kernel.note_auto_fallback()
-        jit_kernel.note_auto_fallback()
-        assert counter.value == before + 2

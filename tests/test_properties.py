@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import hybrid_schedule, pull_all_schedule, push_all_schedule
-from repro.core.batched import batched_chitchat_schedule
 from repro.core.chitchat import chitchat_schedule
 from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
@@ -72,12 +71,6 @@ class TestFeasibilityProperties:
         graph, workload = instance
         validate_schedule(graph, parallel_nosy_schedule(graph, workload, 5))
 
-    @SMALL
-    @given(instances())
-    def test_batched_chitchat_always_feasible(self, instance):
-        graph, workload = instance
-        validate_schedule(graph, batched_chitchat_schedule(graph, workload))
-
 
 class TestCostOrderingProperties:
     @SMALL
@@ -103,14 +96,6 @@ class TestCostOrderingProperties:
         pn = schedule_cost(parallel_nosy_schedule(graph, workload, 5), workload)
         ff = schedule_cost(hybrid_schedule(graph, workload), workload)
         assert pn <= ff + 1e-6
-
-    @SMALL
-    @given(instances())
-    def test_batched_chitchat_not_worse_than_hybrid(self, instance):
-        graph, workload = instance
-        bc = schedule_cost(batched_chitchat_schedule(graph, workload), workload)
-        ff = schedule_cost(hybrid_schedule(graph, workload), workload)
-        assert bc <= ff + 1e-6
 
     @SMALL
     @given(instances())

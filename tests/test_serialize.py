@@ -250,8 +250,8 @@ class TestDeltaStateRoundTrip:
         delta, _events = churned_delta()
         path = tmp_path / "state.json"
         save_delta_state(delta, path)
-        resumed, _ = load_delta_state(path, oracle="exact", warm=False)
-        assert resumed._exact is not None
+        resumed, _ = load_delta_state(path, oracle="exact", method="loop")
+        assert resumed._exact is not None and resumed._exact.method == "loop"
         resumed.repair()
         assert resumed.is_feasible()
 

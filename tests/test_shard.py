@@ -16,6 +16,7 @@ from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
 from repro.core.schedule import RequestSchedule
 from repro.errors import ReproError
+from repro.flow import FLOW_METHODS, ORACLE_MODES
 from repro.graph.csr import CSRGraph
 from repro.graph.slab import export_arrays, export_csr
 from repro.shard import (
@@ -144,19 +145,46 @@ class TestShardedSchedule:
         assert default.schedule.pull == explicit.schedule.pull
         assert default.schedule.hub_cover == explicit.schedule.hub_cover
 
-    @pytest.mark.parametrize("oracle", ["auto", "exact"])
-    def test_flow_oracle_modes_still_run(self, oracle):
+    def test_flow_oracle_still_runs(self):
         """Still accepted, still feasible (Theorem 1) — not required to
         reproduce the peel's schedule."""
         graph, workload = ldbc_instance(300, seed=5)
         execution = sharded_chitchat_schedule(
-            graph, workload, num_shards=2, num_workers=2, oracle=oracle
+            graph, workload, num_shards=2, num_workers=2, oracle="exact"
         )
         validate_schedule(graph, execution.schedule)
         assert sum(
             r["stats"]["exact_oracle_calls"] for r in execution.shard_reports
         ) > 0
         assert execution.cost <= execution.merged_cost + 1e-9
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"oracle": "auto"}, ORACLE_MODES),
+            ({"oracle": "bogus"}, ORACLE_MODES),
+            ({"method": "bogus"}, FLOW_METHODS),
+            ({"method": "jit"}, FLOW_METHODS),
+        ],
+    )
+    def test_bad_option_fails_in_the_driver_before_any_export(
+        self, monkeypatch, options, named
+    ):
+        """Checked before planning: no plan, no slab, no worker."""
+        from repro.shard import driver
+
+        calls = []
+        for name in ("plan_shards", "export_arrays", "export_csr"):
+            monkeypatch.setattr(
+                driver, name, lambda *args, _name=name, **kw: calls.append(_name)
+            )
+        graph, workload = ldbc_instance(100, seed=5)
+        with pytest.raises(ReproError) as excinfo:
+            sharded_chitchat_schedule(
+                graph, workload, num_shards=2, num_workers=1, **options
+            )
+        assert str(named) in str(excinfo.value)
+        assert calls == []
 
     def test_single_shard_matches_sequential(self):
         from repro.core.chitchat import ChitchatScheduler

@@ -57,9 +57,9 @@ class CertifiedScheduler(ChitchatScheduler):
         # hubs that lost an element since their champion was priced
         self._shrunk: set = set()
 
-    def _install_result(self, hub, version, result, exact):
+    def _install_result(self, hub, version, result):
         self._shrunk.discard(hub)
-        super()._install_result(hub, version, result, exact)
+        super()._install_result(hub, version, result)
 
     def _invalidate(self, covered_edges, weight_drops):
         self._shrunk.update(

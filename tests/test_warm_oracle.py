@@ -17,9 +17,9 @@ ISSUE 5's contract, bottom layer up:
   (dict sets and CSR bitmask/arrays), while actually warm-starting
   (``warm_solves`` > 0) and respecting the LRU memory cap.
 
-Scheduler-level byte-identity (full CHITCHAT / BATCHEDCHITCHAT runs,
-warm vs cold, ε ∈ {0, 0.01}) lives in ``tests/test_epsilon_greedy.py``,
-which already owns the schedule-equality harness.
+Every scheduler runs warm; ``ExactOracle(warm=False)`` survives only as
+the cold reference these session-level suites (and
+``tests/test_step_certificate.py``) compare against.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.densest import ScheduleMirror
 from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
-from repro.flow import jit_kernel
 from repro.flow.exact_oracle import ExactOracle
-from repro.flow.jit_kernel import jit_available
 from repro.flow.maxflow import FlowNetwork
 from repro.flow.parametric import ParametricDensest
 from repro.graph.digraph import SocialGraph
@@ -349,7 +347,7 @@ def assert_same_result(a, b):
 class TestDenormalWeightOverflow:
     """A near-denormal vertex weight makes the single-vertex density —
     and with it the Dinkelbach λ and the λ·g sink capacities — overflow
-    to inf.  The loop and jit kernels' min(excess, residual) pushes are
+    to inf.  The loop kernel's min(excess, residual) pushes are
     naturally immune, but the wave kernel's proportional split used to
     compute inf·0 → NaN deltas and corrupt the preflow, so cold wave
     solves disagreed with loop and warm solves (found by the hypothesis
@@ -357,29 +355,19 @@ class TestDenormalWeightOverflow:
 
     DENORMAL = 2.225073858507e-311
 
-    def test_all_kernels_agree_under_inf_lambda(self, monkeypatch):
-        if not jit_available():
-            # the jit kernels are plain functions without numba; run
-            # the identical algorithm un-jitted (see tests/test_flow.py)
-            monkeypatch.setattr(jit_kernel, "_NUMBA_OK", True)
+    def test_all_kernels_agree_under_inf_lambda(self):
         endpoints = [(1,), (0, 1)]
         weight = [1.0, self.DENORMAL, 1.0, 1.0]
         alive = [True, True]
         warm = ParametricDensest(endpoints, 4, method="wave", warm=True)
         warm.solve([1.0] * 4, alive)  # park a preflow at the old weights
-        warm_jit = ParametricDensest(endpoints, 4, method="jit", warm=True)
-        warm_jit.solve([1.0] * 4, alive)
         selections = {
             "warm-wave": warm.solve(list(weight), alive),
-            "warm-jit": warm_jit.solve(list(weight), alive),
             "cold-wave": ParametricDensest(
                 endpoints, 4, method="wave"
             ).solve(list(weight), alive),
             "cold-loop": ParametricDensest(
                 endpoints, 4, method="loop"
-            ).solve(list(weight), alive),
-            "cold-jit": ParametricDensest(
-                endpoints, 4, method="jit"
             ).solve(list(weight), alive),
         }
         for name, sel in selections.items():
@@ -475,6 +463,40 @@ class TestWarmExactOracleSession:
                     mirror_cold.add_pull((u, v))
         assert warm.warm_solves > 0
 
+    def test_warm_session_does_less_discharge_work_at_scale(self):
+        """The largest hub of a copying graph, covered champion by
+        champion as the scheduler would: the warm session matches the
+        cold reference call for call with fewer discharge passes."""
+        from repro.graph.generators import social_copying_graph
+        from repro.workload.rates import log_degree_workload
+
+        graph = social_copying_graph(
+            400, out_degree=8, copy_fraction=0.7, reciprocity=0.2, seed=3
+        )
+        workload = log_degree_workload(graph, read_write_ratio=5.0)
+        hub = max(
+            graph.nodes(), key=lambda n: graph.in_degree(n) * graph.out_degree(n)
+        )
+        hub_graph = build_hub_graph(graph, hub)
+        warm = ExactOracle(warm=True)
+        cold = ExactOracle(warm=False)
+        uncovered = set(hub_graph.elements())
+        schedule = RequestSchedule()
+        while uncovered:
+            warm_result = warm(hub_graph, workload, schedule, uncovered)
+            cold_result = cold(hub_graph, workload, schedule, uncovered)
+            assert_same_result(warm_result, cold_result)
+            if warm_result is None:
+                break
+            uncovered -= warm_result.covered
+            for x in warm_result.x_selected:
+                schedule.add_push((x, hub))
+            for y in warm_result.y_selected:
+                schedule.add_pull((hub, y))
+        assert warm.warm_solves > 0 and warm.preflow_repairs > 0
+        assert cold.warm_solves == 0 and cold.preflow_repairs == 0
+        assert warm.flow_passes < cold.flow_passes
+
     def test_lru_eviction_caps_sessions_and_stays_correct(self):
         """A 2-slot session over 3 hubs evicts, rebuilds cold, same answers."""
         instances = []
@@ -546,26 +568,6 @@ class TestWarmExactOracleSession:
 
         with pytest.raises(ReproError):
             ExactOracle(max_cached=0)
-
-    def test_batched_run_round_syncs_session_counters(self):
-        """Callers driving run_round() directly see current warm counters."""
-        from repro.core.batched import BatchedChitchat
-        from repro.graph.generators import social_copying_graph
-        from repro.workload.rates import log_degree_workload
-
-        graph = social_copying_graph(
-            120, out_degree=6, copy_fraction=0.6, reciprocity=0.4, seed=42
-        )
-        workload = log_degree_workload(graph, read_write_ratio=5.0)
-        runner = BatchedChitchat(
-            graph, workload, backend="csr", oracle="exact", warm=True
-        )
-        runner.run_round()
-        assert runner.stats.flow_passes > 0  # synced without run()
-        first_passes = runner.stats.flow_passes
-        runner.run_round()
-        assert runner.stats.warm_solves > 0
-        assert runner.stats.flow_passes > first_passes
 
     def test_session_counters_reported(self):
         graph, workload, hub, _rng = hub_instance(42)
