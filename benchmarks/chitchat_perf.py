@@ -18,6 +18,7 @@ from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
 from repro.core.delta import DeltaScheduler
 from repro.core.parallelnosy import parallel_nosy_schedule
+from repro.core.tolerances import BATCH_K
 from repro.experiments.datasets import e10_twitter_sample
 from repro.graph.generators import social_copying_graph
 from repro.graph.view import as_graph_view, to_csr
@@ -456,9 +457,10 @@ def e18_batched_solve(scale: float) -> dict:
     """E18 — the batched block-diagonal multi-hub flow tier (ISSUE 6).
 
     Runs lazy exact-oracle CHITCHAT on the E13 instance (CSR backend)
-    twice: ``sequential`` (``batch_k=0`` — every dirty heap-top hub gets
-    its own per-hub Dinkelbach solve) and ``batched`` (the default
-    ``batch_k`` — up to :data:`~repro.core.tolerances.BATCH_K` dirty
+    twice: ``sequential`` (the default ``batch_k=0`` — every dirty
+    heap-top hub gets its own per-hub Dinkelbach solve) and ``batched``
+    (opted in at ``batch_k=BATCH_K`` — up to
+    :data:`~repro.core.tolerances.BATCH_K` dirty
     heap-top hubs are popped together and their flow problems solved in
     one :class:`~repro.flow.batched_solve.BatchedNetwork` wave pass per
     Dinkelbach round).
@@ -487,7 +489,7 @@ def e18_batched_solve(scale: float) -> dict:
     workload = log_degree_workload(graph, read_write_ratio=E13_READ_WRITE_RATIO)
     rows = []
     runs = {}
-    for mode, batch_k in (("sequential", 0), ("batched", None)):
+    for mode, batch_k in (("sequential", 0), ("batched", BATCH_K)):
         started = time.perf_counter()
         scheduler = ChitchatScheduler(
             graph,

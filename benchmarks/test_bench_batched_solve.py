@@ -6,7 +6,8 @@ together and their Dinkelbach flow problems advance in lockstep on one
 block-diagonal :class:`~repro.flow.batched_solve.BatchedNetwork`, so one
 wave pass discharges every still-searching block.  This bench runs lazy
 exact-oracle CHITCHAT on the E13 instance sequentially (``batch_k=0``)
-and batched (default ``batch_k``) and compares kernel dispatch counts.
+and batched (opted in at ``batch_k=BATCH_K``; per-hub solves are the
+default) and compares kernel dispatch counts.
 
 Acceptance (ISSUE 6, at the n>=3000 default-scale CSR instance): the
 batched run issues >=3x fewer kernel invocations (one arena solve counts

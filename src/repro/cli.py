@@ -65,7 +65,7 @@ def _run_chitchat(graph, workload, args):
             oracle=getattr(args, "oracle", "peel"),
             method=getattr(args, "flow_method", "auto"),
             epsilon=getattr(args, "epsilon", 0.0),
-            batch_k=getattr(args, "batch_k", None),
+            batch_k=getattr(args, "batch_k", 0),
             max_cross_edges=args.cross_edge_bound,
         )
         recon = execution.reconciliation
@@ -85,7 +85,7 @@ def _run_chitchat(graph, workload, args):
         max_cross_edges=args.cross_edge_bound,
         oracle=getattr(args, "oracle", "peel"),
         epsilon=getattr(args, "epsilon", 0.0),
-        batch_k=getattr(args, "batch_k", None),
+        batch_k=getattr(args, "batch_k", 0),
         method=getattr(args, "flow_method", "auto"),
     )
     return scheduler.run(), scheduler.stats
@@ -235,11 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument(
         "--batch-k",
         type=int,
-        default=None,
+        default=0,
         dest="batch_k",
         help="CHITCHAT batched flow tier width: solve up to this many "
         "dirty heap-top hubs in one block-diagonal arena pass "
-        f"(default repro.core.tolerances.BATCH_K = {BATCH_K}; 0 disables; "
+        "(default 0 = off: per-hub solves, which the perf ledger measured "
+        "faster and leaner; repro.core.tolerances.BATCH_K = "
+        f"{BATCH_K} is the documented width to opt in with; "
         "schedules are identical at every width)",
     )
     opt.add_argument(
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument(
         "--batch-k",
         type=int,
-        default=None,
+        default=0,
         dest="batch_k",
         help="CHITCHAT batched flow tier width (see optimize --batch-k)",
     )
@@ -408,7 +410,7 @@ def cmd_optimize(args) -> int:
     if args.algorithm == "chitchat":
         metadata["oracle"] = args.oracle
         metadata["epsilon"] = args.epsilon
-        if args.batch_k is not None:
+        if args.batch_k:
             metadata["batch_k"] = args.batch_k
         if args.flow_method != "auto":
             metadata["flow_method"] = args.flow_method

@@ -112,7 +112,7 @@ from repro.core.densest import (
     densest_subgraph,
 )
 from repro.core.hubgraph import HubGraph, build_hub_graph
-from repro.core.tolerances import BATCH_K, EPS_ACCEPT_SLACK, OPT_BOUND_MARGIN
+from repro.core.tolerances import EPS_ACCEPT_SLACK, OPT_BOUND_MARGIN
 from repro.core.schedule import RequestSchedule
 from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
@@ -176,10 +176,15 @@ class ChitchatStats(StatsView):
     ``preflow_repairs`` — capacity decreases that had to cancel routed
     flow; ``flow_passes`` — total flow-solver work units (loop
     discharges / wave sweeps), the E15 warm-vs-cold benchmark metric.
+    Two memory gauges mirror the session's network cache:
+    ``oracle_evictions`` — networks evicted under its
+    :data:`~repro.flow.exact_oracle.ORACLE_SESSION_HUBS` cap — and
+    ``peak_cached_networks`` — the most networks it held at once.
 
     The batched-tier counters mirror the session's
-    :class:`~repro.flow.batched_solve.FlowStats` (all 0 without the
-    exact oracle, or with ``batch_k < 2``): ``kernel_invocations`` —
+    :class:`~repro.flow.batched_solve.FlowStats` (the arena ones stay 0
+    without the exact oracle, and under the default ``batch_k=0``):
+    ``kernel_invocations`` —
     flow-solver entries, sequential and arena alike (the E18 headline
     metric); ``batched_solves`` / ``batched_blocks`` — arena dispatches
     and the hub problems they carried (``blocks_per_batch`` is their
@@ -210,6 +215,8 @@ class ChitchatStats(StatsView):
         "warm_solves": (("oracle", "warm_solves"), "counter"),
         "preflow_repairs": (("oracle", "preflow_repairs"), "counter"),
         "flow_passes": (("oracle", "flow_passes"), "counter"),
+        "oracle_evictions": (("oracle", "evictions"), "counter"),
+        "peak_cached_networks": (("oracle", "peak_cached"), "gauge"),
         "kernel_invocations": (
             ("oracle", "flow", "kernel_invocations"),
             "counter",
@@ -294,9 +301,10 @@ class ChitchatScheduler:
         byte-identical to exact greedy.
     batch_k:
         Speculative batch width of the exact oracle's multi-hub flow
-        tier (lazy mode; ``None`` defaults to
-        :data:`~repro.core.tolerances.BATCH_K`, ``0``/``1`` disable):
-        when the heap top is dirty, up to ``batch_k`` *contiguous* dirty
+        tier (lazy mode; off by default — ``0``/``1`` disable, and
+        :data:`~repro.core.tolerances.BATCH_K` is the documented width
+        for callers who opt in): when the heap top is dirty, up to
+        ``batch_k`` *contiguous* dirty
         top entries are popped together and solved in one
         block-diagonal arena pass
         (:class:`~repro.flow.exact_oracle.MultiHubSession`) instead of
@@ -306,6 +314,9 @@ class ChitchatScheduler:
         tie-breaks, so the schedule is byte-identical at ``epsilon=0``
         at every width (property-tested), and with ``epsilon > 0`` the
         relaxation can accept clean champions straight from the batch.
+        Per-hub solves are the default because the ledger measured the
+        arena slower on ``copying_exact`` and its speculative networks
+        added about 45 MB of peak memory.
     method:
         Flow kernel of the exact oracle's per-hub networks: ``"auto"``
         (default), ``"wave"`` or ``"loop"``.  Checked at construction
@@ -324,14 +335,14 @@ class ChitchatScheduler:
         lazy: bool = True,
         oracle: str = "peel",
         epsilon: float = 0.0,
-        batch_k: int | None = None,
+        batch_k: int = 0,
         method: str = "auto",
     ) -> None:
         validate_oracle_mode(oracle)
         validate_flow_method(method)
         if epsilon < 0.0:
             raise ReproError(f"epsilon must be >= 0, got {epsilon!r}")
-        if batch_k is not None and batch_k < 0:
+        if batch_k < 0:
             raise ReproError(f"batch_k must be >= 0, got {batch_k!r}")
         self.graph = as_graph_view(graph, backend)
         self.workload = workload
@@ -352,7 +363,7 @@ class ChitchatScheduler:
             if oracle == "exact"
             else None
         )
-        self._batch_k = BATCH_K if batch_k is None else int(batch_k)
+        self._batch_k = int(batch_k)
         self._multi = (
             MultiHubSession(self._exact)
             if self._exact is not None and self._batch_k >= 2
@@ -470,6 +481,8 @@ class ChitchatScheduler:
             self.stats.warm_solves = self._exact.warm_solves
             self.stats.preflow_repairs = self._exact.preflow_repairs
             self.stats.flow_passes = self._exact.flow_passes
+            self.stats.oracle_evictions = self._exact.evictions
+            self.stats.peak_cached_networks = self._exact.peak_cached
             flow_stats = self._exact.flow_stats
             self.stats.kernel_invocations = flow_stats.kernel_invocations
             self.stats.batched_solves = flow_stats.batched_solves
@@ -1024,7 +1037,7 @@ def chitchat_schedule(
     lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
-    batch_k: int | None = None,
+    batch_k: int = 0,
     method: str = "auto",
 ) -> RequestSchedule:
     """Run CHITCHAT on a DISSEMINATION instance and return the schedule."""
@@ -1049,7 +1062,7 @@ def chitchat_with_stats(
     lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
-    batch_k: int | None = None,
+    batch_k: int = 0,
     method: str = "auto",
 ) -> tuple[RequestSchedule, ChitchatStats]:
     """Like :func:`chitchat_schedule` but also returns run diagnostics."""

@@ -855,21 +855,8 @@ def _package(
     # side preserves the historical output order without re-sorting.
     x_nodes = hub_graph.x_nodes
     y_nodes = hub_graph.y_nodes
-    cross_edges = hub_graph.cross_edges
     num_x = len(x_nodes)
-    num_verts = num_x + len(y_nodes)
-    # element order is push legs, pull legs, cross-edges (the element
-    # index's, without materializing it per hub-graph)
-    covered = frozenset(
-        [
-            (x_nodes[ei], hub)
-            if ei < num_x
-            else (hub, y_nodes[ei - num_x])
-            if ei < num_verts
-            else cross_edges[ei - num_verts]
-            for ei in covered_pos
-        ]
-    )
+    covered = frozenset(hub_graph.edges_at(covered_pos))
     cost_per_element = final_weight / len(covered)
     opt_lb = max(mediant_bound, cost_per_element / 2.0)
     if max_removal_ratio > 0.0:

@@ -219,6 +219,27 @@ class HubGraph:
             self._element_index = index
         return self._element_index
 
+    def edges_at(self, positions) -> list[Edge]:
+        """The social edges at element ``positions``, in the order given.
+
+        Decodes :meth:`element_index` positions without materializing
+        the index: push legs, then pull legs, then cross-edges.
+        """
+        hub = self.hub
+        x_nodes = self.x_nodes
+        y_nodes = self.y_nodes
+        cross_edges = self.cross_edges
+        num_x = len(x_nodes)
+        num_verts = num_x + len(y_nodes)
+        return [
+            (x_nodes[ei], hub)
+            if ei < num_x
+            else (hub, y_nodes[ei - num_x])
+            if ei < num_verts
+            else cross_edges[ei - num_verts]
+            for ei in positions
+        ]
+
     def peel_index(self) -> "PeelIndex":
         """Static peeling structure for the densest-subgraph oracle.
 

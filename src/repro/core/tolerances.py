@@ -41,8 +41,8 @@ FLOW_EPS = 1e-10
 #: incumbent density by more than this fraction of the covered count.
 DINKELBACH_RTOL = 1e-12
 
-#: Default speculative batch width of the lazy scheduler's batched
-#: multi-hub flow tier (``batch_k=`` on ``ChitchatScheduler``): up to
+#: Documented opt-in width of the lazy scheduler's batched multi-hub
+#: flow tier (``batch_k=`` on ``ChitchatScheduler``, off by default): up to
 #: this many dirty heap-top hubs are popped together and solved in one
 #: block-diagonal arena pass
 #: (:class:`repro.flow.batched_solve.BatchedNetwork`).  Refreshing the
@@ -53,8 +53,10 @@ DINKELBACH_RTOL = 1e-12
 #: n=3000 E13 instance picks 16 as the knee of the kernel-invocation
 #: curve: width 8 cuts invocations 2.7x, width 16 reaches 3.2x (past
 #: the ISSUE 6 3x floor), and width 32 adds only ~0.3x more while the
-#: probe filter discards a growing share of the deeper gathers.
-#: ``batch_k=0`` (or 1) disables batching.
+#: probe filter discards a growing share of the deeper gathers.  Fewer
+#: kernel invocations did not buy wall time: on the perf ledger's
+#: ``copying_exact`` workload per-hub solves ran faster and peaked about
+#: 45 MB lower, so ``batch_k=0`` (per-hub solves) is the default.
 BATCH_K = 16
 
 #: Minimum number of prepared blocks an arena dispatch needs to beat two

@@ -31,7 +31,8 @@ Three layers, bottom up:
   each call repairs the previous preflow, since coverage only shrinks
   each hub's element set.  :class:`MultiHubSession` drives several
   hubs' Dinkelbach iterations through the batched arena at once (the
-  scheduler's ``batch_k=`` speculative top-k evaluation).
+  scheduler's opt-in ``batch_k=`` speculative top-k evaluation; off by
+  default).
 
 The schedulers in :mod:`repro.core` take an ``oracle=`` parameter wiring
 this subsystem in; ``"peel"`` (the default) never solves a flow network

@@ -148,12 +148,22 @@ class BlockTemplate:
 
     @classmethod
     def from_network(cls, net: FlowNetwork) -> "BlockTemplate":
-        """Compile a frozen network's topology into a block template."""
+        """Compile a frozen network's topology into a block template.
+
+        A wave network's grouped arrays already are the block layout and
+        are shared as they stand; a loop network is compiled from its
+        adjacency lists by the same :func:`compile_grouped`.
+        """
         if not net._frozen:
             raise FlowError("freeze() the network before templating it")
-        perm, pos, rev, head, tail, ptr, counts = compile_grouped(
-            net.adj, net.head, net.num_nodes
-        )
+        if net.grouped_layout:
+            perm, pos, rev = net._g_perm, net._g_pos, net._g_rev
+            head, tail = net._g_head, net._g_tail
+            ptr, counts = net._g_ptr, net._g_counts
+        else:
+            perm, pos, rev, head, tail, ptr, counts = compile_grouped(
+                net.adj, net.head, net.num_nodes
+            )
         return cls(
             net.num_nodes,
             net.source,

@@ -42,7 +42,7 @@ from repro.core.densest import (
     dense_vertex_weights,
     probe_optimum_bound,
 )
-from repro.core.hubgraph import X_SIDE, HubGraph
+from repro.core.hubgraph import HubGraph
 from repro.core.schedule import RequestSchedule
 from repro.core.tolerances import BATCH_MIN_BLOCKS, OPT_BOUND_MARGIN
 from repro.errors import ReproError
@@ -64,12 +64,15 @@ ORACLE_MODES = ("peel", "exact")
 #: Default ceiling on cached per-hub flow problems in an
 #: :class:`ExactOracle` session.  Each cached
 #: :class:`~repro.flow.parametric.ParametricDensest` holds the compiled
-#: arc arrays plus the warm preflow — a few hundred bytes per element —
-#: so the default bounds the session at roughly a gigabyte on worst-case
-#: hub sizes while never evicting on the benchmarked workloads (every
-#: E10–E15 instance has fewer eligible hubs).  Least-recently-*solved*
-#: hubs are evicted first; an evicted hub simply rebuilds cold on its
-#: next call.
+#: arcs plus the warm preflow.  Measured with ``tracemalloc`` on the perf
+#: ledger's ``copying_exact`` instance (n=3000), that is about 0.7 KB per
+#: hub-graph element: 713 B on loop networks, 737 B on wave ones.  At that
+#: instance's mean of 45 elements per hub-graph the cap bounds the
+#: session near 260 MB, and it never evicts on the benchmarked workloads
+#: (every E10–E15 instance has fewer eligible hubs).  Least-recently-
+#: *solved* hubs are evicted first; an evicted hub simply rebuilds cold
+#: on its next call, and a hub with nothing left uncovered releases its
+#: network outright.
 ORACLE_SESSION_HUBS = 8192
 
 
@@ -81,13 +84,13 @@ class _PricedHub:
     :meth:`ExactOracle._package`, on both the sequential
     :meth:`ExactOracle.__call__` path and the batched
     :class:`MultiHubSession` — pricing and packaging are byte-identical
-    by construction because both paths run the same code.
+    by construction because both paths run the same code.  Elements are
+    addressed by :class:`~repro.core.hubgraph.PeelIndex` position; their
+    edges are decoded only for the covered set of the packaged result.
     """
 
     hub_graph: HubGraph
-    index: Sequence
     peel: object
-    verts: Sequence
     element_ids: np.ndarray | None
     weight: list[float]
     weight_arr: np.ndarray | None
@@ -95,6 +98,18 @@ class _PricedHub:
     alive_arr: np.ndarray | None
     num_verts: int
     num_elems: int
+
+    def probe_bound(self) -> float:
+        """The peel's O(m) mediant probe bound for this pricing."""
+        return probe_optimum_bound(
+            self.peel,
+            self.weight,
+            self.weight_arr,
+            self.alive_element,
+            self.alive_arr,
+            self.num_verts,
+            self.num_elems,
+        )
 
 
 def validate_oracle_mode(oracle: str) -> None:
@@ -130,7 +145,9 @@ class ExactOracle:
     ``preflow_repairs`` — capacity decreases that cancelled routed flow;
     ``flow_passes`` — solver work units (loop discharges / wave sweeps),
     the E15 benchmark's warm-vs-cold metric; ``evictions`` — cache
-    evictions under the ``max_cached`` cap.
+    evictions under the ``max_cached`` cap; ``peak_cached`` — the most
+    networks cached at once.  A call that finds no uncovered element
+    releases the hub's network: coverage only shrinks within a run.
     """
 
     def __init__(
@@ -157,6 +174,8 @@ class ExactOracle:
         self.preflow_repairs = 0
         self.flow_passes = 0
         self.evictions = 0
+        #: Most flow networks the session held cached at once.
+        self.peak_cached = 0
         #: Kernel profile of this session: solver entries (sequential
         #: and arena), batched dispatch counts, and the batched tier's
         #: freeze/discharge/relabel time split.  When a scheduler passes
@@ -208,6 +227,7 @@ class ExactOracle:
         ):
             self._problems.popitem(last=False)
             self.evictions += 1
+        self.peak_cached = max(self.peak_cached, len(self._problems))
         return problem
 
     def invalidate(self, hub: Node) -> None:
@@ -247,15 +267,7 @@ class ExactOracle:
         # --- Bounded probe: identical certificate to the peel's, so the
         # schedulers' per-state probe memoization stays oracle-agnostic.
         if upper_bound is not None:
-            mediant_bound = probe_optimum_bound(
-                priced.peel,
-                priced.weight,
-                priced.weight_arr,
-                priced.alive_element,
-                priced.alive_arr,
-                priced.num_verts,
-                priced.num_elems,
-            )
+            mediant_bound = priced.probe_bound()
             if mediant_bound > upper_bound:
                 return OracleCutoff(hub=hub_graph.hub, lower_bound=mediant_bound)
 
@@ -290,14 +302,18 @@ class ExactOracle:
         """Alive elements and vertex weights, priced exactly as the peel.
 
         Shared by the sequential :meth:`__call__` and the batched
-        :class:`MultiHubSession` (vectorized helpers on the CSR path).
-        ``None`` when no element of the hub-graph is still uncovered.
+        :class:`MultiHubSession` (vectorized helpers on the CSR path,
+        which never builds the hub-graph's tuple
+        :meth:`~repro.core.hubgraph.HubGraph.element_index`).
+        ``None`` when no element of the hub-graph is still uncovered; the
+        hub's cached flow network is then released, since coverage only
+        shrinks within a run (a caller that re-opens elements gets a
+        cold rebuild, which solves to the same answer).
         """
-        index = hub_graph.element_index()
         peel = hub_graph.peel_index()
         verts = peel.verts
         num_verts = len(verts)
-        num_elems = len(index)
+        num_elems = len(peel.assign_vert_list)
         element_ids = hub_graph.element_ids
         use_vectorized = element_ids is not None and uncovered_mask is not None
 
@@ -307,9 +323,12 @@ class ExactOracle:
             alive_count = int(alive_arr.sum())
         else:
             alive_arr = None
-            alive_element = [edge in uncovered for edge, _ in index]
+            alive_element = [
+                edge in uncovered for edge, _ in hub_graph.element_index()
+            ]
             alive_count = sum(alive_element)
         if alive_count == 0:
+            self._problems.pop(hub_graph.hub, None)
             return None
         weight_arr: np.ndarray | None = None
         if arrays is not None and use_vectorized:
@@ -325,9 +344,7 @@ class ExactOracle:
             ]
         return _PricedHub(
             hub_graph=hub_graph,
-            index=index,
             peel=peel,
-            verts=verts,
             element_ids=element_ids,
             weight=weight,
             weight_arr=weight_arr,
@@ -341,17 +358,14 @@ class ExactOracle:
         """Package a parametric selection as the oracle's ``DensestResult``."""
         if selection is None or not selection.covered:
             return None
-        index = priced.index
-        verts = priced.verts
+        hub_graph = priced.hub_graph
         element_ids = priced.element_ids
-        covered_pos = list(selection.covered)
-        covered = {index[ei][0] for ei in covered_pos}
-        xs = tuple(
-            verts[i][1] for i in selection.selected if verts[i][0] == X_SIDE
-        )
-        ys = tuple(
-            verts[i][1] for i in selection.selected if verts[i][0] != X_SIDE
-        )
+        covered_pos = selection.covered
+        covered = frozenset(hub_graph.edges_at(covered_pos))
+        # selected is ascending and the vertex list is X side first
+        x_nodes = hub_graph.x_nodes
+        y_nodes = hub_graph.y_nodes
+        num_x = len(x_nodes)
         covered_ids = (
             element_ids[np.asarray(covered_pos, dtype=np.int64)]
             if element_ids is not None
@@ -359,10 +373,12 @@ class ExactOracle:
         )
         cost_per_element = selection.weight / len(covered)
         return DensestResult(
-            hub=priced.hub_graph.hub,
-            x_selected=xs,
-            y_selected=ys,
-            covered=frozenset(covered),
+            hub=hub_graph.hub,
+            x_selected=tuple(x_nodes[i] for i in selection.selected if i < num_x),
+            y_selected=tuple(
+                y_nodes[i - num_x] for i in selection.selected if i >= num_x
+            ),
+            covered=covered,
             weight=selection.weight,
             covered_ids=covered_ids,
             opt_lower_bound=cost_per_element * OPT_BOUND_MARGIN,
@@ -463,15 +479,7 @@ class MultiHubSession:
                 continue
             bound = upper_bounds[i] if upper_bounds is not None else None
             if bound is not None:
-                mediant_bound = probe_optimum_bound(
-                    priced.peel,
-                    priced.weight,
-                    priced.weight_arr,
-                    priced.alive_element,
-                    priced.alive_arr,
-                    priced.num_verts,
-                    priced.num_elems,
-                )
+                mediant_bound = priced.probe_bound()
                 if mediant_bound > bound:
                     results[i] = OracleCutoff(
                         hub=hub_graph.hub, lower_bound=mediant_bound
@@ -644,16 +652,17 @@ class MultiHubSession:
                     arcs = raise_arcs[j]
                     target = p.lam * raise_w[j]
                     base = net.base_cap
-                    if isinstance(base, np.ndarray):
+                    # keep the hub network's base capacities in sync,
+                    # exactly as raise_capacity would: the eventual
+                    # writeback must land on matching bases (an array on
+                    # wave networks, a list on loop ones)
+                    if net.grouped_layout:
                         deltas = target - base[arcs]
                         base[arcs] = target
                     else:
                         deltas = target - np.asarray(
                             [base[a] for a in arcs], dtype=np.float64
                         )
-                        # keep the hub network's base capacities in sync,
-                        # exactly as raise_capacity would: the eventual
-                        # writeback must land on matching bases
                         for a, t in zip(arcs.tolist(), target.tolist()):
                             base[a] = t
                     arena.add_capacity(slot[j], raise_pos[j], deltas)

@@ -210,7 +210,10 @@ class FlowNetwork:
     grouped numpy arrays under ``"wave"`` (see :attr:`grouped_layout`);
     both are updated consistently
     by :meth:`reset` / :meth:`raise_capacity` / :meth:`set_base_capacity`,
-    so callers never need to know which solver runs.
+    so callers never need to know which solver runs.  A frozen wave
+    network is array-only: ``head`` and ``base_cap`` become numpy arrays
+    and the per-node adjacency lists are dropped (``adj`` is ``None``) —
+    the grouped segments carry the same arcs in the same order.
     """
 
     __slots__ = (
@@ -233,7 +236,6 @@ class FlowNetwork:
         "_has_solved",
         "_passes_last",
         "_repairs_mark",
-        "_adj_build",
         "_g_perm",
         "_g_pos",
         "_g_rev",
@@ -261,8 +263,7 @@ class FlowNetwork:
         self.head: list[int] = []
         self.base_cap: list[float] = []
         self.cap: list[float] = []
-        self._adj_build: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.adj: list[list[int]] = self._adj_build
+        self.adj: list[list[int]] | None = [[] for _ in range(num_nodes)]
         self.excess = [0.0] * num_nodes
         self.label = [0] * num_nodes
         #: Work counters for the warm-start diagnostics: ``passes`` counts
@@ -300,10 +301,10 @@ class FlowNetwork:
         arc = len(self.head)
         self.head.append(head)
         self.base_cap.append(capacity)
-        self._adj_build[tail].append(arc)
+        self.adj[tail].append(arc)
         self.head.append(tail)
         self.base_cap.append(0.0)
-        self._adj_build[head].append(arc + 1)
+        self.adj[head].append(arc + 1)
         return arc
 
     def freeze(self) -> None:
@@ -315,7 +316,6 @@ class FlowNetwork:
         segment pointers, reverse-arc position map) are built here, once.
         """
         self._frozen = True
-        self.adj = self._adj_build
         if self.method == "auto":
             forward_arcs = len(self.head) // 2
             self.method = "wave" if forward_arcs >= WAVE_AUTO_MIN_ARCS else "loop"
@@ -341,11 +341,14 @@ class FlowNetwork:
         Grouped position ``p`` holds arc ``perm[p]``; ``_g_rev[p]`` is the
         grouped position of its paired reverse arc, so residual updates
         are pure fancy-indexing (``perm`` is a bijection, hence so is
-        ``_g_rev`` — no scatter conflicts).
+        ``_g_rev`` — no scatter conflicts).  Node ``v``'s segment
+        ``_g_ptr[v] : _g_ptr[v + 1]`` lists its arcs in adjacency order, so
+        the build-time lists are dropped here: ``head`` and ``base_cap``
+        become arrays, ``adj`` becomes ``None``.
         """
         n = self.num_nodes
         perm, pos, rev, g_head, g_tail, ptr, counts = compile_grouped(
-            self._adj_build, self.head, n
+            self.adj, self.head, n
         )
         self._g_perm = perm
         self._g_pos = pos
@@ -359,7 +362,10 @@ class FlowNetwork:
         self._g_forward = perm % 2 == 0
         self._g_ptr = ptr
         self._g_counts = counts
-        self.cap = np.asarray(self.base_cap, dtype=np.float64)[perm]
+        self.head = np.asarray(self.head, dtype=np.int64)
+        self.base_cap = np.asarray(self.base_cap, dtype=np.float64)
+        self.adj = None
+        self.cap = self.base_cap[perm]
         self.excess = np.zeros(n, dtype=np.float64)
         self.label = np.zeros(n, dtype=np.int64)
 
@@ -394,7 +400,7 @@ class FlowNetwork:
         self._check_mutable("reset()")
         self._has_solved = False
         if self.grouped_layout:
-            self.cap = np.asarray(self.base_cap, dtype=np.float64)[self._g_perm]
+            self.cap = self.base_cap[self._g_perm]
             self.excess = np.zeros(self.num_nodes, dtype=np.float64)
         else:
             self.cap = list(self.base_cap)
@@ -443,6 +449,24 @@ class FlowNetwork:
         else:
             self.cap[arc] += delta
 
+    def raise_capacities(self, arcs, capacities) -> None:
+        """Batch :meth:`raise_capacity`; one array update on wave.
+
+        Arc ids must be distinct forward arcs.
+        """
+        self._check_mutable("raise_capacities()")
+        if not self.grouped_layout:
+            for arc, capacity in zip(arcs, capacities):
+                self.raise_capacity(arc, capacity)
+            return
+        arcs = np.asarray(arcs, dtype=np.int64)
+        caps = np.asarray(capacities, dtype=np.float64)
+        delta = caps - self.base_cap[arcs]
+        if delta.size and delta.min() < 0.0:
+            raise FlowError("raise_capacities cannot lower a capacity")
+        self.base_cap[arcs] = caps
+        self.cap[self._g_pos[arcs]] += delta
+
     def lower_capacity(self, arc: int, capacity: float) -> None:
         """Shrink a forward arc's capacity *without* discarding the preflow.
 
@@ -478,10 +502,12 @@ class FlowNetwork:
             pos = int(self._g_pos[arc])
             rev = int(self._g_rev[pos])
             head = int(self._g_head[pos])
+            tail = int(self._g_tail[pos])
         else:
             pos = arc
             rev = arc ^ 1
             head = self.head[arc]
+            tail = self.head[rev]
         take = min(float(cap[pos]), delta)
         cap[pos] = float(cap[pos]) - take
         over = delta - take
@@ -490,7 +516,6 @@ class FlowNetwork:
         if over > FLOW_EPS:
             self.repairs += 1
         cap[rev] = max(float(cap[rev]) - over, 0.0)
-        tail = self.head[arc ^ 1]
         if tail != self.source:
             self.excess[tail] += over
         self._drain_deficit(head, over)
@@ -514,12 +539,10 @@ class FlowNetwork:
             return
         if caps.min() < 0.0:
             raise FlowError("negative capacity in lower_capacities()")
-        base = np.array([self.base_cap[a] for a in arcs], dtype=np.float64)
-        delta = base - caps
+        delta = self.base_cap[arcs] - caps
         if delta.min() < 0.0:
             raise FlowError("lower_capacities cannot raise a capacity")
-        for arc, capacity in zip(arcs.tolist(), caps.tolist()):
-            self.base_cap[arc] = capacity
+        self.base_cap[arcs] = caps
         cap = self.cap
         pos = self._g_pos[arcs]
         take = np.minimum(cap[pos], delta)
@@ -555,7 +578,6 @@ class FlowNetwork:
         parked excess, or at the source.
         """
         cap = self.cap
-        grouped = self.grouped_layout
         excess = self.excess
         pending = deque([(node, amount)])
         budget = 16 * len(self.head) + 64
@@ -577,25 +599,35 @@ class FlowNetwork:
             d -= absorb
             if d <= FLOW_EPS:
                 continue
-            for arc in self.adj[v]:
-                if arc & 1:
-                    continue  # reverse arc owned by v: carries no flow
-                if grouped:
-                    fwd = int(self._g_pos[arc])
-                    bwd = int(self._g_rev[fwd])
-                else:
-                    fwd = arc
-                    bwd = arc ^ 1
+            for fwd, bwd, w in self._forward_arcs(v):
                 flow = float(cap[bwd])
                 if flow <= FLOW_EPS:
                     continue
                 t = min(flow, d)
                 cap[fwd] = float(cap[fwd]) + t
                 cap[bwd] = flow - t
-                pending.append((self.head[arc], t))
+                pending.append((w, t))
                 d -= t
                 if d <= FLOW_EPS:
                     break
+
+    def _forward_arcs(self, v: int):
+        """``(forward slot, reverse slot, head)`` of each arc ``v`` owns.
+
+        In adjacency order on both layouts (a grouped segment keeps it),
+        skipping the reverse arcs ``v`` holds for other nodes' arcs —
+        they carry no flow out of ``v``.  Slots index :attr:`cap`.
+        """
+        if self.grouped_layout:
+            lo, hi = int(self._g_ptr[v]), int(self._g_ptr[v + 1])
+            fwd = np.nonzero(self._g_forward[lo:hi])[0] + lo
+            return zip(
+                fwd.tolist(),
+                self._g_rev[fwd].tolist(),
+                self._g_head[fwd].tolist(),
+            )
+        head = self.head
+        return [(arc, arc ^ 1, head[arc]) for arc in self.adj[v] if not arc & 1]
 
     def _drain_deficits_wave(self, deficit: np.ndarray) -> None:
         """Vectorized deficit drain: one array sweep per flow-path hop.

@@ -183,6 +183,12 @@ class ParametricDensest:
         ]
         net.freeze()
         self.net = net
+        if net.grouped_layout:
+            # wave networks program capacities as whole arrays
+            self._sink_arr = np.asarray(self._sink_arcs, dtype=np.int64)
+            self._all_arr = np.asarray(
+                self._src_arcs + self._sink_arcs, dtype=np.int64
+            )
         self.seed_lambda = seed_lambda
         self.warm = warm
         #: Calls that resumed the previous preflow instead of resetting.
@@ -336,14 +342,7 @@ class ParametricDensest:
         self._warm_ready = False
         if use_warm:
             self.warm_solves += 1
-        self._program_capacities(
-            [
-                (self._src_arcs[e], 1.0 if alive[e] else 0.0)
-                for e in range(num_elems)
-            ]
-            + self._sink_targets(lam, weight),
-            repair=use_warm,
-        )
+        self._program_capacities(*self._targets(lam, weight, alive), use_warm)
         return _Prepared(
             weight=weight,
             alive=alive,
@@ -374,10 +373,17 @@ class ParametricDensest:
                     return self._repair_cut_finish(p)
                 # kind == "raise": p.lam advanced, grow the sink capacities
                 # in place and resume the preflow warm
-                for v in p.incident_verts:
-                    net.raise_capacity(
-                        self._sink_arcs[v], p.lam * max(p.weight[v], 0.0)
+                if net.grouped_layout:
+                    verts = np.asarray(p.incident_verts, dtype=np.int64)
+                    weight = np.asarray(p.weight, dtype=np.float64)[verts]
+                    net.raise_capacities(
+                        self._sink_arr[verts], p.lam * np.maximum(weight, 0.0)
                     )
+                else:
+                    for v in p.incident_verts:
+                        net.raise_capacity(
+                            self._sink_arcs[v], p.lam * max(p.weight[v], 0.0)
+                        )
             sel, cov, _w = p.best  # pragma: no cover - defensive fallback
             return self._finish(list(sel), list(cov), p.weight, p.iterations)
 
@@ -442,9 +448,7 @@ class ParametricDensest:
         net = self.net
         sel, cov, wgt = p.best
         lam = (len(cov) / wgt) * OPT_BOUND_MARGIN
-        self._program_capacities(
-            self._sink_targets(lam, p.weight), repair=self.warm
-        )
+        self._program_capacities(*self._targets(lam, p.weight), self.warm)
         p.iterations += 1
         net.solve()
         side = net.source_side()
@@ -458,18 +462,37 @@ class ParametricDensest:
             )
         return self._finish(list(sel), list(cov), p.weight, p.iterations)
 
-    def _sink_targets(
-        self, lam: float, weight: Sequence[float]
-    ) -> list[tuple[int, float]]:
-        """``(sink arc, λ·g(v))`` capacity targets for every vertex."""
-        return [
-            (self._sink_arcs[v], lam * max(weight[v], 0.0))
-            for v in range(self.num_verts)
-        ]
+    def _targets(
+        self,
+        lam: float,
+        weight: Sequence[float],
+        alive: Sequence[bool] | None = None,
+    ):
+        """``(arcs, capacities)``: every sink arc at ``λ·g(v)``, led by
+        every source arc at its alive bit when ``alive`` is given.
 
-    def _program_capacities(
-        self, targets: list[tuple[int, float]], repair: bool
-    ) -> None:
+        Parallel numpy arrays on wave networks (programmed as whole
+        arrays), parallel lists on loop ones.
+        """
+        num_verts = self.num_verts
+        if self.net.grouped_layout:
+            caps = lam * np.maximum(
+                np.asarray(weight, dtype=np.float64)[:num_verts], 0.0
+            )
+            if alive is None:
+                return self._sink_arr, caps
+            return self._all_arr, np.concatenate(
+                (np.asarray(alive, dtype=np.float64), caps)
+            )
+        caps = [lam * max(weight[v], 0.0) for v in range(num_verts)]
+        if alive is None:
+            return self._sink_arcs, caps
+        return (
+            self._src_arcs + self._sink_arcs,
+            [1.0 if a else 0.0 for a in alive] + caps,
+        )
+
+    def _program_capacities(self, arcs, caps, repair: bool) -> None:
         """Install target capacities: repair the live preflow, or reset.
 
         Both the initial per-call programming and the repair cut go
@@ -477,27 +500,41 @@ class ParametricDensest:
         how a capacity is installed.
         """
         if repair:
-            self._repair_capacities(targets)
+            self._repair_capacities(arcs, caps)
             return
         net = self.net
-        for arc, capacity in targets:
-            net.set_base_capacity(arc, capacity)
+        if net.grouped_layout:
+            net.base_cap[arcs] = caps  # non-negative by construction
+        else:
+            for arc, capacity in zip(arcs, caps):
+                net.set_base_capacity(arc, capacity)
         net.reset()
 
-    def _repair_capacities(self, targets: list[tuple[int, float]]) -> None:
-        """Diff ``(arc, capacity)`` targets against the network; repair in place.
+    def _repair_capacities(self, arcs, caps) -> None:
+        """Diff target capacities against the network; repair in place.
 
         Raises are warm by construction; decreases go through the batched
         :meth:`~repro.flow.maxflow.FlowNetwork.lower_capacities` repair
         (one vectorized drain sweep on the wave kernel).  Arcs already at
         their target are untouched, which is the common case across
-        covering events.
+        covering events.  Wave networks diff the whole capacity array at
+        once; arcs are distinct, so applying every raise before the
+        lowers changes nothing.
         """
         net = self.net
         base = net.base_cap
+        if net.grouped_layout:
+            current = base[arcs]
+            up = caps > current
+            if up.any():
+                net.raise_capacities(arcs[up], caps[up])
+            down = caps < current
+            if down.any():
+                net.lower_capacities(arcs[down], caps[down])
+            return
         lower_arcs: list[int] = []
         lower_caps: list[float] = []
-        for arc, capacity in targets:
+        for arc, capacity in zip(arcs, caps):
             current = base[arc]
             if capacity > current:
                 net.raise_capacity(arc, capacity)

@@ -142,7 +142,7 @@ def sharded_chitchat_schedule(
     oracle: str = "peel",
     method: str = "auto",
     epsilon: float = 0.0,
-    batch_k: int | None = None,
+    batch_k: int = 0,
     max_cross_edges: int | None = None,
     reconcile_hub_budget: int | None = None,
     reconcile_wedge_budget: int | None = None,

@@ -57,7 +57,7 @@ def run_shard_task(task: dict) -> dict:
             lazy=True,
             oracle=task.get("oracle", "peel"),
             epsilon=task.get("epsilon", 0.0),
-            batch_k=task.get("batch_k"),
+            batch_k=task.get("batch_k", 0),
             method=task.get("method", "auto"),
         )
         schedule = scheduler.run()

@@ -9,7 +9,8 @@ those true costs with unchanged tie-breaks.  So at ``epsilon=0`` full
 scheduler runs must be *byte-identical* at every batch width on both
 adjacency backends.  Property-tested on random instances here, plus
 fixed-seed checks that batching actually fires at scale and cuts
-kernel invocations.
+kernel invocations.  Batching is opt-in (``batch_k=0`` is the
+default), so every batched leg here passes ``batch_k`` explicitly.
 
 With ``epsilon > 0`` byte-identity is not promised (the relaxation's
 deferral decisions may shift), but feasibility and the documented
@@ -97,7 +98,12 @@ class TestBatchKIdentity:
             method=method,
         ).run()
         batched = ChitchatScheduler(
-            graph, workload, backend=backend, oracle="exact", method=method
+            graph,
+            workload,
+            backend=backend,
+            oracle="exact",
+            batch_k=BATCH_K,
+            method=method,
         ).run()
         assert_same_schedule(sequential, batched)
 
@@ -122,7 +128,7 @@ class TestBatchKFires:
             graph, workload, backend="csr", oracle="exact", batch_k=0
         )
         batched = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact"
+            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
         )
         seq_schedule = sequential.run()
         bat_schedule = batched.run()
@@ -147,7 +153,7 @@ class TestBatchKFires:
     def test_stats_expose_kernel_time_split(self):
         graph, workload = fixed_instance(0, nodes=120)
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact"
+            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
         )
         scheduler.run()
         stats = scheduler.stats
@@ -169,11 +175,31 @@ class TestBatchKWithEpsilon:
             workload,
         )
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", epsilon=epsilon
+            graph,
+            workload,
+            backend="csr",
+            oracle="exact",
+            epsilon=epsilon,
+            batch_k=BATCH_K,
         )
         schedule = scheduler.run()
         validate_schedule(graph, schedule)
         assert schedule_cost(schedule, workload) <= (1.0 + epsilon) * base + 1e-6
+
+
+class TestDefaultIsPerHub:
+    """Per-hub solves are the default; opting in changes no schedule."""
+
+    def test_default_exact_scheduler_never_batches(self):
+        graph, workload = fixed_instance(3)
+        default = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        opted_in = ChitchatScheduler(
+            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
+        )
+        assert_same_schedule(default.run(), opted_in.run())
+        assert default.stats.batched_solves == 0
+        assert default.stats.batched_blocks == 0
+        assert opted_in.stats.batched_solves > 0
 
 
 class TestValidation:

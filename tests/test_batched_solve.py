@@ -223,6 +223,23 @@ class TestBatchedNetworkDifferential:
         assert stats.discharge_seconds > 0.0
         assert FlowStats().blocks_per_batch == 0.0
 
+    def test_wave_template_shares_the_network_grouped_arrays(self):
+        """A wave network's grouped arrays are the block layout: its
+        template shares them, and equals the loop twin's compiled one."""
+        rng = random.Random(17)
+        num_nodes, source, sink, arcs = layered_network(rng)
+        wave = build_net(num_nodes, source, sink, arcs, "wave")
+        loop = build_net(num_nodes, source, sink, arcs, "loop")
+        shared = BlockTemplate.from_network(wave)
+        compiled = BlockTemplate.from_network(loop)
+        assert shared.perm is wave._g_perm
+        assert shared.head is wave._g_head
+        for name in ("perm", "pos", "rev", "head", "tail", "ptr", "counts"):
+            assert getattr(shared, name).tolist() == getattr(
+                compiled, name
+            ).tolist()
+        assert shared.src_pos.tolist() == compiled.src_pos.tolist()
+
     def test_rejects_empty_arena_unfrozen_template_and_negative_delta(self):
         with pytest.raises(FlowError):
             BatchedNetwork([])

@@ -36,6 +36,7 @@ from repro.core.cost import schedule_cost
 from repro.core.densest import OracleCutoff, densest_subgraph
 from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
+from repro.core.tolerances import BATCH_K
 from repro.errors import ReproError
 from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
@@ -319,6 +320,44 @@ class TestExactScheduler:
         assert schedule_cost(exact, workload) <= schedule_cost(
             peel, workload
         ) + 1e-6
+
+    @pytest.mark.parametrize("batch_k", [0, BATCH_K])
+    def test_csr_run_never_builds_the_tuple_element_index(self, batch_k):
+        """The CSR path prices and packages from peel positions and edge
+        ids: no cached hub-graph materializes its tuple element index."""
+        graph, workload = self._instance()
+        scheduler = ChitchatScheduler(
+            graph, workload, backend="csr", oracle="exact", batch_k=batch_k
+        )
+        scheduler.run()
+        assert scheduler._hub_cache
+        assert all(
+            hub_graph._element_index is None
+            for hub_graph in scheduler._hub_cache.values()
+        )
+
+    def test_memory_gauges_mirror_the_session(self):
+        """The session's eviction count and peak cached-network count are
+        surfaced in ChitchatStats under the registry's scheduler/oracle."""
+        graph, workload = self._instance(n=150)
+        roomy = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        roomy.run()
+        assert roomy.stats.oracle_evictions == 0
+        assert roomy.stats.peak_cached_networks == roomy._exact.peak_cached > 0
+        # dead hubs released their networks: fewer remain than ever peaked
+        assert len(roomy._exact._problems) < roomy.stats.peak_cached_networks
+        capped = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        capped._exact.max_cached = 2
+        capped.run()
+        assert capped.stats.oracle_evictions == capped._exact.evictions > 0
+        assert capped.stats.peak_cached_networks == 2
+        oracle_node = capped.metrics.snapshot()["scheduler"]["oracle"]
+        assert oracle_node["evictions"] == capped._exact.evictions
+        assert oracle_node["peak_cached"] == 2
+        peel = ChitchatScheduler(graph, workload, backend="csr")
+        peel.run()
+        assert peel.stats.oracle_evictions == 0
+        assert peel.stats.peak_cached_networks == 0
 
     def test_exact_cost_at_most_hybrid(self, small_social, small_workload):
         from repro.core.chitchat import greedy_upper_bound

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -149,9 +150,11 @@ class TestMaxFlow:
 
 
 class TestWarmRestart:
+    @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_raise_capacity_matches_fresh_solve(self, seed, method):
-        """Raising capacities and resuming == solving the new instance cold."""
+    def test_raise_capacity_matches_fresh_solve(self, seed, method, batch):
+        """Raising capacities and resuming == solving the new instance cold,
+        one arc at a time or in one ``raise_capacities`` batch."""
         rng = random.Random(300 + seed)
         arcs = random_network(rng, 8)
         if not arcs:
@@ -165,9 +168,18 @@ class TestWarmRestart:
             if rng.random() < 0.5:
                 grown[i] = (u, v, c + rng.uniform(0.5, 3.0))
             arc_ids.append(2 * i)
-        for i, (u, v, c) in enumerate(grown):
-            if c != arcs[i][2]:
-                warm.raise_capacity(arc_ids[i], c)
+        raised = [
+            (arc_ids[i], c)
+            for i, (u, v, c) in enumerate(grown)
+            if c != arcs[i][2]
+        ]
+        if batch:
+            warm.raise_capacities(
+                [arc for arc, _ in raised], [c for _, c in raised]
+            )
+        else:
+            for arc, c in raised:
+                warm.raise_capacity(arc, c)
         warm_value = warm.solve()
         cold = build(8, 0, 7, grown, method)
         assert warm_value == pytest.approx(cold.solve(), abs=1e-8)
@@ -312,6 +324,54 @@ class TestWaveHypothesisAgreement:
         assert warm.source_side() == cold.source_side()
 
 
+    @SMALL
+    @given(flow_instances())
+    def test_single_arc_lower_matches_loop_kernel(self, instance):
+        """Scalar ``lower_capacity`` on a wave network walks its grouped
+        segments in adjacency order: from the same preflow it leaves the
+        loop kernel's repaired state exactly, then both solve alike."""
+        num_nodes, arcs, factors = instance
+        loop = build(num_nodes, 0, num_nodes - 1, arcs, "loop")
+        wave = build(num_nodes, 0, num_nodes - 1, arcs, "wave")
+        loop.solve()
+        perm = wave._g_perm
+        wave.adopt_state(np.asarray(loop.cap)[perm], loop.excess)
+        for i, ((_, _, c), f) in enumerate(zip(arcs, factors)):
+            loop.lower_capacity(2 * i, c * f)
+            wave.lower_capacity(2 * i, c * f)
+        assert wave.cap.tolist() == np.asarray(loop.cap)[perm].tolist()
+        assert wave.excess.tolist() == loop.excess
+        assert wave.solve() == pytest.approx(loop.solve(), abs=1e-8)
+        assert wave.source_side() == loop.source_side()
+
+
+class TestFrozenLayout:
+    """A frozen network holds only what its solver reads."""
+
+    ARCS = [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.5), (2, 3, 2.5)]
+
+    def test_frozen_wave_network_is_array_only(self):
+        net = build(4, 0, 3, self.ARCS, "wave")
+        assert net.adj is None
+        assert isinstance(net.head, np.ndarray)
+        assert isinstance(net.base_cap, np.ndarray)
+        assert not [
+            slot
+            for slot in FlowNetwork.__slots__
+            if isinstance(getattr(net, slot), list)
+        ]
+        # the array-only network still answers like the loop reference
+        loop = build(4, 0, 3, self.ARCS, "loop")
+        assert net.solve() == pytest.approx(loop.solve())
+        assert net.source_side() == loop.source_side()
+
+    def test_loop_network_keeps_its_adjacency_lists(self):
+        net = build(4, 0, 3, self.ARCS, "loop")
+        assert isinstance(net.adj, list)
+        assert isinstance(net.head, list)
+        assert isinstance(net.base_cap, list)
+
+
 class TestValidation:
     def test_rejects_equal_source_sink(self):
         with pytest.raises(FlowError):
@@ -332,13 +392,15 @@ class TestValidation:
         with pytest.raises(FlowError):
             net.add_arc(0, 1, 1.0)
 
-    def test_rejects_lowering_capacity(self):
-        net = FlowNetwork(2, 0, 1)
+    def test_rejects_lowering_capacity(self, method):
+        net = FlowNetwork(2, 0, 1, method=method)
         arc = net.add_arc(0, 1, 3.0)
         net.freeze()
         net.reset()
         with pytest.raises(FlowError):
             net.raise_capacity(arc, 1.0)
+        with pytest.raises(FlowError):
+            net.raise_capacities([arc], [1.0])
 
     def test_unfrozen_state_operations_raise_distinct_error(self):
         """Flow-state ops before freeze(): FlowNotFrozenError, not the
@@ -349,6 +411,7 @@ class TestValidation:
             net.reset,
             net.solve,
             lambda: net.raise_capacity(arc, 2.0),
+            lambda: net.raise_capacities([arc], [2.0]),
             lambda: net.lower_capacity(arc, 0.5),
             lambda: net.lower_capacities([arc], [0.5]),
         ):
@@ -376,6 +439,7 @@ class TestValidation:
                 net.reset,
                 net.solve,
                 lambda: net.raise_capacity(arc, 2.0),
+                lambda: net.raise_capacities([arc], [2.0]),
                 lambda: net.lower_capacity(arc, 0.5),
                 lambda: net.lower_capacities([arc], [0.5]),
             ):

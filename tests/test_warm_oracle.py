@@ -533,6 +533,37 @@ class TestWarmExactOracleSession:
         # evicted hubs forced cold rebuilds: strictly fewer warm resumes
         assert capped.warm_solves < unbounded.warm_solves
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dead_hub_releases_its_network_and_reopens_cold(self, seed):
+        """A call that finds no alive element drops the hub's network;
+        re-opening elements (as delta repair does) rebuilds it cold and
+        answers exactly as the cold reference session."""
+        graph, workload, hub, rng = hub_instance(500 + seed)
+        hub_graph = build_hub_graph(graph, hub)
+        session = ExactOracle(warm=True)
+        schedule = RequestSchedule()
+        elements = sorted(hub_graph.elements())
+        assert session(hub_graph, workload, schedule, set(elements)) is not None
+        assert hub in session._problems
+        assert session(hub_graph, workload, schedule, set()) is None
+        assert hub not in session._problems
+        session.invalidate(hub)  # delta repair's cold restart: a no-op now
+        reopened = set(rng.sample(elements, rng.randint(1, len(elements))))
+        warm_before = session.warm_solves
+        again = session(hub_graph, workload, schedule, reopened)
+        reference = ExactOracle(warm=False)(
+            hub_graph, workload, schedule, reopened
+        )
+        assert hub in session._problems
+        assert session.warm_solves == warm_before  # rebuilt cold
+        assert again.hub == reference.hub
+        assert again.x_selected == reference.x_selected
+        assert again.y_selected == reference.y_selected
+        assert again.covered == reference.covered
+        assert again.weight == reference.weight
+        assert again.opt_lower_bound == reference.opt_lower_bound
+        assert session.evictions == 0
+
     def test_hub_id_collision_rebuilds_instead_of_reusing(self):
         """Same hub id, different graph: the stale network is not served."""
         a_graph = SocialGraph([(0, 5), (5, 1)])
