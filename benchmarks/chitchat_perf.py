@@ -27,6 +27,7 @@ from repro.shard import sharded_chitchat_schedule
 from repro.workload.churn import churn_stream
 from repro.workload.ldbc import ldbc_instance
 from repro.workload.rates import Workload, log_degree_workload
+from tests.reference_eager import EagerChitchatScheduler
 
 #: E12 instance at bench scale 1.0 (default scale 0.25 gives the n=3000
 #: acceptance instance).  Dense enough that eager invalidation's wedge
@@ -81,9 +82,12 @@ def e12_lazy_vs_eager(scale: float) -> dict:
     workload = log_degree_workload(graph, read_write_ratio=E12_READ_WRITE_RATIO)
     rows = []
     runs = {}
-    for mode, lazy in (("eager", False), ("lazy", True)):
+    for mode, scheduler_cls in (
+        ("eager", EagerChitchatScheduler),
+        ("lazy", ChitchatScheduler),
+    ):
         started = time.perf_counter()
-        scheduler = ChitchatScheduler(graph, workload, backend="csr", lazy=lazy)
+        scheduler = scheduler_cls(graph, workload, backend="csr")
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started
         validate_schedule(graph, schedule)
@@ -138,7 +142,7 @@ def e13_exact_vs_peel(scale: float) -> dict:
     for oracle in ("peel", "exact"):
         started = time.perf_counter()
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", lazy=True, oracle=oracle
+            graph, workload, backend="csr", oracle=oracle
         )
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started
@@ -174,9 +178,12 @@ def e10_scaling(scale: float) -> dict:
     ff_cost = schedule_cost(hybrid_schedule(sample, workload), workload)
     rows = []
 
-    for name, lazy in (("ChitChat (eager)", False), ("ChitChat (lazy)", True)):
+    for name, scheduler_cls in (
+        ("ChitChat (eager)", EagerChitchatScheduler),
+        ("ChitChat (lazy)", ChitchatScheduler),
+    ):
         started = time.perf_counter()
-        scheduler = ChitchatScheduler(sample, workload, backend="dict", lazy=lazy)
+        scheduler = scheduler_cls(sample, workload, backend="dict")
         schedule = scheduler.run()
         rows.append(
             {
@@ -410,7 +417,6 @@ def e15_warm_oracle(scale: float) -> dict:
                 graph,
                 workload,
                 backend="csr",
-                lazy=True,
                 oracle="exact",
                 batch_k=0,
             )
@@ -495,7 +501,6 @@ def e18_batched_solve(scale: float) -> dict:
             graph,
             workload,
             backend="csr",
-            lazy=True,
             oracle="exact",
             batch_k=batch_k,
         )
@@ -575,7 +580,7 @@ def e20_obs_overhead(scale: float) -> dict:
     def one_run() -> tuple:
         started = time.perf_counter()
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", lazy=True, oracle="exact"
+            graph, workload, backend="csr", oracle="exact"
         )
         schedule = scheduler.run()
         return schedule, scheduler.stats, time.perf_counter() - started
@@ -679,7 +684,7 @@ def e16_churn(scale: float) -> dict:
     workload = log_degree_workload(graph, read_write_ratio=E16_READ_WRITE_RATIO)
 
     started = time.perf_counter()
-    scratch = ChitchatScheduler(graph, workload, lazy=True)
+    scratch = ChitchatScheduler(graph, workload)
     scratch.run()
     scratch_seconds = time.perf_counter() - started
     scratch_calls = scratch.stats.oracle_calls
@@ -702,7 +707,7 @@ def e16_churn(scale: float) -> dict:
                 consumption=dict(delta.workload.consumption),
             )
             started = time.perf_counter()
-            fresh = ChitchatScheduler(snapshot_graph, snapshot_workload, lazy=True)
+            fresh = ChitchatScheduler(snapshot_graph, snapshot_workload)
             fresh_schedule = fresh.run()
             fresh_seconds = time.perf_counter() - started
             fresh_cost = schedule_cost(fresh_schedule, snapshot_workload)
@@ -788,7 +793,7 @@ def e21_shard(scale: float) -> dict:
     csr = to_csr(graph)
 
     started = time.perf_counter()
-    sequential = ChitchatScheduler(csr, workload, backend="csr", lazy=True)
+    sequential = ChitchatScheduler(csr, workload, backend="csr")
     seq_schedule = sequential.run()
     seq_wall = time.perf_counter() - started
     seq_cost = schedule_cost(seq_schedule, workload)

@@ -2,8 +2,8 @@
 
 ISSUE 9 added ``repro.core.delta``: a :class:`DeltaScheduler` that wraps
 a completed CHITCHAT run and repairs only the dirtied region on edge
-insert/delete and rate-change events, instead of the
-``IncrementalMaintainer``'s quality-decaying direct-service-only rule.
+insert/delete and rate-change events, instead of leaving it at the
+paper's quality-decaying direct-service-only rule (``apply`` alone).
 This bench drives a seeded LDBC-style churn stream through a wrapped run
 with per-event repair and prices the two claims that make delta
 maintenance worthwhile:

@@ -8,10 +8,11 @@ bounds on each hub's optimum, so hubs are re-peeled only when they reach
 the heap top, and bounded oracle probes abandon non-competitive hubs
 after an O(m) pass.
 
-This bench runs both modes on a dense copying-model graph (the regime
-where eager invalidation's wedge blow-up dominates) on the CSR backend,
-asserts both schedules are feasible and cost-equivalent, and asserts the
-headline acceptance ratios at the n=3000 instance (default
+This bench runs both modes — the eager one is the test reference
+``tests/reference_eager.py`` — on a dense copying-model graph (the
+regime where eager invalidation's wedge blow-up dominates) on the CSR
+backend, asserts both schedules are feasible and cost-equivalent, and
+asserts the headline acceptance ratios at the n=3000 instance (default
 ``REPRO_BENCH_SCALE`` of 0.25): >= 3x fewer full oracle peels and >= 2x
 faster wall clock.  Oracle-call counts are deterministic; the wall-clock
 ratio compares two back-to-back runs on the same machine.

@@ -23,6 +23,7 @@ from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.experiments.datasets import load_dataset
 from repro.graph.sampling import breadth_first_sample
 from repro.workload.rates import log_degree_workload
+from tests.reference_eager import EagerChitchatScheduler
 
 
 def test_bench_scalable_chitchat(benchmark, bench_scale):
@@ -40,7 +41,7 @@ def test_bench_scalable_chitchat(benchmark, bench_scale):
         rows = []
 
         started = time.perf_counter()
-        cc_eager = ChitchatScheduler(sample, workload, backend="dict", lazy=False)
+        cc_eager = EagerChitchatScheduler(sample, workload, backend="dict")
         cc_eager_schedule = cc_eager.run()
         rows.append(
             {

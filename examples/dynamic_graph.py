@@ -3,9 +3,11 @@
 Social graphs churn constantly; re-running the optimizer on every follow is
 absurd.  Section 3.3's policy: serve new edges directly (cheaper of
 push/pull), repair covers broken by unfollows, and re-optimize only
-periodically.  This example simulates a day of follow/unfollow churn,
-tracking how far the incrementally-maintained schedule drifts from a fresh
-re-optimization — the operational version of Figure 5.
+periodically.  ``DeltaScheduler.apply`` is that policy (``repair``, not
+used here, would also re-piggyback the dirtied region).  This example
+simulates a day of follow/unfollow churn, tracking how far the
+incrementally-maintained schedule drifts from a fresh re-optimization —
+the operational version of Figure 5.
 
 Run:  python examples/dynamic_graph.py
 """
@@ -16,13 +18,13 @@ import random
 
 from repro.analysis.reporting import format_table
 from repro.core import (
-    IncrementalMaintainer,
+    DeltaScheduler,
     hybrid_schedule,
     parallel_nosy_schedule,
     schedule_cost,
 )
 from repro.experiments.datasets import flickr_like
-from repro.workload.rates import log_degree_workload
+from repro.workload.churn import ChurnEvent
 
 CHURN_STEPS = 6
 EDGES_PER_STEP = 400
@@ -36,7 +38,7 @@ def main() -> None:
 
     print(f"start: {graph.num_nodes} users / {graph.num_edges} edges")
     schedule = parallel_nosy_schedule(graph, workload, max_iterations=10)
-    maintainer = IncrementalMaintainer(graph, workload, schedule)
+    delta = DeltaScheduler(graph, workload, schedule)
 
     rows = []
     for step in range(1, CHURN_STEPS + 1):
@@ -45,21 +47,22 @@ def main() -> None:
             if rng.random() < 0.8:
                 u, v = rng.choice(nodes), rng.choice(nodes)
                 if u != v:
-                    maintainer.add_edge(u, v)
+                    delta.apply(ChurnEvent("add", edge=(u, v)))
             else:
                 edges = list(graph.edges())
-                maintainer.remove_edge(*edges[rng.randrange(len(edges))])
+                edge = edges[rng.randrange(len(edges))]
+                delta.apply(ChurnEvent("remove", edge=edge))
 
-        assert maintainer.is_feasible(), "maintenance must never break coverage"
+        assert delta.is_feasible(), "maintenance must never break coverage"
         ff_cost = schedule_cost(hybrid_schedule(graph, workload), workload)
-        incremental_ratio = ff_cost / maintainer.cost()
+        incremental_ratio = ff_cost / delta.cost()
         reoptimized = parallel_nosy_schedule(graph, workload, max_iterations=10)
         static_ratio = ff_cost / schedule_cost(reoptimized, workload)
         rows.append(
             {
                 "step": step,
                 "edges": graph.num_edges,
-                "covers broken": maintainer.covers_broken,
+                "covers broken": delta.stats.covers_broken,
                 "incremental ratio": round(incremental_ratio, 4),
                 "re-optimized ratio": round(static_ratio, 4),
                 "drift %": round(

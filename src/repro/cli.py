@@ -42,10 +42,8 @@ from repro.core.serialize import (
     save_delta_state,
     save_schedule,
 )
-from repro.core.tolerances import BATCH_K
 from repro.errors import ReproError
 from repro.flow.exact_oracle import ORACLE_MODES
-from repro.flow.maxflow import FLOW_METHODS
 from repro.graph.io import read_edge_list
 from repro.graph.stats import summarize
 from repro.obs import Stopwatch, get_tracer, profile_table, write_chrome_trace
@@ -63,9 +61,7 @@ def _run_chitchat(graph, workload, args):
             num_shards=args.shards,
             num_workers=getattr(args, "workers", None),
             oracle=getattr(args, "oracle", "peel"),
-            method=getattr(args, "flow_method", "auto"),
             epsilon=getattr(args, "epsilon", 0.0),
-            batch_k=getattr(args, "batch_k", 0),
             max_cross_edges=args.cross_edge_bound,
         )
         recon = execution.reconciliation
@@ -85,8 +81,6 @@ def _run_chitchat(graph, workload, args):
         max_cross_edges=args.cross_edge_bound,
         oracle=getattr(args, "oracle", "peel"),
         epsilon=getattr(args, "epsilon", 0.0),
-        batch_k=getattr(args, "batch_k", 0),
-        method=getattr(args, "flow_method", "auto"),
     )
     return scheduler.run(), scheduler.stats
 
@@ -233,28 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.core.tolerances.PRODUCTION_EPSILON = 0.01)",
     )
     opt.add_argument(
-        "--batch-k",
-        type=int,
-        default=0,
-        dest="batch_k",
-        help="CHITCHAT batched flow tier width: solve up to this many "
-        "dirty heap-top hubs in one block-diagonal arena pass "
-        "(default 0 = off: per-hub solves, which the perf ledger measured "
-        "faster and leaner; repro.core.tolerances.BATCH_K = "
-        f"{BATCH_K} is the documented width to opt in with; "
-        "schedules are identical at every width)",
-    )
-    opt.add_argument(
-        "--flow-method",
-        choices=FLOW_METHODS,
-        default="auto",
-        dest="flow_method",
-        help="CHITCHAT exact-oracle flow kernel: auto (default; wave on "
-        "large networks, loop on small ones), wave (vectorized numpy), "
-        "or loop (pure-Python reference).  A pure perf knob: schedules "
-        "are identical across kernels",
-    )
-    opt.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -307,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repair-greedy densest-subgraph oracle (see optimize --oracle)",
     )
     upd.add_argument(
-        "--flow-method",
-        choices=FLOW_METHODS,
-        default="auto",
-        dest="flow_method",
-        help="exact-oracle flow kernel (see optimize --flow-method)",
-    )
-    upd.add_argument(
         "--state-out",
         default=None,
         dest="state_out",
@@ -357,20 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see optimize --epsilon)",
     )
     cmp_.add_argument(
-        "--batch-k",
-        type=int,
-        default=0,
-        dest="batch_k",
-        help="CHITCHAT batched flow tier width (see optimize --batch-k)",
-    )
-    cmp_.add_argument(
-        "--flow-method",
-        choices=FLOW_METHODS,
-        default="auto",
-        dest="flow_method",
-        help="CHITCHAT exact-oracle flow kernel (see optimize --flow-method)",
-    )
-    cmp_.add_argument(
         "--stats",
         action="store_true",
         help="append a CHITCHAT oracle-diagnostics line below the table",
@@ -410,10 +361,6 @@ def cmd_optimize(args) -> int:
     if args.algorithm == "chitchat":
         metadata["oracle"] = args.oracle
         metadata["epsilon"] = args.epsilon
-        if args.batch_k:
-            metadata["batch_k"] = args.batch_k
-        if args.flow_method != "auto":
-            metadata["flow_method"] = args.flow_method
         if getattr(args, "shards", None):
             metadata["shards"] = args.shards
             if args.workers is not None:
@@ -442,7 +389,6 @@ def cmd_update(args) -> int:
         workload,
         schedule,
         oracle=args.oracle,
-        method=args.flow_method,
     )
     tracing = _start_tracing(args)
     with Stopwatch() as watch:

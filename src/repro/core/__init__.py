@@ -19,6 +19,12 @@ selecting the densest-subgraph oracle: ``"peel"`` (the paper's factor-2
 peeling, default) or ``"exact"`` (the parametric max-flow subsystem of
 :mod:`repro.flow`, true optima).  Shared float-comparison tolerances
 live in :mod:`repro.core.tolerances`.
+
+Schedules follow a churning graph through
+:class:`~repro.core.delta.DeltaScheduler`: ``apply`` alone is the
+paper's section 3.3 maintenance policy (new and broken edges served
+directly by the hybrid rule), and ``repair`` re-runs the greedy over the
+region the events dirtied.
 """
 
 from repro.core.active import (
@@ -56,6 +62,7 @@ from repro.core.cost import (
     schedule_cost,
 )
 from repro.core.coverage import CoverageReport, check_coverage, validate_schedule
+from repro.core.delta import DeltaScheduler
 from repro.core.densest import (
     DensestResult,
     OracleCutoff,
@@ -64,7 +71,6 @@ from repro.core.densest import (
 )
 from repro.core.exact import optimal_schedule, optimality_gap
 from repro.core.hubgraph import HubGraph, build_hub_graph, single_consumer_hub_graph
-from repro.core.incremental import IncrementalMaintainer, reoptimized_cost
 from repro.core.parallelnosy import (
     Candidate,
     IterationResult,
@@ -104,10 +110,10 @@ __all__ = [
     "ChitchatScheduler",
     "ChitchatStats",
     "CoverageReport",
+    "DeltaScheduler",
     "DensestResult",
     "OracleCutoff",
     "HubGraph",
-    "IncrementalMaintainer",
     "IterationResult",
     "ParallelNosyOptimizer",
     "RequestSchedule",
@@ -137,7 +143,6 @@ __all__ = [
     "push_all_schedule",
     "push_edge_cost",
     "reachable_views",
-    "reoptimized_cost",
     "schedule_cost",
     "single_consumer_hub_graph",
     "to_passive",

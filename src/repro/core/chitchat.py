@@ -47,14 +47,15 @@ elements; and lazy recomputes pass the cheapest competing candidate as an
 A retained peel champion is the peel of the state the hub was *last
 evaluated at*, not of the current one, so under ``oracle="peel"`` the
 schedule is a function of evaluation order — of every heap key — and
-lazy mode is cost-equivalent to the eager ``lazy=False`` reference
-(every step a factor-2 step in both; costs within a few 1e-5 of each
-other at n = 3000), **not** byte-identical to it.  Under
-``oracle="exact"`` a retained champion is still the optimum and the two
-modes stay byte-identical (property-tested).  Every heap key is
-backend-independent, so dict and CSR runs issue the identical oracle-call
-sequence either way.  ``tests/test_step_certificate.py`` checks the
-factor-2 claim at every greedy step against a cold exact oracle.
+the lazy heap is cost-equivalent to the eager rule as published (kept as
+the test reference ``tests/reference_eager.py``; every step a factor-2
+step in both; costs within a few 1e-5 of each other at n = 3000),
+**not** byte-identical to it.  Under ``oracle="exact"`` a retained
+champion is still the optimum and the two stay byte-identical
+(property-tested).  Every heap key is backend-independent, so dict and
+CSR runs issue the identical oracle-call sequence either way.
+``tests/test_step_certificate.py`` checks the factor-2 claim at every
+greedy step against a cold exact oracle.
 
 Oracle modes
 ------------
@@ -74,9 +75,9 @@ resetting, since coverage only ever shrinks a hub's element set (see
 
 Approximately-greedy mode (ε)
 -----------------------------
-``epsilon=`` relaxes the greedy selection in lazy mode: when the heap
-top is a *dirty* hub — whose key is a certified lower bound on its true
-champion cost — and some *clean* candidate (a singleton, or a clean hub
+``epsilon=`` relaxes the greedy selection: when the heap top is a
+*dirty* hub — whose key is a certified lower bound on its true champion
+cost — and some *clean* candidate (a singleton, or a clean hub
 champion further down the heap) is priced within ``(1 + ε)`` of that
 bound, the clean candidate is selected outright and the dirty hub's
 re-evaluation is skipped (``stats.epsilon_accepts``).  Every candidate's
@@ -147,6 +148,29 @@ HubEntry = tuple[float, int, Node, int, "DensestResult | None"]
 _SINGLETON_WINS = object()
 
 
+def validate_greedy_options(
+    *,
+    epsilon: float = 0.0,
+    batch_k: int = 0,
+    max_cross_edges: int | None = None,
+) -> None:
+    """Raise :class:`ReproError` unless the greedy's numeric options hold.
+
+    ``epsilon`` must be a number ``>= 0`` (NaN is rejected too),
+    ``batch_k`` at least 0, and ``max_cross_edges`` ``None`` or at
+    least 0.  Every entry point that takes them calls this at
+    construction, before any work.
+    """
+    if not epsilon >= 0.0:
+        raise ReproError(f"epsilon must be >= 0, got {epsilon!r}")
+    if batch_k < 0:
+        raise ReproError(f"batch_k must be >= 0, got {batch_k!r}")
+    if max_cross_edges is not None and max_cross_edges < 0:
+        raise ReproError(
+            f"max_cross_edges must be >= 0 or None, got {max_cross_edges!r}"
+        )
+
+
 class ChitchatStats(StatsView):
     """Diagnostics accumulated during a CHITCHAT run.
 
@@ -158,14 +182,14 @@ class ChitchatStats(StatsView):
     its pre-evaluation lower bound; ``oracle_calls_saved`` is the number
     of full evaluations the eager invalidation rule would have run along
     *this run's own* selection sequence that the lazy dirty-hub heap
-    never needed (0 in eager mode; an eager run's selections can differ
-    under the peel, so this is not ``eager.oracle_calls`` minus ours);
-    ``hubs_pruned`` counts hubs the lazy bootstrap proved can never beat
+    never needed (an eager run's selections can differ under the peel,
+    so this is not the eager run's ``oracle_calls`` minus ours);
+    ``hubs_pruned`` counts hubs the bootstrap proved can never beat
     their own singletons; ``champions_retained`` counts (coverage event,
     hub) pairs where the event shrank the hub-graph but took none of the
     elements its champion covers, so the hub kept champion and heap entry
-    untouched (lazy mode, every oracle: a peel champion stays a factor-2
-    answer, an exact one stays optimal);
+    untouched (every oracle: a peel champion stays a factor-2 answer, an
+    exact one stays optimal);
     ``epsilon_accepts`` counts greedy steps the ``(1 + ε)`` relaxation
     resolved with a clean candidate instead of re-evaluating the dirty
     heap top (0 whenever ``epsilon=0``).
@@ -274,13 +298,6 @@ class ChitchatScheduler:
         ``"auto"`` (default) applies the CSR fast path above
         :data:`~repro.graph.view.CSR_FASTPATH_THRESHOLD` nodes; ``"csr"``
         and ``"dict"`` force a backend.
-    lazy:
-        When True (default) hubs invalidated by coverage-only events keep
-        their champion while the events miss it and are otherwise
-        re-oracled lazily via the CELF dirty-hub heap (see the module
-        docstring); ``False`` restores the eager Algorithm 1 line 14
-        refresh — far more oracle calls for a byte-identical schedule
-        under ``oracle="exact"`` and a cost-equivalent one under the peel.
     oracle:
         ``"peel"`` (default) uses the factor-2 weighted peeling of
         :mod:`repro.core.densest`; ``"exact"`` the parametric max-flow
@@ -292,7 +309,7 @@ class ChitchatScheduler:
         payments only shrink vertex weights — instead of rebuilding the
         flow from zero.
     epsilon:
-        ``(1 + ε)`` relaxation of the greedy selection (lazy mode only):
+        ``(1 + ε)`` relaxation of the greedy selection:
         a dirty heap top whose certified lower-bound key is within
         ``(1 + ε)`` of a clean candidate's exact price is skipped
         instead of re-evaluated, and the clean candidate is selected —
@@ -301,7 +318,7 @@ class ChitchatScheduler:
         byte-identical to exact greedy.
     batch_k:
         Speculative batch width of the exact oracle's multi-hub flow
-        tier (lazy mode; off by default — ``0``/``1`` disable, and
+        tier (off by default — ``0``/``1`` disable, and
         :data:`~repro.core.tolerances.BATCH_K` is the documented width
         for callers who opt in): when the heap top is dirty, up to
         ``batch_k`` *contiguous* dirty
@@ -332,7 +349,6 @@ class ChitchatScheduler:
         max_cross_edges: int | None = None,
         record_log: bool = False,
         backend: str = "auto",
-        lazy: bool = True,
         oracle: str = "peel",
         epsilon: float = 0.0,
         batch_k: int = 0,
@@ -340,10 +356,9 @@ class ChitchatScheduler:
     ) -> None:
         validate_oracle_mode(oracle)
         validate_flow_method(method)
-        if epsilon < 0.0:
-            raise ReproError(f"epsilon must be >= 0, got {epsilon!r}")
-        if batch_k < 0:
-            raise ReproError(f"batch_k must be >= 0, got {batch_k!r}")
+        validate_greedy_options(
+            epsilon=epsilon, batch_k=batch_k, max_cross_edges=max_cross_edges
+        )
         self.graph = as_graph_view(graph, backend)
         self.workload = workload
         self.max_cross_edges = max_cross_edges
@@ -353,7 +368,6 @@ class ChitchatScheduler:
         self.metrics = MetricsRegistry()
         self.stats = ChitchatStats(node=self.metrics.node("scheduler"))
         self._record_log = record_log
-        self._lazy = lazy
         self._epsilon = float(epsilon)
         self._exact = (
             ExactOracle(
@@ -408,11 +422,11 @@ class ChitchatScheduler:
         self._hub_version: dict[Node, int] = {}
         self._hub_cache: dict[Node, HubGraph] = {}
         # each hub's live full champion (absent after cutoffs/retires);
-        # backs the lazy retention check in _invalidate
+        # backs the retention check in _invalidate
         self._champion: dict[Node, DensestResult] = {}
         self._hub_heap: list[HubEntry] = []
         # hubs whose heap key is a stale-but-valid lower bound, re-oracled
-        # only when their entry reaches the heap top (lazy mode)
+        # only when their entry reaches the heap top
         self._dirty: set[Node] = set()
         # hubs with a live heap entry (retired / pruned hubs are absent)
         self._queued: set[Node] = set()
@@ -449,12 +463,7 @@ class ChitchatScheduler:
             if not self._bootstrapped:
                 self._bootstrapped = True
                 with trace.span("scheduler.bootstrap"):
-                    if self._lazy:
-                        self._seed_lazy_heap()
-                    else:
-                        for node in self.graph.nodes():
-                            if node in self._eligible:
-                                self._refresh_hub(node)
+                    self._seed_lazy_heap()
             while self._uncovered:
                 singleton = self._best_singleton()
                 limit = singleton[0] if singleton is not None else math.inf
@@ -473,10 +482,9 @@ class ChitchatScheduler:
                 singleton_selections=self.stats.singleton_selections,
                 oracle_calls=self.stats.oracle_calls,
             )
-        if self._lazy:
-            self.stats.oracle_calls_saved = (
-                self._eager_equivalent - self.stats.oracle_calls
-            )
+        self.stats.oracle_calls_saved = (
+            self._eager_equivalent - self.stats.oracle_calls
+        )
         if self._exact is not None:
             self.stats.warm_solves = self._exact.warm_solves
             self.stats.preflow_repairs = self._exact.preflow_repairs
@@ -797,16 +805,15 @@ class ChitchatScheduler:
         """Pop and return the winning clean hub entry, or ``None``.
 
         ``None`` means the best singleton (priced ``limit``) wins this
-        greedy step.  Discards stale-version entries.  In lazy mode, an
-        entry whose hub is dirty carries a lower bound of the true
-        champion cost, so it is re-oracled only when it reaches the heap
-        top — a *clean* top entry is therefore the global best hub
-        candidate.  Each recompute passes the cheapest competing
-        candidate (``limit`` = best singleton, or the next heap key) as
-        the oracle's ``upper_bound`` so hubs that cannot win this step
-        abandon after an O(m) probe.  With ``epsilon > 0`` a dirty top
-        may instead be resolved by :meth:`_epsilon_accept` without any
-        oracle work.
+        greedy step.  Discards stale-version entries.  An entry whose hub
+        is dirty carries a lower bound of the true champion cost, so it
+        is re-oracled only when it reaches the heap top — a *clean* top
+        entry is therefore the global best hub candidate.  Each recompute
+        passes the cheapest competing candidate (``limit`` = best
+        singleton, or the next heap key) as the oracle's ``upper_bound``
+        so hubs that cannot win this step abandon after an O(m) probe.
+        With ``epsilon > 0`` a dirty top may instead be resolved by
+        :meth:`_epsilon_accept` without any oracle work.
         """
         heap = self._hub_heap
         while heap:
@@ -968,73 +975,67 @@ class ChitchatScheduler:
     def _invalidate(self, covered_edges, weight_drops: tuple[Node, ...]) -> None:
         """Algorithm 1 line 14, split by how a hub's champion can move.
 
-        Covering elements only *raises* a hub's optimum, so in lazy mode a
-        hub whose champion the event missed keeps it (still a factor-2
-        answer), and a hub whose champion lost an element falls back to
-        its certified optimum bound — a valid lower bound — and is merely
-        marked dirty.  Paying a leg *lowers* the owning hub-graph's
-        vertex weight, which can cheapen its champion below the stale key,
-        so ``weight_drops`` (the selection's own hub, or the singleton's
-        push/pull counterpart) is refreshed eagerly.  Eager mode refreshes
-        every affected hub, exactly as published.
+        Covering elements only *raises* a hub's optimum, so a hub whose
+        champion the event missed keeps it (still a factor-2 answer), and
+        a hub whose champion lost an element falls back to its certified
+        optimum bound — a valid lower bound — and is merely marked dirty.
+        Paying a leg *lowers* the owning hub-graph's vertex weight, which
+        can cheapen its champion below the stale key, so ``weight_drops``
+        (the selection's own hub, or the singleton's push/pull
+        counterpart) is refreshed eagerly.  The published rule refreshes
+        every affected hub; ``tests/reference_eager.py`` keeps it.
         """
         affected = affected_hubs(self._adjacency, covered_edges)
         affected &= self._eligible
-        if self._lazy:
-            self._eager_equivalent += len(affected)
-            versions = self._state_version
-            for hub in affected:
-                versions[hub] = versions.get(hub, 0) + 1
-            for hub in weight_drops:
-                versions[hub] = versions.get(hub, 0) + 1
-            for hub in affected & self._queued:
-                if hub in self._dirty:
-                    continue  # key already a valid optimum lower bound
-                if hub in weight_drops:
-                    continue  # the eager refresh below replaces its entry
-                champion = self._champion.get(hub)
-                if champion is not None and champion.covered.isdisjoint(
-                    covered_edges
-                ):
-                    # the event removed nothing this champion covers and
-                    # paid none of its hub's legs, so it is still feasible
-                    # at the same cost c; the hub's optimum only rose, so
-                    # c <= 2 * OPT_old <= 2 * OPT_new (an exact champion
-                    # stays optimal) — keep the entry clean, it needs no
-                    # re-evaluation until an event takes one of its elements
-                    self.stats.champions_retained += 1
-                    continue
-                # the champion lost an element, so its key no longer prices
-                # a candidate that exists — downgrade it to the certified
-                # optimum bound recorded at the last oracle call (for an
-                # exact champion that is the optimum itself less a float
-                # margin, so the downgrade is nearly free)
-                version = self._hub_version.get(hub, 0) + 1
-                self._hub_version[hub] = version
-                self._dirty.add(hub)
-                heapq.heappush(
-                    self._hub_heap,
-                    (self._opt_lb[hub], self._rank[hub], hub, version, None),
-                )
-            # weight-drop refreshes happen at the current state, so their
-            # probes certify fresh bounds — bounding them by the best
-            # singleton parks hubs whose residual champion can't compete
-            singleton = self._best_singleton()
-            bar = singleton[0] if singleton is not None else None
-            for hub in weight_drops:
-                if hub in self._eligible:
-                    self._refresh_hub(hub, upper_bound=bar)
-        else:
-            for hub in affected:
-                self._refresh_hub(hub)
-
+        self._eager_equivalent += len(affected)
+        versions = self._state_version
+        for hub in affected:
+            versions[hub] = versions.get(hub, 0) + 1
+        for hub in weight_drops:
+            versions[hub] = versions.get(hub, 0) + 1
+        for hub in affected & self._queued:
+            if hub in self._dirty:
+                continue  # key already a valid optimum lower bound
+            if hub in weight_drops:
+                continue  # the eager refresh below replaces its entry
+            champion = self._champion.get(hub)
+            if champion is not None and champion.covered.isdisjoint(
+                covered_edges
+            ):
+                # the event removed nothing this champion covers and
+                # paid none of its hub's legs, so it is still feasible
+                # at the same cost c; the hub's optimum only rose, so
+                # c <= 2 * OPT_old <= 2 * OPT_new (an exact champion
+                # stays optimal) — keep the entry clean, it needs no
+                # re-evaluation until an event takes one of its elements
+                self.stats.champions_retained += 1
+                continue
+            # the champion lost an element, so its key no longer prices
+            # a candidate that exists — downgrade it to the certified
+            # optimum bound recorded at the last oracle call (for an
+            # exact champion that is the optimum itself less a float
+            # margin, so the downgrade is nearly free)
+            version = self._hub_version.get(hub, 0) + 1
+            self._hub_version[hub] = version
+            self._dirty.add(hub)
+            heapq.heappush(
+                self._hub_heap,
+                (self._opt_lb[hub], self._rank[hub], hub, version, None),
+            )
+        # weight-drop refreshes happen at the current state, so their
+        # probes certify fresh bounds — bounding them by the best
+        # singleton parks hubs whose residual champion can't compete
+        singleton = self._best_singleton()
+        bar = singleton[0] if singleton is not None else None
+        for hub in weight_drops:
+            if hub in self._eligible:
+                self._refresh_hub(hub, upper_bound=bar)
 
 def chitchat_schedule(
     graph: GraphView,
     workload: Workload,
     max_cross_edges: int | None = None,
     backend: str = "auto",
-    lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
     batch_k: int = 0,
@@ -1046,7 +1047,6 @@ def chitchat_schedule(
         workload,
         max_cross_edges,
         backend=backend,
-        lazy=lazy,
         oracle=oracle,
         epsilon=epsilon,
         batch_k=batch_k,
@@ -1059,7 +1059,6 @@ def chitchat_with_stats(
     workload: Workload,
     max_cross_edges: int | None = None,
     backend: str = "auto",
-    lazy: bool = True,
     oracle: str = "peel",
     epsilon: float = 0.0,
     batch_k: int = 0,
@@ -1072,7 +1071,6 @@ def chitchat_with_stats(
         max_cross_edges,
         record_log=True,
         backend=backend,
-        lazy=lazy,
         oracle=oracle,
         epsilon=epsilon,
         batch_k=batch_k,

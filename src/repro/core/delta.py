@@ -1,22 +1,26 @@
-"""Delta scheduling under churn: localized repair of a CHITCHAT run.
+"""Schedule maintenance under churn: the paper's rule plus localized repair.
 
-:class:`~repro.core.incremental.IncrementalMaintainer` implements the
-paper's production rule (section 3.3) exactly: new and broken edges are
-served directly and never re-piggybacked, so schedule quality decays
-until a full re-run.  :class:`DeltaScheduler` closes that gap.  It wraps
-a completed :class:`~repro.core.chitchat.ChitchatScheduler` run and, on
-every edge insert/delete or rate-change event, repairs *only the dirtied
-region* of the schedule — re-running the greedy SET-COVER step over just
-the re-opened elements instead of the whole edge set.
+:class:`DeltaScheduler` keeps a schedule feasible while the graph and
+rates change.  :meth:`DeltaScheduler.apply` alone is the paper's
+production rule (section 3.3): new and broken edges are served directly
+and never re-piggybacked, so schedule quality decays until a full re-run
+(Figure 5, :mod:`repro.experiments.fig5_incremental`).
+:meth:`DeltaScheduler.repair` closes that gap: wrapping a completed
+:class:`~repro.core.chitchat.ChitchatScheduler` run (or any feasible
+schedule), it repairs *only the dirtied region* — re-running the greedy
+SET-COVER step over just the re-opened elements instead of the whole
+edge set.
 
 Event application (constant amortized bookkeeping per event)
 ------------------------------------------------------------
-Events first apply the incremental maintainer's feasibility-preserving
-rules — a new edge is served directly by the hybrid rule, a removed leg
-downgrades the covers relayed over it — while accumulating a *residue*:
-the set of edges whose current direct service might be improvable
-(fresh direct serves, downgraded covers, legs freed when their last
-cover disappeared, and direct edges incident to a re-priced user).
+Events apply the feasibility-preserving rules of section 3.3 — a new
+edge is served directly by the hybrid rule, a removed leg downgrades the
+covers relayed over it to direct service (unless the edge is already
+served directly on either side, so it is never paid twice) — while
+accumulating a *residue*: the set of edges whose current direct service
+might be improvable (fresh direct serves, downgraded covers, legs freed
+when their last cover disappeared, and direct edges incident to a
+re-priced user).
 Duplicate adds, removals of absent edges, and value-identical rate
 events are counted no-ops and touch nothing, so a no-op stream leaves
 the schedule byte-identical.
@@ -77,6 +81,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from repro.core.chitchat import validate_greedy_options
 from repro.core.densest import DensestResult, densest_subgraph
 from repro.core.hubgraph import HubGraph, build_hub_graph
 from repro.core.schedule import RequestSchedule
@@ -156,9 +161,8 @@ class DeltaScheduler:
     workload:
         Rates at wrap time; the scheduler keeps its own mutable copy —
         rate events re-price it, and users first seen mid-stream enter
-        at the initial minimum positive rates (the
-        :class:`~repro.core.incremental.IncrementalMaintainer` floor
-        rule).
+        at the initial minimum positive rates (the floor rule
+        :func:`~repro.workload.churn.replay` mirrors).
     schedule:
         A feasible schedule for ``graph`` (validated unless
         ``validate=False``), typically a completed CHITCHAT run's.
@@ -184,6 +188,7 @@ class DeltaScheduler:
     ) -> None:
         validate_oracle_mode(oracle)
         validate_flow_method(method)
+        validate_greedy_options(max_cross_edges=max_cross_edges)
         self.graph = graph
         self.schedule = schedule
         self.max_cross_edges = max_cross_edges

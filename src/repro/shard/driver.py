@@ -42,6 +42,7 @@ from time import perf_counter, time
 
 import numpy as np
 
+from repro.core.chitchat import validate_greedy_options
 from repro.core.cost import schedule_cost
 from repro.core.schedule import RequestSchedule
 from repro.errors import ReproError
@@ -160,15 +161,22 @@ def sharded_chitchat_schedule(
     ``trace_workers=True`` collects each worker's span stream (merge
     them with :func:`repro.obs.merge_trace_streams`).
 
-    ``oracle`` and ``method`` are handed to every worker's scheduler, and
-    checked here first — before any planning or slab export — so a bad
-    value fails in the driver, not in a spawned worker.  The default is
-    the peel: on the degree-skewed, community-structured LDBC instance of
-    the perf ledger, the flow oracle returned the byte-identical schedule
-    about 1.8x slower in 1.6x the memory.
+    ``oracle``, ``method``, ``epsilon``, ``batch_k`` and
+    ``max_cross_edges`` are handed to every worker's scheduler, and they
+    and ``num_workers`` are checked here first — before any planning or
+    slab export — so a bad value fails in the driver, not in a spawned
+    worker or the process pool.  The default is the peel: on the
+    degree-skewed, community-structured LDBC instance of the perf ledger,
+    the flow oracle returned the byte-identical schedule about 1.8x
+    slower in 1.6x the memory.
     """
     validate_oracle_mode(oracle)
     validate_flow_method(method)
+    validate_greedy_options(
+        epsilon=epsilon, batch_k=batch_k, max_cross_edges=max_cross_edges
+    )
+    if num_workers is not None and num_workers < 1:
+        raise ReproError(f"num_workers must be >= 1, got {num_workers!r}")
     started = perf_counter()
     csr = graph if isinstance(graph, CSRGraph) else to_csr(graph)
     rp, rc = workload.as_arrays(csr.num_nodes)

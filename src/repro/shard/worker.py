@@ -54,7 +54,6 @@ def run_shard_task(task: dict) -> dict:
             workload,
             max_cross_edges=task.get("max_cross_edges"),
             backend="csr",
-            lazy=True,
             oracle=task.get("oracle", "peel"),
             epsilon=task.get("epsilon", 0.0),
             batch_k=task.get("batch_k", 0),

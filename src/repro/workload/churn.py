@@ -30,6 +30,7 @@ Streams serialize as line JSON via
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -49,9 +50,10 @@ class ChurnEvent:
     """One scripted update.
 
     ``kind`` is ``"add"``/``"remove"`` (with ``edge`` set) or ``"rate"``
-    (with ``user`` and the new absolute ``rp``/``rc`` values — absolute,
-    not deltas, so a stream replays identically from any serialization
-    round-trip without accumulating float drift).
+    (with ``user`` and the new absolute ``rp``/``rc`` values, finite and
+    non-negative as :class:`~repro.workload.rates.Workload` requires —
+    absolute, not deltas, so a stream replays identically from any
+    serialization round-trip without accumulating float drift).
     """
 
     kind: str
@@ -67,8 +69,9 @@ class ChurnEvent:
         elif self.kind == "rate":
             if self.user is None or self.rp is None or self.rc is None:
                 raise WorkloadError("rate event requires user, rp, and rc")
-            if self.rp < 0 or self.rc < 0:
-                raise WorkloadError(f"negative rate in {self!r}")
+            for rate in (self.rp, self.rc):
+                if rate < 0 or not math.isfinite(rate):
+                    raise WorkloadError(f"invalid rate {rate!r} in {self!r}")
         else:
             raise WorkloadError(f"unknown churn event kind {self.kind!r}")
 
@@ -229,9 +232,8 @@ def replay(
     scratch optimizer on.  Duplicate adds and removals of absent edges
     are no-ops; users first seen mid-stream enter at the initial
     workload's minimum positive rates — the same floor rule
-    :class:`~repro.core.delta.DeltaScheduler` (and
-    :class:`~repro.core.incremental.IncrementalMaintainer`) applies, so
-    the replayed instance prices exactly like the maintained one.
+    :class:`~repro.core.delta.DeltaScheduler` applies, so the replayed
+    instance prices exactly like the maintained one.
     """
     out_graph = graph.copy()
     production = dict(workload.production)

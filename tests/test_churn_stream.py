@@ -39,6 +39,21 @@ class TestChurnEvent:
         with pytest.raises(WorkloadError):
             ChurnEvent(kind="rate", user=0, rp=-1.0, rc=2.0)
 
+    @pytest.mark.parametrize(
+        "rp, rc",
+        [
+            (float("nan"), 1.0),
+            (1.0, float("nan")),
+            (float("inf"), 1.0),
+            (1.0, float("-inf")),
+        ],
+    )
+    def test_rate_rejects_non_finite_rates(self, rp, rc):
+        """Same rule as ``Workload``: a NaN rate would otherwise reach the
+        running cost of ``DeltaScheduler``."""
+        with pytest.raises(WorkloadError, match="invalid rate"):
+            ChurnEvent(kind="rate", user=0, rp=rp, rc=rc)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(WorkloadError):
             ChurnEvent(kind="merge", edge=(0, 1))

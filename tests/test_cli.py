@@ -202,16 +202,50 @@ class TestOptimize:
                 ]
             )
 
-    def test_batch_k_help_names_the_off_default_and_the_opt_in_width(
-        self, capsys
-    ):
-        from repro.core.tolerances import BATCH_K
-
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("optimize", ["--batch-k", "4"]),
+            ("optimize", ["--flow-method", "wave"]),
+            ("update", ["--flow-method", "wave"]),
+            ("compare", ["--batch-k", "4"]),
+            ("compare", ["--flow-method", "loop"]),
+        ],
+    )
+    def test_perf_only_flags_are_gone(self, command, flag):
+        """Schedules are identical at every batch width and flow kernel,
+        so neither is a CLI choice (the library parameters remain)."""
+        args = {
+            "optimize": ["optimize", "g.txt", "-o", "s.json"],
+            "update": ["update", "g.txt", "s.json", "e.json", "-o", "n.json"],
+            "compare": ["compare", "g.txt"],
+        }[command]
         with pytest.raises(SystemExit):
-            main(["optimize", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "default 0 = off" in help_text
-        assert f"repro.core.tolerances.BATCH_K = {BATCH_K} is" in help_text
+            main(args + flag)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "nan"],
+            ["--cross-edge-bound", "-1"],
+            ["--shards", "2", "--workers", "0"],
+        ],
+        ids=["epsilon-nan", "negative-cross-edge-bound", "zero-workers"],
+    )
+    def test_optimize_rejects_bad_numeric_input(
+        self, graph_file, tmp_path, capsys, flags
+    ):
+        """The CLI's error line, not a traceback, and no schedule written
+        (a NaN epsilon used to land in the header as invalid JSON)."""
+        path, _graph = graph_file
+        out = tmp_path / "s.json"
+        code = main(
+            ["optimize", str(path), "-o", str(out), "--algorithm", "chitchat"]
+            + flags
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_optimize_stats_for_non_chitchat(self, graph_file, tmp_path, capsys):
         path, _graph = graph_file

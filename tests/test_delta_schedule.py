@@ -12,18 +12,26 @@ The contract under test (``repro.core.delta``):
   charged at most the cheapest remaining singleton);
 
 parametrized over adjacency backends × oracles × flow methods.
+``TestApplyOnly`` pins ``apply`` with no ``repair`` — the paper's
+section 3.3 policy, which Figure 5 measures — rule by rule.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
+from repro.core.baselines import hybrid_schedule
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
 from repro.core.delta import DeltaScheduler
+from repro.core.parallelnosy import parallel_nosy_schedule
+from repro.core.schedule import RequestSchedule
 from repro.core.serialize import save_schedule
 from repro.core.tolerances import DELTA_QUALITY_EPSILON
 from repro.errors import ReproError, ScheduleError
@@ -369,6 +377,7 @@ class TestConstruction:
             ({"oracle": "auto"}, ORACLE_MODES),
             ({"method": "bogus"}, FLOW_METHODS),
             ({"method": "jit"}, FLOW_METHODS),
+            ({"max_cross_edges": -1}, "max_cross_edges"),
         ],
     )
     def test_rejects_bad_option_up_front(self, options, named):
@@ -379,3 +388,218 @@ class TestConstruction:
         with pytest.raises(ReproError) as excinfo:
             DeltaScheduler.from_scheduler(scheduler, **options)
         assert str(named) in str(excinfo.value)
+
+
+def wedge_with_schedule():
+    """Figure 2's wedge with Art -> Billie piggybacked through Charlie."""
+    graph = SocialGraph([(ART, CHARLIE), (CHARLIE, BILLIE), (ART, BILLIE)])
+    workload = make_uniform(graph, rp=1.0, rc=1.2)
+    schedule = RequestSchedule(push={(ART, CHARLIE)}, pull={(CHARLIE, BILLIE)})
+    schedule.cover_via_hub((ART, BILLIE), CHARLIE)
+    return graph, workload, schedule
+
+
+def add(edge):
+    return ChurnEvent(kind="add", edge=edge)
+
+
+def remove(edge):
+    return ChurnEvent(kind="remove", edge=edge)
+
+
+def random_churn(delta, rng, steps, new_users=False):
+    """Half adds between random (optionally brand-new) users, half removals."""
+    nodes = sorted(delta.graph.nodes())
+    for step in range(steps):
+        if rng.random() < 0.5:
+            u = rng.choice(nodes)
+            v = rng.choice(nodes + [900 + step] if new_users else nodes)
+            if u != v:
+                delta.apply(add((u, v)))
+        else:
+            edges = sorted(delta.graph.edges())
+            if edges:
+                delta.apply(remove(edges[rng.randrange(len(edges))]))
+        yield
+
+
+class TestApplyOnly:
+    """``apply`` without ``repair``: the section 3.3 maintenance rules."""
+
+    def test_new_edge_served_directly_cheaper_side(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        assert delta.apply(add((BILLIE, ART)))
+        assert (BILLIE, ART) in schedule.push  # rp=1 <= rc=1.2
+        assert delta.is_feasible()
+        assert delta.stats.edges_added == 1
+
+    def test_duplicate_add_is_noop(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        assert delta.apply(add((ART, CHARLIE))) is False
+        assert delta.stats.edges_added == 0
+        assert delta.stats.noop_events == 1
+
+    def test_batch_of_adds_counts_only_new_edges(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        batch = [(BILLIE, ART), (BILLIE, CHARLIE), (ART, CHARLIE)]
+        assert sum(delta.apply(add(edge)) for edge in batch) == 2
+        assert delta.is_feasible()
+
+    def test_remove_pull_leg_downgrades_cover(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        delta.apply(remove((CHARLIE, BILLIE)))  # the pull leg of the hub
+        assert (ART, BILLIE) not in schedule.hub_cover
+        assert delta.stats.covers_broken == 1
+        assert delta.is_feasible()
+        # the cross-edge is now served directly
+        assert (ART, BILLIE) in schedule.push or (ART, BILLIE) in schedule.pull
+
+    def test_remove_push_leg_downgrades_cover(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        delta.apply(remove((ART, CHARLIE)))  # the push leg of the hub
+        assert (ART, BILLIE) not in schedule.hub_cover
+        assert delta.stats.covers_broken == 1
+        assert delta.is_feasible()
+
+    def test_remove_covered_edge_breaks_no_cover(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        delta.apply(remove((ART, BILLIE)))
+        assert (ART, BILLIE) not in schedule.hub_cover
+        assert delta.stats.covers_broken == 0
+        assert delta.is_feasible()
+        # legs survive: they still serve their own edges
+        assert (ART, CHARLIE) in schedule.push
+        assert (CHARLIE, BILLIE) in schedule.pull
+
+    def test_remove_unrelated_edge_keeps_covers(self):
+        graph, workload, schedule = wedge_with_schedule()
+        graph.add_edge(BILLIE, ART)
+        schedule.add_push((BILLIE, ART))
+        delta = DeltaScheduler(graph, workload, schedule)
+        delta.apply(remove((BILLIE, ART)))
+        assert schedule.hub_cover[(ART, BILLIE)] == CHARLIE
+        assert delta.is_feasible()
+
+    def test_removals_skip_absent_and_repeated_edges(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        batch = [(BILLIE, CHARLIE), (ART, CHARLIE), (ART, CHARLIE)]
+        assert [delta.apply(remove(edge)) for edge in batch] == [
+            False,
+            True,
+            False,
+        ]
+        assert delta.stats.covers_broken == 1  # the push leg broke it, once
+        assert delta.stats.edges_removed == 1
+        assert delta.is_feasible()
+
+    def test_broken_cover_already_served_directly_is_not_paid_twice(self):
+        """Art -> Billie is both piggybacked through Charlie and pulled as
+        the pull leg of Dan's cover through Art.  Breaking the Charlie
+        cover must leave it pulled — the hybrid rule prefers a push here,
+        and adding one would pay for the edge twice."""
+        dan = 3
+        graph, workload, schedule = wedge_with_schedule()
+        graph.add_edge(dan, ART)
+        graph.add_edge(dan, BILLIE)
+        workload = make_uniform(graph, rp=1.0, rc=1.2)
+        schedule.add_push((dan, ART))
+        schedule.add_pull((ART, BILLIE))
+        schedule.cover_via_hub((dan, BILLIE), ART)
+        delta = DeltaScheduler(graph, workload, schedule)
+        before = delta.cost()
+        delta.apply(remove((ART, CHARLIE)))
+        assert delta.stats.covers_broken == 1
+        assert (ART, BILLIE) not in schedule.push
+        assert (ART, BILLIE) in schedule.pull
+        assert schedule.hub_cover[(dan, BILLIE)] == ART
+        assert delta.is_feasible()
+        # only the removed push leg's price leaves the running cost
+        assert delta.cost() == pytest.approx(before - 1.0)
+        assert delta.cost() == pytest.approx(
+            schedule_cost(schedule, delta.workload)
+        )
+
+    def test_random_churn_stays_feasible(self):
+        graph = social_copying_graph(80, out_degree=5, copy_fraction=0.7, seed=3)
+        workload = log_degree_workload(graph)
+        schedule = parallel_nosy_schedule(graph, workload, 5)
+        delta = DeltaScheduler(graph, workload, schedule)
+        for _ in random_churn(delta, random.Random(0), 200):
+            pass
+        assert delta.is_feasible()
+        validate_schedule(graph, schedule)
+
+    def test_adds_never_cost_more_than_hybrid(self):
+        graph = social_copying_graph(100, out_degree=5, copy_fraction=0.7, seed=4)
+        workload = log_degree_workload(graph)
+        edges = sorted(graph.edges(), key=repr)
+        random.Random(1).shuffle(edges)
+        half = SocialGraph()
+        half.add_nodes_from(graph.nodes())
+        half.add_edges_from(edges[: len(edges) // 2])
+        schedule = parallel_nosy_schedule(half, workload, 6)
+        delta = DeltaScheduler(half, workload, schedule)
+        for edge in edges[len(edges) // 2 :]:
+            delta.apply(add(edge))
+        hybrid_cost = schedule_cost(hybrid_schedule(half, workload), workload)
+        assert delta.cost() <= hybrid_cost + 1e-9
+
+    def test_reoptimized_cost_not_worse_than_maintained(self):
+        graph = social_copying_graph(100, out_degree=5, copy_fraction=0.7, seed=5)
+        workload = log_degree_workload(graph)
+        schedule = parallel_nosy_schedule(graph, workload, 2)
+        delta = DeltaScheduler(graph, workload, schedule)
+        static = schedule_cost(parallel_nosy_schedule(graph, workload, 10), workload)
+        assert static <= delta.cost() + 1e-9
+
+    def test_cost_matches_schedule_cost_for_known_users(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        assert delta.cost() == pytest.approx(schedule_cost(schedule, workload))
+
+    def test_running_cost_equals_rescan_across_churn(self):
+        """After every kind of event, broken covers and floor-priced users
+        added mid-stream included."""
+        graph = social_copying_graph(80, out_degree=5, copy_fraction=0.7, seed=6)
+        workload = log_degree_workload(graph)
+        schedule = parallel_nosy_schedule(graph, workload, 5)
+        delta = DeltaScheduler(graph, workload, schedule)
+        assert delta.cost() == pytest.approx(schedule_cost(schedule, workload))
+        for _ in random_churn(delta, random.Random(7), 150, new_users=True):
+            assert delta.cost() == pytest.approx(
+                schedule_cost(delta.schedule, delta.workload)
+            )
+        assert delta.stats.covers_broken > 0
+
+    def test_floor_rates_fixed_at_construction(self):
+        """Mutating the caller's workload afterwards moves neither the
+        floors nor the scheduler's own rate tables."""
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        floor_rp, floor_rc = delta._rp_floor, delta._rc_floor
+        assert floor_rp == min(r for r in workload.production.values() if r > 0)
+        assert floor_rc == min(r for r in workload.consumption.values() if r > 0)
+        workload.production[ART] = 1e-9  # simulated drift after construction
+        try:
+            assert delta._rp_floor == floor_rp
+            assert delta.workload.rp(ART) == 1.0
+        finally:
+            workload.production[ART] = 1.0
+
+    def test_user_first_seen_mid_stream_enters_at_floor_rates(self):
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        before = delta.cost()
+        delta.apply(add((ART, 42)))  # 42 is unknown to the workload
+        assert delta.is_feasible()
+        assert delta.workload.rp(42) == delta._rp_floor
+        assert delta.workload.rc(42) == delta._rc_floor
+        # priced with the floors, so the cost stays finite and comparable
+        assert delta.cost() == pytest.approx(before + 1.0)  # push: rp(Art)=1

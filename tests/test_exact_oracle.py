@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 
 from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
 from tests.test_densest import brute_force_best
+from tests.reference_eager import EagerChitchatScheduler
 from tests.test_lazy_chitchat import assert_lazy_equivalent
 from repro.core.chitchat import (
     ChitchatScheduler,
@@ -57,6 +58,8 @@ BAD_OPTIONS = [
     ({"method": "bogus"}, FLOW_METHODS),
     ({"method": "jit"}, FLOW_METHODS),
     ({"oracle": "exact", "method": "jit"}, FLOW_METHODS),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"max_cross_edges": -1}, "max_cross_edges"),
 ]
 
 
@@ -227,7 +230,9 @@ class TestExactMatchesBruteForce:
 class TestOptionValidation:
     """``oracle=`` and ``method=`` fail at construction, whatever the
     oracle — a flow method is checked even under the peel, which never
-    builds a flow network — and a removed value names the options."""
+    builds a flow network — and a removed value names the options.  A
+    NaN ``epsilon`` and a negative ``max_cross_edges`` (which used to act
+    as 0) fail there too."""
 
     def test_option_tuples(self):
         assert ORACLE_MODES == ("peel", "exact")
@@ -276,12 +281,10 @@ class TestExactScheduler:
     def test_lazy_vs_eager(self, backend):
         """Byte-identical: a retained exact champion is still the optimum."""
         graph, workload = self._instance()
-        eager = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=False, oracle="exact"
+        eager = EagerChitchatScheduler(
+            graph, workload, backend=backend, oracle="exact"
         )
-        lazy = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=True, oracle="exact"
-        )
+        lazy = ChitchatScheduler(graph, workload, backend=backend, oracle="exact")
         assert_lazy_equivalent(graph, workload, eager, lazy, "exact")
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
 

@@ -40,6 +40,7 @@ from repro.core.hubgraph import build_hub_graph
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
+from tests.reference_eager import EagerChitchatScheduler
 
 SMALL = settings(
     max_examples=25,
@@ -138,16 +139,18 @@ class TestLazyEagerEquivalence:
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_chitchat_lazy_vs_eager(self, backend, oracle, instance):
         graph, workload = instance
-        eager = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=False, oracle=oracle
+        eager = EagerChitchatScheduler(
+            graph, workload, backend=backend, oracle=oracle
         )
-        lazy = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=True, oracle=oracle
-        )
+        lazy = ChitchatScheduler(graph, workload, backend=backend, oracle=oracle)
         assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_backends_agree_call_for_call(self, lazy):
+    @pytest.mark.parametrize(
+        "scheduler_cls",
+        [EagerChitchatScheduler, ChitchatScheduler],
+        ids=["eager", "lazy"],
+    )
+    def test_backends_agree_call_for_call(self, scheduler_cls):
         """Dict and CSR runs issue the same oracle calls in the same order.
 
         Retained peel champions make the schedule depend on every heap
@@ -167,7 +170,7 @@ class TestLazyEagerEquivalence:
             for hub in graph.nodes()
         )
         by_dict, by_csr = (
-            ChitchatScheduler(graph, workload, backend=backend, lazy=lazy)
+            scheduler_cls(graph, workload, backend=backend)
             for backend in ("dict", "csr")
         )
         assert_same_schedule(by_dict.run(), by_csr.run())
@@ -179,6 +182,7 @@ class TestLazyEagerEquivalence:
             "singleton_selections",
         ):
             assert getattr(by_dict.stats, counter) == getattr(by_csr.stats, counter)
+        lazy = scheduler_cls is ChitchatScheduler
         assert (by_csr.stats.champions_retained > 0) == lazy
 
 
@@ -192,12 +196,10 @@ class TestOracleCallSavings:
             250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
-        eager = ChitchatScheduler(
-            graph, workload, backend=backend, lazy=False, oracle=oracle
+        eager = EagerChitchatScheduler(
+            graph, workload, backend=backend, oracle=oracle
         )
-        lazy = CountingScheduler(
-            graph, workload, backend=backend, lazy=True, oracle=oracle
-        )
+        lazy = CountingScheduler(graph, workload, backend=backend, oracle=oracle)
         assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
         assert lazy.stats.champions_retained > 0
@@ -242,8 +244,8 @@ class TestBootstrapPrune:
             production={mapping[n]: workload.production[n] for n in graph.nodes()},
             consumption={mapping[n]: workload.consumption[n] for n in graph.nodes()},
         )
-        eager = ChitchatScheduler(dense, dense_workload, backend=backend, lazy=False)
-        lazy = ChitchatScheduler(dense, dense_workload, backend=backend, lazy=True)
+        eager = EagerChitchatScheduler(dense, dense_workload, backend=backend)
+        lazy = ChitchatScheduler(dense, dense_workload, backend=backend)
         assert_same_schedule(eager.run(), lazy.run())
         assert lazy.stats.hubs_pruned == 1
         assert lazy.stats.oracle_calls == 0
@@ -256,10 +258,8 @@ class TestBootstrapPrune:
         hub that could have won a step would show as a schedule diff (the
         prune itself is oracle-agnostic)."""
         graph, workload = instance
-        lazy = ChitchatScheduler(
-            graph, workload, backend="dict", lazy=True, oracle="exact"
-        )
-        eager = ChitchatScheduler(
-            graph, workload, backend="dict", lazy=False, oracle="exact"
+        lazy = ChitchatScheduler(graph, workload, backend="dict", oracle="exact")
+        eager = EagerChitchatScheduler(
+            graph, workload, backend="dict", oracle="exact"
         )
         assert_same_schedule(eager.run(), lazy.run())

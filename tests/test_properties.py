@@ -8,23 +8,26 @@ asserted are the paper's own invariants:
 * hybrid never costs more than push-all or pull-all;
 * pruning never increases cost nor breaks feasibility;
 * the MapReduce PARALLELNOSY matches the in-memory engine exactly;
-* incremental maintenance preserves feasibility under arbitrary churn.
+* section 3.3 maintenance (``DeltaScheduler.apply``) preserves
+  feasibility and its running cost under arbitrary churn.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import hybrid_schedule, pull_all_schedule, push_all_schedule
 from repro.core.chitchat import chitchat_schedule
 from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
-from repro.core.incremental import IncrementalMaintainer
+from repro.core.delta import DeltaScheduler
 from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.core.pruning import cleanup_schedule
 from repro.graph.digraph import SocialGraph
 from repro.mapreduce.jobs import mapreduce_parallel_nosy_schedule
+from repro.workload.churn import ChurnEvent
 from repro.workload.rates import Workload
 
 SMALL = settings(
@@ -148,16 +151,20 @@ class TestIncrementalProperties:
     def test_churn_preserves_feasibility(self, instance, rng):
         graph, workload = instance
         schedule = parallel_nosy_schedule(graph, workload, 3)
-        maintainer = IncrementalMaintainer(graph, workload, schedule)
+        delta = DeltaScheduler(graph, workload, schedule)
         nodes = sorted(graph.nodes())
         for _ in range(30):
             if rng.random() < 0.5 and graph.num_edges > 1:
                 edges = sorted(graph.edges())
-                maintainer.remove_edge(*edges[rng.randrange(len(edges))])
+                edge = edges[rng.randrange(len(edges))]
+                delta.apply(ChurnEvent(kind="remove", edge=edge))
             else:
                 u = nodes[rng.randrange(len(nodes))]
                 v = nodes[rng.randrange(len(nodes))]
                 if u != v:
-                    maintainer.add_edge(u, v)
-        assert maintainer.is_feasible()
-        validate_schedule(graph, maintainer.schedule)
+                    delta.apply(ChurnEvent(kind="add", edge=(u, v)))
+        assert delta.is_feasible()
+        validate_schedule(graph, delta.schedule)
+        assert delta.cost() == pytest.approx(
+            schedule_cost(delta.schedule, delta.workload)
+        )

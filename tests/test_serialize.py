@@ -218,6 +218,23 @@ class TestChurnRoundTrip:
         with pytest.raises(WorkloadError, match="unknown record kind"):
             load_events(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_rate_rejected(self, tmp_path, literal):
+        """Python's json parses ``NaN``/``Infinity``; the loader must not
+        hand such a rate to the maintainer."""
+        path = tmp_path / "n.json"
+        header = {
+            "kind": "header",
+            "format": "repro-churn",
+            "version": 1,
+            "events": 1,
+            "metadata": {},
+        }
+        record = f'{{"kind": "rate", "user": 3, "rp": {literal}, "rc": 1.0}}'
+        path.write_text(json.dumps(header) + "\n" + record + "\n")
+        with pytest.raises(WorkloadError, match="invalid rate"):
+            load_events(path)
+
 
 class TestDeltaStateRoundTrip:
     def test_warm_state_round_trips(self, tmp_path):

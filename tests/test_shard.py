@@ -165,6 +165,9 @@ class TestShardedSchedule:
             ({"oracle": "bogus"}, ORACLE_MODES),
             ({"method": "bogus"}, FLOW_METHODS),
             ({"method": "jit"}, FLOW_METHODS),
+            ({"epsilon": float("nan")}, "epsilon"),
+            ({"max_cross_edges": -1}, "max_cross_edges"),
+            ({"num_workers": 0}, "num_workers"),
         ],
     )
     def test_bad_option_fails_in_the_driver_before_any_export(
@@ -179,10 +182,9 @@ class TestShardedSchedule:
                 driver, name, lambda *args, _name=name, **kw: calls.append(_name)
             )
         graph, workload = ldbc_instance(100, seed=5)
+        kwargs = {"num_shards": 2, "num_workers": 1, **options}
         with pytest.raises(ReproError) as excinfo:
-            sharded_chitchat_schedule(
-                graph, workload, num_shards=2, num_workers=1, **options
-            )
+            sharded_chitchat_schedule(graph, workload, **kwargs)
         assert str(named) in str(excinfo.value)
         assert calls == []
 
@@ -194,7 +196,7 @@ class TestShardedSchedule:
             graph, workload, num_shards=1, num_workers=1, oracle="peel"
         )
         sequential = ChitchatScheduler(
-            graph, workload, backend="csr", lazy=True, oracle="peel"
+            graph, workload, backend="csr", oracle="peel"
         ).run()
         assert execution.plan.cut_edges == 0
         assert execution.reconciliation["boundary_hubs"] == 0
