@@ -660,8 +660,8 @@ def e16_churn(scale: float) -> dict:
       delta's *mean per-event* hub refreshes: how much oracle work one
       event costs relative to re-running the optimizer.  The acceptance
       bar is >=10x; the measured value at n=3000 is in the thousands —
-      the locality certificate (only endpoint/wedge hubs of re-opened
-      elements are candidates) is what's being priced.
+      the locality certificate (only relays, the wedge hubs of re-opened
+      elements, are candidates) is what's being priced.
     * ``max_cost_ratio`` — worst checkpoint ratio of maintained cost to
       the fresh run's; must stay within
       ``1 + repro.core.tolerances.DELTA_QUALITY_EPSILON``.

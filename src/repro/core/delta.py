@@ -31,12 +31,16 @@ Localized repair (the greedy over the dirtied region)
 (residue edges that still exist, are direct-served, and are not load-
 bearing legs of a live cover — a refcount per leg guards that), strips
 their direct service, and re-runs the CHITCHAT greedy over exactly those
-elements.  Candidate hubs are the elements' endpoints and wedge
-intermediaries: a hub outside that set has **no re-opened element in its
-hub-graph**, so its oracle champion over the element set is empty and
-its existing assignments provably survive the event.  The same two-hop
-join ``succ(u) ∩ pred(v)`` that discovers the candidates also records
-which re-opened elements each candidate can serve, and every candidate's
+elements.  Candidate hubs are the *relays*: wedge intermediaries
+``w ∈ succ(u) ∩ pred(v)`` of some re-opened ``(u, v)``.  A hub with no
+re-opened element in its hub-graph has an empty champion, and one whose
+only re-opened elements are its own legs cannot win either: a leg is paid
+only when its own element is covered, so such a champion costs a mean of
+its legs' full rates — never below the cheapest ``min(rp, rc)`` singleton
+among them.  Dropping those hubs hands only exact (and float-rounding)
+ties to the singleton rule.  The two-hop join that discovers the relays
+also records which re-opened elements each can serve — its cross-edges
+plus the re-opened legs it is an endpoint of — and every relay's
 hub-graph is built *restricted to those elements*
 (``build_hub_graph(..., elements=...)``, which documents why the
 champion — hence the maintained schedule — is byte-identical to the
@@ -65,12 +69,12 @@ Invariants (asserted by ``tests/test_delta_schedule.py``)
   charged at most its own hybrid price: ``repair`` never costs more
   than leaving the residue served directly.
 * **Bounded locality** — a work bound, not just a candidate bound: a
-  repair over re-opened elements ``E`` evaluates only their endpoint and
-  wedge hubs and materializes at most ``3 · Σ_{(u,v)∈E} (2 + |succ(u) ∩
-  pred(v)|)`` hub-graph elements (``DeltaStats.elements_materialized``)
-  — each element is a leg in two hub-graphs and a cross-edge, with its
-  two endpoints, in one per wedge — independent of any hub's degree
-  (unless ``max_cross_edges`` forces maximal builds).
+  repair over re-opened elements ``E`` evaluates only their relays and
+  materializes at most ``Σ_{(u,v)∈E} (2 + 3·|succ(u) ∩ pred(v)|)``
+  hub-graph elements (``DeltaStats.elements_materialized``) — each
+  element is a leg in at most two relays' hub-graphs and a cross-edge,
+  with its two endpoints, in one per wedge — independent of any hub's
+  degree (unless ``max_cross_edges`` forces maximal builds).
 * **Exact cost tracking** — :meth:`cost` is maintained incrementally
   (O(degree) per rate event, O(1) per service change) and equals the
   full rescan.
@@ -119,7 +123,9 @@ class DeltaStats(StatsView):
     locality invariant bounds;
     ``sessions_invalidated`` — warm flow sessions cold-restarted because
     a repair re-opened coverage under their hubs; ``hub_selections`` /
-    ``singleton_selections`` — greedy choices made by repairs.
+    ``singleton_selections`` — greedy choices made by repairs (endpoint-
+    only hubs are no candidates, so they no longer take singleton ties:
+    12 886 → 1 742 hub selections on the seed-1 ledger churn stream).
 
     ``maintained_cost`` is the incrementally tracked schedule cost after
     the latest event/repair (equals the full rescan; property-tested).
@@ -456,11 +462,11 @@ class DeltaScheduler:
 
         Strips the direct service of every re-openable residue edge and
         re-runs the greedy SET-COVER step over exactly that element set,
-        with candidate hubs restricted to the elements' endpoints and
-        wedge intermediaries (no other hub's champion can cover a
-        re-opened element).  Each greedy step is charged at most the
-        cheapest remaining singleton, so the repaired assignment never
-        costs more than the direct service it replaces.
+        with candidate hubs restricted to the elements' wedge
+        intermediaries (no other hub's champion can piggyback one, so
+        none can beat the singleton price).  Each greedy step is charged
+        at most the cheapest remaining singleton, so the repaired
+        assignment never costs more than the direct service it replaces.
         """
         with trace.span("delta.repair") as span:
             self.stats.repairs += 1
@@ -489,27 +495,7 @@ class DeltaScheduler:
             self._remove_push(edge)
             self._remove_pull(edge)
         uncovered: set[Edge] = set(elements)
-
-        # candidate hubs and the elements each can serve: (u, v) is a
-        # leg of u and of v and a cross-edge of every wedge intermediary
-        # succ(u) & pred(v).  The locality certificate — a hub outside
-        # this map has no re-opened element in its hub-graph — and the
-        # whole input of each candidate's (restricted) hub-graph build.
-        serves: dict[Node, list[Edge]] = {}
-        for edge in uncovered:
-            u, v = edge
-            serves.setdefault(u, []).append(edge)
-            serves.setdefault(v, []).append(edge)
-            for w in self.graph.successors_view(u) & self.graph.predecessors_view(v):
-                serves.setdefault(w, []).append(edge)
-        candidates = sorted(
-            (
-                hub
-                for hub in serves
-                if self.graph.in_degree(hub) > 0 and self.graph.out_degree(hub) > 0
-            ),
-            key=repr,
-        )
+        candidates, serves = self._repair_candidates(uncovered)
         if self._exact is not None:
             # the re-opened elements grew these hubs' coverage back —
             # non-monotonic for the warm preflow diff, so cold-restart
@@ -567,6 +553,28 @@ class DeltaScheduler:
                 raise ScheduleError(
                     "repair ran out of candidates with elements uncovered"
                 )
+
+    def _repair_candidates(
+        self, uncovered: set[Edge]
+    ) -> tuple[list[Node], dict[Node, list[Edge]]]:
+        """The repair's relays (sorted by ``repr``) and what each serves.
+
+        A relay is a wedge intermediary ``w ∈ succ(u) ∩ pred(v)`` of some
+        re-opened ``(u, v)``; its restricted hub-graph takes those cross-
+        edges plus the re-opened legs it is an endpoint of.  A hub outside
+        this list has no re-opened cross-edge, so it can only re-buy a leg
+        at that leg's own rate — never below the singleton price.
+        """
+        serves: dict[Node, list[Edge]] = {}
+        for edge in uncovered:
+            u, v = edge
+            for w in self.graph.successors_view(u) & self.graph.predecessors_view(v):
+                serves.setdefault(w, []).append(edge)
+        for edge in uncovered:
+            for end in edge:
+                if end in serves:
+                    serves[end].append(edge)
+        return sorted(serves, key=repr), serves
 
     def _repair_hub_graph(self, hub: Node, elements: list[Edge]) -> HubGraph:
         """``hub``'s hub-graph for one repair: just ``elements``, the

@@ -49,7 +49,8 @@ EVENT_KINDS = ("add", "remove", "rate")
 class ChurnEvent:
     """One scripted update.
 
-    ``kind`` is ``"add"``/``"remove"`` (with ``edge`` set) or ``"rate"``
+    ``kind`` is ``"add"``/``"remove"`` (with ``edge`` set, never a
+    self-loop, which no :class:`SocialGraph` holds) or ``"rate"``
     (with ``user`` and the new absolute ``rp``/``rc`` values, finite and
     non-negative as :class:`~repro.workload.rates.Workload` requires —
     absolute, not deltas, so a stream replays identically from any
@@ -66,6 +67,8 @@ class ChurnEvent:
         if self.kind in ("add", "remove"):
             if self.edge is None or self.user is not None:
                 raise WorkloadError(f"{self.kind} event requires edge only")
+            if self.edge[0] == self.edge[1]:
+                raise WorkloadError(f"self-loop edge in {self!r}")
         elif self.kind == "rate":
             if self.user is None or self.rp is None or self.rc is None:
                 raise WorkloadError("rate event requires user, rp, and rc")

@@ -58,6 +58,23 @@ class TestChurnEvent:
         with pytest.raises(WorkloadError):
             ChurnEvent(kind="merge", edge=(0, 1))
 
+    @pytest.mark.parametrize("kind", ["add", "remove"])
+    def test_self_loop_rejected(self, kind):
+        """No graph holds ``(u, u)``: an add would fail half-applied inside
+        ``DeltaScheduler.apply`` and a remove would count as a no-op."""
+        with pytest.raises(WorkloadError, match="self-loop"):
+            ChurnEvent(kind=kind, edge=(9, 9))
+
+    @pytest.mark.parametrize("kind", ["add", "remove"])
+    def test_load_events_rejects_self_loop(self, kind, tmp_path):
+        path = tmp_path / "events.json"
+        save_events([ChurnEvent(kind="add", edge=(1, 2))], path)
+        path.write_text(
+            path.read_text().replace("[1, 2]", "[9, 9]").replace("add", kind)
+        )
+        with pytest.raises(WorkloadError, match="self-loop"):
+            load_events(path)
+
 
 class TestApportionment:
     @given(

@@ -363,6 +363,22 @@ class TestUpdate:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_update_self_loop_script_errors_before_any_state(
+        self, churn_setup, tmp_path, capsys
+    ):
+        path, _graph, _workload, schedule_path, _events, _ = churn_setup
+        script = tmp_path / "loop.json"
+        save_events([ChurnEvent(kind="add", edge=(1, 2))], script)
+        script.write_text(script.read_text().replace("[1, 2]", "[3, 3]"))
+        out = tmp_path / "out.json"
+        assert main(
+            ["update", str(path), str(schedule_path), str(script),
+             "-o", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "self-loop" in err
+        assert not out.exists()
+
 
 class TestValidateAndCost:
     def test_validate_ok(self, graph_file, tmp_path, capsys):

@@ -24,12 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.delta as delta_module
 from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
+from tests.reference_repair import EndpointCandidatesDeltaScheduler
+from tests.test_restricted_hubgraph import churn_instance
 from repro.core.baselines import hybrid_schedule
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.cost import schedule_cost
 from repro.core.coverage import validate_schedule
 from repro.core.delta import DeltaScheduler
+from repro.core.densest import densest_subgraph
+from repro.core.hubgraph import build_hub_graph
 from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.core.schedule import RequestSchedule
 from repro.core.serialize import save_schedule
@@ -38,7 +43,13 @@ from repro.errors import ReproError, ScheduleError
 from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
-from repro.workload import ChurnEvent, churn_stream, log_degree_workload, replay
+from repro.workload import (
+    ChurnEvent,
+    Workload,
+    churn_stream,
+    log_degree_workload,
+    replay,
+)
 
 #: oracle stacks the repair greedy must uphold the contract on:
 #: (oracle, flow method)
@@ -278,7 +289,7 @@ class TestMonotoneRepair:
 class TestLocality:
     def test_single_event_repair_is_local(self):
         """One added edge re-opens one element: the repair's oracle work
-        is bounded by that edge's endpoint/wedge hubs, not the graph."""
+        is bounded by that edge's wedge hubs, not the graph."""
         graph, workload = make_instance(1, nodes=80)
         scheduler = completed_run(graph, workload)
         full_run_calls = scheduler.stats.oracle_calls
@@ -287,20 +298,19 @@ class TestLocality:
         delta.apply(ChurnEvent(kind="add", edge=edge))
         delta.repair()
         u, v = edge
-        candidates = {u, v} | (
-            graph.successors_view(u) & graph.predecessors_view(v)
-        )
-        # one champion evaluation per candidate hub, plus at most one
-        # eager re-evaluation after the single selection
-        assert delta.stats.hub_refreshes <= len(candidates) + 1
+        wedges = graph.successors_view(u) & graph.predecessors_view(v)
+        # one champion evaluation per relay (endpoint hubs are never
+        # candidates), plus at most one eager re-evaluation after the
+        # single selection
+        assert delta.stats.hub_refreshes <= len(wedges) + 1
         assert delta.stats.hub_refreshes < full_run_calls
 
     @pytest.mark.parametrize("degree", [1000, 2000])
     def test_repair_work_is_bounded_by_reopened_elements(self, degree):
         """Bounded locality as a *work* bound: one edge added next to a
-        mega-hub materializes O(sum over re-opened elements of 2 + wedges)
-        hub-graph elements — a leg in two hub-graphs, a cross-edge (with
-        its two endpoints) in one per wedge — whatever the hub's degree."""
+        mega-hub materializes one cross-edge with its two endpoints per
+        wedge — its endpoints are no relays of their own leg, so nothing
+        else — whatever the hub's degree."""
         graph, workload = mega_hub_instance(degree)
         delta = DeltaScheduler.from_scheduler(completed_run(graph, workload))
         u, v = edge = (1, degree + 5)  # producer -> consumer, a wedge of hub 0
@@ -308,9 +318,8 @@ class TestLocality:
         assert delta.repair() == 1  # the added edge is the one re-opened element
         wedges = delta.graph.successors_view(u) & delta.graph.predecessors_view(v)
         assert 0 in wedges
-        budget = 2 + len(wedges)
-        assert 0 < delta.stats.elements_materialized <= 3 * budget
-        assert 3 * budget < degree  # the bound never saw the hub's degree
+        assert delta.stats.elements_materialized == 3 * len(wedges)
+        assert 3 * len(wedges) < degree  # the bound never saw the hub's degree
         assert delta.is_feasible()
 
     def test_truncated_repair_pays_for_the_whole_neighbourhood(self):
@@ -341,6 +350,160 @@ class TestLocality:
         # (repair only re-opens direct-served edges, never covers)
         for edge, hub in covers_before.items():
             assert delta.schedule.hub_cover.get(edge) == hub
+
+
+@st.composite
+def leg_hub_problems(draw):
+    """A hub-graph built from one hub's legs only, as a repair would build
+    an endpoint hub: random rates, a random alive (uncovered) subset, the
+    other legs randomly paid already — an uncovered leg is never paid,
+    since a leg is bought only when its own element is covered."""
+    hub = 0
+    others = list(range(1, 8))
+    preds = draw(st.sets(st.sampled_from(others), min_size=1))
+    succs = draw(st.sets(st.sampled_from(others), min_size=1))
+    legs = sorted({(x, hub) for x in preds} | {(hub, y) for y in succs})
+    # cross-edges live in the graph but stay out of the restricted build
+    crosses = draw(
+        st.sets(st.sampled_from([(x, y) for x in preds for y in succs if x != y]))
+        if any(x != y for x in preds for y in succs)
+        else st.just(set())
+    )
+    graph = SocialGraph(legs + sorted(crosses))
+    rate = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    workload = Workload(
+        production={v: draw(rate) for v in [hub] + others},
+        consumption={v: draw(rate) for v in [hub] + others},
+    )
+    alive = draw(st.sets(st.sampled_from(legs), min_size=1))
+    schedule = RequestSchedule()
+    for leg in legs:
+        if leg not in alive and draw(st.booleans()):
+            if leg[1] == hub:
+                schedule.add_push(leg)
+            else:
+                schedule.add_pull(leg)
+    hub_graph = build_hub_graph(graph, hub, elements=legs)
+    return hub_graph, workload, schedule, alive
+
+
+def assert_run_contract(delta, event):
+    """One event with its repair: feasible, monotone, cost == rescan."""
+    delta.apply(event)
+    before = delta.cost()
+    delta.repair()
+    assert delta.cost() <= before + 1e-9
+    assert delta.is_feasible()
+    # price against a snapshot: a large rescan caches the live workload's
+    # dense arrays, which would freeze its rates for every later rescan
+    rates = Workload(
+        production=dict(delta.workload.production),
+        consumption=dict(delta.workload.consumption),
+    )
+    assert delta.cost() == pytest.approx(schedule_cost(delta.schedule, rates))
+
+
+def e16_quick_instance():
+    """E16's smallest-tier instance (n=600), with a shorter stream."""
+    graph = social_copying_graph(
+        600, out_degree=10, copy_fraction=0.7, reciprocity=0.2, seed=16
+    )
+    workload = log_degree_workload(graph, read_write_ratio=5.0)
+    scheduler = completed_run(graph, workload)
+    return scheduler, churn_stream(graph, workload, 300, seed=16)
+
+
+def small_churn_instance(seed):
+    graph, workload = make_instance(seed)
+    scheduler = completed_run(graph, workload)
+    return scheduler, churn_stream(graph, workload, 60, seed=seed + 40)
+
+
+class TestRelayCandidates:
+    """Only relays — wedge intermediaries of a re-opened element — are
+    repair candidates; cross-free hubs could only tie the singleton."""
+
+    @given(problem=leg_hub_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_cross_free_champion_never_beats_its_singletons(self, problem):
+        hub_graph, workload, schedule, alive = problem
+        for oracle in (densest_subgraph, ExactOracle()):
+            result = oracle(hub_graph, workload, schedule, alive)
+            if result is None:
+                continue
+            cheapest = min(
+                min(workload.rp(u), workload.rc(v)) for u, v in result.covered
+            )
+            assert result.cost_per_element >= cheapest * (1.0 - 1e-12)
+
+    def test_every_built_hub_relays_a_reopened_cross_edge(self, monkeypatch):
+        scheduler, events = small_churn_instance(2)
+        real = delta_module.build_hub_graph
+        builds = []
+
+        def spy(graph, hub, max_cross_edges=None, elements=None):
+            builds.append((hub, list(elements)))
+            return real(graph, hub, max_cross_edges, elements)
+
+        monkeypatch.setattr(delta_module, "build_hub_graph", spy)
+        delta = DeltaScheduler.from_scheduler(scheduler)
+        delta.apply_events(events)
+        assert builds
+        for hub, elements in builds:
+            assert any(hub not in edge for edge in elements)
+
+    def test_wedge_free_add_costs_no_oracle_work(self, monkeypatch):
+        graph, workload = make_instance(1, nodes=80)
+        delta = DeltaScheduler.from_scheduler(completed_run(graph, workload))
+        u, v = edge = next(
+            (a, b)
+            for a in sorted(graph.nodes())
+            for b in sorted(graph.nodes())
+            if a != b
+            and not graph.has_edge(a, b)
+            and not graph.successors_view(a) & graph.predecessors_view(b)
+        )
+        real = delta_module.build_hub_graph
+        builds = []
+
+        def spy(graph, hub, *args, **kwargs):
+            builds.append(hub)
+            return real(graph, hub, *args, **kwargs)
+
+        monkeypatch.setattr(delta_module, "build_hub_graph", spy)
+        delta.apply(add(edge))
+        assert delta.repair() == 1
+        assert builds == []
+        assert delta.stats.hub_refreshes == 0
+        if delta.workload.rp(u) <= delta.workload.rc(v):
+            assert edge in delta.schedule.push
+            assert edge not in delta.schedule.pull
+        else:
+            assert edge in delta.schedule.pull
+            assert edge not in delta.schedule.push
+        assert edge not in delta.schedule.hub_cover
+        assert delta.is_feasible()
+
+    @pytest.mark.parametrize(
+        "instance, oracle",
+        [
+            pytest.param(lambda: small_churn_instance(3), "peel", id="delta-peel"),
+            pytest.param(lambda: small_churn_instance(4), "exact", id="delta-exact"),
+            pytest.param(lambda: churn_instance(9), "peel", id="restricted-9"),
+            pytest.param(e16_quick_instance, "peel", id="e16-quick"),
+        ],
+    )
+    def test_matches_endpoint_candidate_reference(self, instance, oracle):
+        scheduler, events = instance()
+        pruned = DeltaScheduler.from_scheduler(scheduler, oracle=oracle)
+        reference = EndpointCandidatesDeltaScheduler.from_scheduler(
+            scheduler, oracle=oracle
+        )
+        for event in events:
+            assert_run_contract(pruned, event)
+            assert_run_contract(reference, event)
+        assert pruned.stats.hub_refreshes < reference.stats.hub_refreshes
+        assert pruned.cost() == pytest.approx(reference.cost(), rel=1e-3)
 
 
 class TestConstruction:
