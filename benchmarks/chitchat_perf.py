@@ -21,7 +21,7 @@ from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.core.tolerances import BATCH_K
 from repro.experiments.datasets import e10_twitter_sample
 from repro.graph.generators import social_copying_graph
-from repro.graph.view import as_graph_view, to_csr
+from repro.graph.view import to_csr
 from repro.obs import chrome_trace, get_tracer, validate_chrome_trace
 from repro.shard import sharded_chitchat_schedule
 from repro.workload.churn import churn_stream
@@ -87,7 +87,7 @@ def e12_lazy_vs_eager(scale: float) -> dict:
         ("lazy", ChitchatScheduler),
     ):
         started = time.perf_counter()
-        scheduler = scheduler_cls(graph, workload, backend="csr")
+        scheduler = scheduler_cls(graph, workload)
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started
         validate_schedule(graph, schedule)
@@ -142,7 +142,7 @@ def e13_exact_vs_peel(scale: float) -> dict:
     for oracle in ("peel", "exact"):
         started = time.perf_counter()
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle=oracle
+            graph, workload, oracle=oracle
         )
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started
@@ -183,7 +183,7 @@ def e10_scaling(scale: float) -> dict:
         ("ChitChat (lazy)", ChitchatScheduler),
     ):
         started = time.perf_counter()
-        scheduler = scheduler_cls(sample, workload, backend="dict")
+        scheduler = scheduler_cls(sample, workload)
         schedule = scheduler.run()
         rows.append(
             {
@@ -205,35 +205,6 @@ def e10_scaling(scale: float) -> dict:
         }
     )
     return {"nodes": sample.num_nodes, "rows": rows}
-
-
-def e11_backends(scale: float) -> dict:
-    """E11 — per-backend wall clock of sequential CHITCHAT (compact form)."""
-    n = max(600, int(12_000 * scale))
-    graph = social_copying_graph(
-        num_nodes=n, out_degree=10, copy_fraction=0.7, reciprocity=0.2, seed=7
-    )
-    workload = log_degree_workload(graph)
-    rows = []
-    schedules = {}
-    for backend in ("dict", "csr"):
-        resolved = as_graph_view(graph, backend)
-        started = time.perf_counter()
-        scheduler = ChitchatScheduler(resolved, workload, backend=backend)
-        schedules[backend] = scheduler.run()
-        rows.append(
-            {
-                "backend": backend,
-                "nodes": n,
-                "oracle_calls": scheduler.stats.oracle_calls,
-                "seconds": round(time.perf_counter() - started, 2),
-            }
-        )
-    return {
-        "nodes": n,
-        "rows": rows,
-        "equal": _schedules_equal(schedules["dict"], schedules["csr"]),
-    }
 
 
 #: E14 size tiers (hub-graph element counts): the top tier is where the
@@ -278,13 +249,12 @@ def e14_flow_kernel(scale: float) -> dict:
         seed=7,
     )
     workload = log_degree_workload(graph, read_write_ratio=E13_READ_WRITE_RATIO)
-    view = as_graph_view(graph, "dict")
     schedule = RequestSchedule()
 
     hubs = []
-    for node in view.nodes():
-        if view.in_degree(node) > 0 and view.out_degree(node) > 0:
-            hub_graph = build_hub_graph(view, node, None)
+    for node in graph.nodes():
+        if graph.in_degree(node) > 0 and graph.out_degree(node) > 0:
+            hub_graph = build_hub_graph(graph, node, None)
             elements = hub_graph.num_vertices + len(hub_graph.cross_edges)
             hubs.append((elements, node, hub_graph))
     hubs.sort(key=lambda item: (-item[0], item[1]))
@@ -416,7 +386,6 @@ def e15_warm_oracle(scale: float) -> dict:
             scheduler = ChitchatScheduler(
                 graph,
                 workload,
-                backend="csr",
                 oracle="exact",
                 batch_k=0,
             )
@@ -500,7 +469,6 @@ def e18_batched_solve(scale: float) -> dict:
         scheduler = ChitchatScheduler(
             graph,
             workload,
-            backend="csr",
             oracle="exact",
             batch_k=batch_k,
         )
@@ -580,7 +548,7 @@ def e20_obs_overhead(scale: float) -> dict:
     def one_run() -> tuple:
         started = time.perf_counter()
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact"
+            graph, workload, oracle="exact"
         )
         schedule = scheduler.run()
         return schedule, scheduler.stats, time.perf_counter() - started
@@ -793,7 +761,7 @@ def e21_shard(scale: float) -> dict:
     csr = to_csr(graph)
 
     started = time.perf_counter()
-    sequential = ChitchatScheduler(csr, workload, backend="csr")
+    sequential = ChitchatScheduler(csr, workload)
     seq_schedule = sequential.run()
     seq_wall = time.perf_counter() - started
     seq_cost = schedule_cost(seq_schedule, workload)
@@ -854,7 +822,6 @@ def e21_shard(scale: float) -> dict:
 
 COLLECTORS = {
     "E10": e10_scaling,
-    "E11": e11_backends,
     "E12": e12_lazy_vs_eager,
     "E13": e13_exact_vs_peel,
     "E14": e14_flow_kernel,

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Machine-readable benchmark emitter for the CHITCHAT perf trajectory.
 
-Runs the scheduling benchmarks (E10 scaling, E11 backends, E12 lazy vs
-eager, E13 peel vs exact oracle, E14 flow-kernel speedup, E15 warm vs
-cold exact-oracle session) through the
-shared collectors in :mod:`benchmarks.chitchat_perf` and writes one JSON
+Runs the scheduling benchmarks (E10 scaling, E12 lazy vs eager, E13
+peel vs exact oracle, E14 flow-kernel speedup, E15 warm vs cold
+exact-oracle session) through the shared collectors in :mod:`benchmarks.chitchat_perf` and writes one JSON
 document with wall-clock times and oracle-call counts, so successive
 commits can be compared mechanically (CI uploads the file as an
 artifact).  ``docs/BENCHMARKS.md`` documents every experiment and how to

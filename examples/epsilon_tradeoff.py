@@ -71,9 +71,7 @@ def main(argv: list[str] | None = None) -> None:
     rows = []
     exact_cost = None
     for epsilon in EPSILONS:
-        scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", epsilon=epsilon
-        )
+        scheduler = ChitchatScheduler(graph, workload, epsilon=epsilon)
         started = time.perf_counter()
         schedule = scheduler.run()
         elapsed = time.perf_counter() - started

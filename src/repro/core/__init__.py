@@ -1,18 +1,18 @@
 """Core contribution: schedules, cost model, CHITCHAT, PARALLELNOSY.
 
-Every algorithm here reads the social graph through the
-:class:`~repro.graph.view.GraphView` protocol, so both adjacency backends
-work interchangeably: the mutable dict-of-sets
-:class:`~repro.graph.digraph.SocialGraph` and the frozen numpy
-:class:`~repro.graph.csr.CSRGraph` snapshot.  Scheduler entry points take a
-``backend=`` parameter: ``"auto"`` (default) freezes dense-id graphs with
-at least :data:`~repro.graph.view.CSR_FASTPATH_THRESHOLD` nodes to CSR
-before running — on that path hub-graph construction, singleton pricing,
-hybrid decisions, and the densest-subgraph oracle's element filtering all
-run as vectorized kernels over flat edge arrays, while ``"dict"``/``"csr"``
-force a backend.  Both backends are property-tested to produce identical
-schedules and costs (``tests/test_graphview.py``), so the fast path is a
-pure performance choice.
+Every algorithm here accepts the social graph through the
+:class:`~repro.graph.view.GraphView` protocol — the mutable dict-of-sets
+:class:`~repro.graph.digraph.SocialGraph` or the frozen numpy
+:class:`~repro.graph.csr.CSRGraph` snapshot.  Static schedulers run on
+CSR: CHITCHAT freezes a dense-id graph, or relabels any other graph once
+at its boundary and translates the schedule back, so hub-graph
+construction, singleton pricing and the densest-subgraph oracle's element
+filtering always run as vectorized kernels over flat edge arrays.
+PARALLELNOSY and the baselines run on the view they are given (their
+dict and CSR runs are property-tested identical in
+``tests/test_graphview.py``).  Churn maintenance
+(:class:`~repro.core.delta.DeltaScheduler`) runs on the mutable dict
+graph.
 
 The CHITCHAT schedulers additionally take an ``oracle=`` parameter
 selecting the densest-subgraph oracle: ``"peel"`` (the paper's factor-2

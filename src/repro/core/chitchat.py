@@ -52,10 +52,8 @@ the test reference ``tests/reference_eager.py``; every step a factor-2
 step in both; costs within a few 1e-5 of each other at n = 3000),
 **not** byte-identical to it.  Under ``oracle="exact"`` a retained
 champion is still the optimum and the two stay byte-identical
-(property-tested).  Every heap key is backend-independent, so dict and
-CSR runs issue the identical oracle-call sequence either way.
-``tests/test_step_certificate.py`` checks the factor-2 claim at every
-greedy step against a cold exact oracle.
+(property-tested).  ``tests/test_step_certificate.py`` checks the
+factor-2 claim at every greedy step against a cold exact oracle.
 
 Oracle modes
 ------------
@@ -86,15 +84,23 @@ so the accepted cost is at most ``(1 + ε)`` times the true step optimum
 — the CELF++-style lever that trades a bounded per-step slack for
 fewer oracle calls.  ``epsilon=0`` (the default) disables the
 relaxation entirely and stays byte-identical to exact greedy
-(property-tested on both backends and both oracles).
+(property-tested under both oracles).
 
-The scheduler runs on any :class:`~repro.graph.view.GraphView`.  With
-``backend="auto"`` (the default) large dense-id graphs are frozen into a
-:class:`~repro.graph.csr.CSRGraph` first; on that backend the singleton
-prices and bootstrap bounds are computed in vectorized passes over the
-edge arrays, and the oracle filters hub-graph elements with a dense
-edge-id bitmask.  Both backends produce identical schedules
-(property-tested).
+One backend
+-----------
+The scheduler accepts any :class:`~repro.graph.view.GraphView` and runs
+on a dense-id :class:`~repro.graph.csr.CSRGraph`.  A graph whose ids are
+already ``0..n-1`` is frozen with :func:`~repro.graph.view.to_csr` (a
+``CSRGraph`` passes through uncopied); any other graph is relabeled once
+at the boundary, in the heap's tie-break order — numeric for integer
+ids, ``repr``-sorted otherwise — with its rates gathered into dense
+vectors.  On the dense ids a node's tie-break rank is its id and an
+edge's is its CSR position, the singleton prices and bootstrap bounds
+come from vectorized passes over the edge arrays, and the oracle filters
+hub-graph elements with a dense edge-id bitmask.  The relabeling stays
+private: ``graph``, ``workload`` and the returned ``schedule`` are in the
+caller's labels.  (Churn runs on the mutable dict graph instead — see
+:class:`~repro.core.delta.DeltaScheduler`.)
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ from repro.core.densest import (
 from repro.core.hubgraph import HubGraph, build_hub_graph
 from repro.core.tolerances import EPS_ACCEPT_SLACK, OPT_BOUND_MARGIN
 from repro.core.schedule import RequestSchedule
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkloadError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Edge, Node
 from repro.flow.exact_oracle import (
@@ -128,20 +134,19 @@ from repro.graph.view import (
     GraphView,
     NeighborSetCache,
     affected_hubs,
-    as_graph_view,
     edge_list,
-    edge_ranks,
-    node_ranks,
+    has_dense_int_ids,
+    to_csr,
 )
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.workload.rates import Workload
 
-#: Heap entry: (cost key, node rank tiebreak, hub, version, champion).
-#: ``champion`` is ``None`` for unpriced entries (bootstrap bounds and
-#: oracle cutoffs) — those hubs are in the dirty set and re-oracled when
-#: they reach the heap top.
-HubEntry = tuple[float, int, Node, int, "DensestResult | None"]
+#: Heap entry: (cost key, hub, version, champion).  The dense hub id is
+#: also its tie-break rank.  ``champion`` is ``None`` for unpriced entries
+#: (bootstrap bounds and oracle cutoffs) — those hubs are in the dirty set
+#: and re-oracled when they reach the heap top.
+HubEntry = tuple[float, int, int, "DensestResult | None"]
 
 #: Sentinel returned by ``ChitchatScheduler._epsilon_accept`` when the
 #: relaxation resolves the greedy step in favor of the best singleton.
@@ -285,8 +290,11 @@ class ChitchatScheduler:
     Parameters
     ----------
     graph, workload:
-        The DISSEMINATION instance.  ``graph`` may be either adjacency
-        backend.
+        The DISSEMINATION instance.  ``graph`` may be any
+        :class:`~repro.graph.view.GraphView` with any hashable node ids;
+        the run itself is on a dense-id CSR copy (see the module
+        docstring), and ``graph``, ``workload`` and ``schedule`` stay in
+        the caller's labels.
     max_cross_edges:
         Optional per-hub cross-edge bound (the MapReduce ``b`` of section
         3.2), trading optimization opportunities for memory/time on dense
@@ -294,10 +302,6 @@ class ChitchatScheduler:
     record_log:
         When True, every greedy selection is appended to
         ``stats.selection_log`` as ``(kind, cost_per_element, covered)``.
-    backend:
-        ``"auto"`` (default) applies the CSR fast path above
-        :data:`~repro.graph.view.CSR_FASTPATH_THRESHOLD` nodes; ``"csr"``
-        and ``"dict"`` force a backend.
     oracle:
         ``"peel"`` (default) uses the factor-2 weighted peeling of
         :mod:`repro.core.densest`; ``"exact"`` the parametric max-flow
@@ -348,7 +352,6 @@ class ChitchatScheduler:
         workload: Workload,
         max_cross_edges: int | None = None,
         record_log: bool = False,
-        backend: str = "auto",
         oracle: str = "peel",
         epsilon: float = 0.0,
         batch_k: int = 0,
@@ -359,8 +362,11 @@ class ChitchatScheduler:
         validate_greedy_options(
             epsilon=epsilon, batch_k=batch_k, max_cross_edges=max_cross_edges
         )
-        self.graph = as_graph_view(graph, backend)
+        self.graph = graph
         self.workload = workload
+        # the run's dense instance: CSR adjacency, dense-id rates, and the
+        # caller label of every dense id (None when the ids already are)
+        self._csr, self._rates, self._labels = _dense_instance(graph, workload)
         self.max_cross_edges = max_cross_edges
         #: Per-run metrics registry; ``stats`` and the oracle session's
         #: ``flow_stats`` are views over its ``scheduler`` subtree, so
@@ -383,77 +389,63 @@ class ChitchatScheduler:
             if self._exact is not None and self._batch_k >= 2
             else None
         )
-        self.schedule = RequestSchedule()
-        edges = edge_list(self.graph)
+        # the run's schedule in dense ids; ``schedule`` is the same object
+        # when no relabeling happened, else its translation after ``run``
+        self._schedule = RequestSchedule()
+        self.schedule = (
+            self._schedule if self._labels is None else RequestSchedule()
+        )
+        edges = edge_list(self._csr)
         self._uncovered: set[Edge] = set(edges)
-        # dense edge-id mirrors of the scheduler state (CSR mode): the
-        # oracle filters hub-graph elements and prices legs with vectorized
-        # lookups instead of Python set membership
-        self._mirror: ScheduleMirror | None = None
-        singleton_costs: list[float] | None = None
-        if isinstance(self.graph, CSRGraph):
-            self._mirror = ScheduleMirror(self.graph, workload, edges)
-            if self._mirror.arrays is not None:
-                src, dst = self.graph.edge_arrays()
-                singleton_costs = np.minimum(
-                    self._mirror.arrays.rp[src], self._mirror.arrays.rc[dst]
-                ).tolist()
-        if singleton_costs is None:  # non-dense rates: price per edge
-            singleton_costs = [hybrid_edge_cost(e, workload) for e in edges]
-        self._adjacency = NeighborSetCache(self.graph)
-        self._rank = node_ranks(self.graph)
+        # dense edge-id mirrors of the scheduler state: the oracle filters
+        # hub-graph elements and prices legs with vectorized lookups
+        # instead of Python set membership
+        self._mirror = ScheduleMirror(self._csr, self._rates, edges)
+        arrays = self._mirror.arrays
+        src, dst = self._csr.edge_arrays()
+        singleton_costs = np.minimum(arrays.rp[src], arrays.rc[dst]).tolist()
+        self._adjacency = NeighborSetCache(self._csr)
         # hubs that can relay at all (static degrees; checked once) — the
         # bool mask backs the vectorized bootstrap, the set the hot loops
-        self._eligible_mask: np.ndarray | None = None
-        if isinstance(self.graph, CSRGraph):
-            self._eligible_mask = (self.graph.in_degrees() > 0) & (
-                self.graph.out_degrees() > 0
-            )
-            self._eligible: set[Node] = set(
-                np.nonzero(self._eligible_mask)[0].tolist()
-            )
-        else:
-            self._eligible = {
-                node
-                for node in self.graph.nodes()
-                if self.graph.in_degree(node) > 0
-                and self.graph.out_degree(node) > 0
-            }
-        self._hub_version: dict[Node, int] = {}
-        self._hub_cache: dict[Node, HubGraph] = {}
+        self._eligible_mask = (self._csr.in_degrees() > 0) & (
+            self._csr.out_degrees() > 0
+        )
+        self._eligible: set[int] = set(
+            np.nonzero(self._eligible_mask)[0].tolist()
+        )
+        self._hub_version: dict[int, int] = {}
+        self._hub_cache: dict[int, HubGraph] = {}
         # each hub's live full champion (absent after cutoffs/retires);
         # backs the retention check in _invalidate
-        self._champion: dict[Node, DensestResult] = {}
+        self._champion: dict[int, DensestResult] = {}
         self._hub_heap: list[HubEntry] = []
         # hubs whose heap key is a stale-but-valid lower bound, re-oracled
         # only when their entry reaches the heap top
-        self._dirty: set[Node] = set()
+        self._dirty: set[int] = set()
         # hubs with a live heap entry (retired / pruned hubs are absent)
-        self._queued: set[Node] = set()
+        self._queued: set[int] = set()
         # best certified lower bound on each hub's *true optimum* cost per
         # element — valid across coverage events (unlike a fresh peel's
         # output, which is only 2-approximate and can dip when elements
         # vanish);
         # reset whenever the hub is re-oracled, which eager weight-drop
         # refreshes guarantee happens before any weight can fall
-        self._opt_lb: dict[Node, float] = {}
+        self._opt_lb: dict[int, float] = {}
         # per-hub oracle-input versions: bumped whenever a covering event
         # or leg payment touches the hub-graph.  A cutoff records the
         # version it probed (``_bound_state``); when the parked entry
         # resurfaces at the same version the probe would reproduce the
         # same bound — and a popped entry's key never exceeds the bar — so
         # the redundant probe is skipped and the peel runs directly.
-        self._state_version: dict[Node, int] = {}
-        self._bound_state: dict[Node, int] = {}
+        self._state_version: dict[int, int] = {}
+        self._bound_state: dict[int, int] = {}
         # full peels the eager invalidation rule would have issued
         self._eager_equivalent = 0
         self._bootstrapped = False
-        self._singleton_heap: list[tuple[float, int, Edge]] = [
-            (cost, erank, e)
-            for cost, erank, e in zip(
-                singleton_costs, edge_ranks(self.graph, edges, self._rank), edges
-            )
-        ]
+        # (price, CSR edge id, edge): the edge id is the (u, v) tie-break
+        self._singleton_heap: list[tuple[float, int, Edge]] = list(
+            zip(singleton_costs, range(len(edges)), edges)
+        )
         heapq.heapify(self._singleton_heap)
 
     # ------------------------------------------------------------------
@@ -469,7 +461,7 @@ class ChitchatScheduler:
                 limit = singleton[0] if singleton is not None else math.inf
                 hub_entry = self._pop_best_hub_entry(limit)
                 if hub_entry is not None:
-                    self._apply_hub(hub_entry[4])
+                    self._apply_hub(hub_entry[3])
                 elif singleton is not None:
                     heapq.heappop(self._singleton_heap)
                     self._apply_singleton(singleton[2])
@@ -499,6 +491,8 @@ class ChitchatScheduler:
             self.stats.batch_discharge_seconds = flow_stats.discharge_seconds
             self.stats.batch_relabel_seconds = flow_stats.relabel_seconds
             self.stats.flow_solve_seconds = flow_stats.solve_seconds
+        if self._labels is not None:
+            self.schedule = _relabel_schedule(self._schedule, self._labels)
         self.stats.final_cost = schedule_cost(self.schedule, self.workload)
         return self.schedule
 
@@ -536,120 +530,76 @@ class ChitchatScheduler:
             LB(w) = min(min_x rp(x), min_y rc(y))
             M(w)  = max(min(max_x rp(x), rc(w)), min(rp(w), max_y rc(y)))
 
-        On the CSR backend everything comes from one vectorized pass over
-        the adjacency arrays.
+        Everything comes from one vectorized pass over the adjacency
+        arrays.
         """
-        graph = self.graph
-        entries: list[HubEntry] = []
-        pruned = 0
-        arrays = self._mirror.arrays if self._mirror is not None else None
-        if isinstance(graph, CSRGraph) and arrays is not None:
-            n = graph.num_nodes
-            indeg = graph.in_degrees()
-            outdeg = graph.out_degrees()
-            eligible = self._eligible_mask
-            self._eager_equivalent += int(eligible.sum())
-            rp, rc = arrays.rp, arrays.rc
-            outdeg_f = outdeg.astype(np.float64)
-            in_ptr, in_idx = graph.in_indptr, graph.in_indices
-            out_ptr, out_idx = graph.out_indptr, graph.out_indices
-            # per-predecessor ratios / rates, segment-reduced per hub
-            # (empty in-slices occupy no room in in_idx, so the non-empty
-            # segments tile the flat array and reduceat sees exactly them)
-            hub_out = np.repeat(outdeg_f, indeg)
-            x_ratio = rp[in_idx] / (1.0 + np.minimum(outdeg_f[in_idx], hub_out))
-            x_min = np.full(n, np.inf)
-            x_min_plain = np.full(n, np.inf)
-            x_max = np.zeros(n)
-            pred_max_out = np.zeros(n, dtype=np.int64)
-            nz_in = np.nonzero(indeg)[0]
-            if nz_in.size:
-                starts = in_ptr[:-1][nz_in]
-                x_min[nz_in] = np.minimum.reduceat(x_ratio, starts)
-                x_min_plain[nz_in] = np.minimum.reduceat(rp[in_idx], starts)
-                x_max[nz_in] = np.maximum.reduceat(rp[in_idx], starts)
-                pred_max_out[nz_in] = np.maximum.reduceat(outdeg[in_idx], starts)
-            y_min = np.full(n, np.inf)
-            y_max = np.zeros(n)
-            nz_out = np.nonzero(outdeg)[0]
-            if nz_out.size:
-                starts = out_ptr[:-1][nz_out]
-                y_min[nz_out] = np.minimum.reduceat(rc[out_idx], starts)
-                y_max[nz_out] = np.maximum.reduceat(rc[out_idx], starts)
-            # a predecessor whose only successor is the hub contributes no
-            # cross-edge; when that holds for all of them, both bounds
-            # drop their cross terms (see docstring)
-            crossfree = pred_max_out <= 1
-            lower = (
-                np.where(
-                    crossfree,
-                    np.minimum(x_min_plain, y_min),
-                    np.minimum(x_min, y_min),
-                )
-                * OPT_BOUND_MARGIN
-            )
-            leg_dearest = np.maximum(
-                np.minimum(x_max, rc), np.minimum(rp, y_max)
-            )
-            dearest = np.where(
+        graph = self._csr
+        n = graph.num_nodes
+        indeg = graph.in_degrees()
+        outdeg = graph.out_degrees()
+        eligible = self._eligible_mask
+        self._eager_equivalent += int(eligible.sum())
+        rp, rc = self._mirror.arrays.rp, self._mirror.arrays.rc
+        outdeg_f = outdeg.astype(np.float64)
+        in_ptr, in_idx = graph.in_indptr, graph.in_indices
+        out_ptr, out_idx = graph.out_indptr, graph.out_indices
+        # per-predecessor ratios / rates, segment-reduced per hub
+        # (empty in-slices occupy no room in in_idx, so the non-empty
+        # segments tile the flat array and reduceat sees exactly them)
+        hub_out = np.repeat(outdeg_f, indeg)
+        x_ratio = rp[in_idx] / (1.0 + np.minimum(outdeg_f[in_idx], hub_out))
+        x_min = np.full(n, np.inf)
+        x_min_plain = np.full(n, np.inf)
+        x_max = np.zeros(n)
+        pred_max_out = np.zeros(n, dtype=np.int64)
+        nz_in = np.nonzero(indeg)[0]
+        if nz_in.size:
+            starts = in_ptr[:-1][nz_in]
+            x_min[nz_in] = np.minimum.reduceat(x_ratio, starts)
+            x_min_plain[nz_in] = np.minimum.reduceat(rp[in_idx], starts)
+            x_max[nz_in] = np.maximum.reduceat(rp[in_idx], starts)
+            pred_max_out[nz_in] = np.maximum.reduceat(outdeg[in_idx], starts)
+        y_min = np.full(n, np.inf)
+        y_max = np.zeros(n)
+        nz_out = np.nonzero(outdeg)[0]
+        if nz_out.size:
+            starts = out_ptr[:-1][nz_out]
+            y_min[nz_out] = np.minimum.reduceat(rc[out_idx], starts)
+            y_max[nz_out] = np.maximum.reduceat(rc[out_idx], starts)
+        # a predecessor whose only successor is the hub contributes no
+        # cross-edge; when that holds for all of them, both bounds drop
+        # their cross terms (see docstring)
+        crossfree = pred_max_out <= 1
+        lower = (
+            np.where(
                 crossfree,
-                leg_dearest,
-                np.maximum(leg_dearest, np.minimum(x_max, y_max)),
+                np.minimum(x_min_plain, y_min),
+                np.minimum(x_min, y_min),
             )
-            seed = eligible & ~(lower > dearest)
-            pruned = int(eligible.sum()) - int(seed.sum())
-            for hub in np.nonzero(seed)[0].tolist():
-                self._hub_version[hub] = 1
-                self._dirty.add(hub)
-                entries.append((float(lower[hub]), hub, hub, 1, None))
-        else:
-            workload = self.workload
-            for hub in graph.nodes():
-                if hub not in self._eligible:
-                    continue
-                self._eager_equivalent += 1
-                out_w = graph.out_degree(hub)
-                lower = math.inf
-                lower_plain = math.inf
-                x_max = 0.0
-                crossfree = True
-                for x in graph.predecessors(hub):
-                    rpx = workload.rp(x)
-                    out_x = graph.out_degree(x)
-                    if out_x > 1:
-                        crossfree = False
-                    lower = min(lower, rpx / (1.0 + min(out_x, out_w)))
-                    lower_plain = min(lower_plain, rpx)
-                    x_max = max(x_max, rpx)
-                y_min = math.inf
-                y_max = 0.0
-                for y in graph.successors(hub):
-                    rcy = workload.rc(y)
-                    y_min = min(y_min, rcy)
-                    y_max = max(y_max, rcy)
-                lower = min(lower_plain if crossfree else lower, y_min)
-                lower *= OPT_BOUND_MARGIN
-                dearest = max(
-                    min(x_max, workload.rc(hub)),
-                    min(workload.rp(hub), y_max),
-                )
-                if not crossfree:
-                    dearest = max(dearest, min(x_max, y_max))
-                if lower > dearest:
-                    pruned += 1
-                    continue
-                self._hub_version[hub] = 1
-                self._dirty.add(hub)
-                entries.append((lower, self._rank[hub], hub, 1, None))
+            * OPT_BOUND_MARGIN
+        )
+        leg_dearest = np.maximum(np.minimum(x_max, rc), np.minimum(rp, y_max))
+        dearest = np.where(
+            crossfree,
+            leg_dearest,
+            np.maximum(leg_dearest, np.minimum(x_max, y_max)),
+        )
+        seed = eligible & ~(lower > dearest)
+        pruned = int(eligible.sum()) - int(seed.sum())
+        entries: list[HubEntry] = []
+        for hub in np.nonzero(seed)[0].tolist():
+            self._hub_version[hub] = 1
+            self._dirty.add(hub)
+            entries.append((float(lower[hub]), hub, 1, None))
         self.stats.hubs_pruned = pruned
         self._hub_heap = entries
-        for _key, _rank, hub, _version, _result in entries:
+        for key, hub, _version, _result in entries:
             self._queued.add(hub)
-            self._opt_lb[hub] = _key
+            self._opt_lb[hub] = key
         heapq.heapify(self._hub_heap)
 
     @trace.traced("scheduler.refresh")
-    def _refresh_hub(self, hub: Node, upper_bound: float | None = None) -> None:
+    def _refresh_hub(self, hub: int, upper_bound: float | None = None) -> None:
         """Recompute hub ``w``'s champion sub-hub-graph and (re)queue it.
 
         With ``upper_bound`` (lazy recomputes) the oracle may abandon the
@@ -664,24 +614,23 @@ class ChitchatScheduler:
             return  # cannot relay anything
         hub_graph = self._hub_cache.get(hub)
         if hub_graph is None:
-            hub_graph = build_hub_graph(self.graph, hub, self.max_cross_edges)
+            hub_graph = build_hub_graph(self._csr, hub, self.max_cross_edges)
             self._hub_cache[hub] = hub_graph
         oracle = self._exact if self._exact is not None else densest_subgraph
-        mirror = self._mirror
         result = oracle(
             hub_graph,
-            self.workload,
-            self.schedule,
+            self._rates,
+            self._schedule,
             self._uncovered,
-            uncovered_mask=mirror.uncovered_mask if mirror else None,
-            arrays=mirror.arrays if mirror else None,
+            uncovered_mask=self._mirror.uncovered_mask,
+            arrays=self._mirror.arrays,
             upper_bound=upper_bound,
         )
         self._install_result(hub, version, result)
 
     def _install_result(
         self,
-        hub: Node,
+        hub: int,
         version: int,
         result: DensestResult | OracleCutoff | None,
     ) -> None:
@@ -701,7 +650,7 @@ class ChitchatScheduler:
             self._bound_state[hub] = self._state_version.get(hub, 0)
             heapq.heappush(
                 self._hub_heap,
-                (result.lower_bound, self._rank[hub], hub, version, None),
+                (result.lower_bound, hub, version, None),
             )
             return
         self.stats.oracle_calls += 1
@@ -719,10 +668,10 @@ class ChitchatScheduler:
         self._opt_lb[hub] = result.opt_lower_bound
         heapq.heappush(
             self._hub_heap,
-            (result.cost_per_element, self._rank[hub], hub, version, result),
+            (result.cost_per_element, hub, version, result),
         )
 
-    def _gather_dirty_top(self, limit: float) -> list[tuple[float, Node]]:
+    def _gather_dirty_top(self, limit: float) -> list[tuple[float, int]]:
         """Pop up to ``batch_k`` contiguous live dirty top ``(key, hub)``s.
 
         Stops at the first clean entry (it may be this step's winner),
@@ -733,9 +682,9 @@ class ChitchatScheduler:
         least one hub comes back.
         """
         heap = self._hub_heap
-        gathered: list[tuple[float, Node]] = []
+        gathered: list[tuple[float, int]] = []
         while heap and len(gathered) < self._batch_k:
-            key, _rank, hub, version, _result = heap[0]
+            key, hub, version, _result = heap[0]
             if version != self._hub_version.get(hub, 0):
                 heapq.heappop(heap)
                 continue
@@ -747,7 +696,7 @@ class ChitchatScheduler:
 
     @trace.traced("scheduler.batched_refresh")
     def _refresh_hubs_batched(
-        self, gathered: list[tuple[float, Node]], limit: float
+        self, gathered: list[tuple[float, int]], limit: float
     ) -> None:
         """Recompute several hubs' champions in one batched oracle call.
 
@@ -768,7 +717,7 @@ class ChitchatScheduler:
         """
         keys = [key for key, _hub in gathered]
         next_key = self._hub_heap[0][0] if self._hub_heap else math.inf
-        jobs: list[tuple[Node, HubGraph, int, float | None]] = []
+        jobs: list[tuple[int, HubGraph, int, float | None]] = []
         for idx, (_key, hub) in enumerate(gathered):
             version = self._hub_version.get(hub, 0) + 1
             self._hub_version[hub] = version
@@ -783,18 +732,17 @@ class ChitchatScheduler:
             hub_graph = self._hub_cache.get(hub)
             if hub_graph is None:
                 hub_graph = build_hub_graph(
-                    self.graph, hub, self.max_cross_edges
+                    self._csr, hub, self.max_cross_edges
                 )
                 self._hub_cache[hub] = hub_graph
             jobs.append((hub, hub_graph, version, bar))
-        mirror = self._mirror
         results = self._multi(
             [hub_graph for _hub, hub_graph, _version, _bar in jobs],
-            self.workload,
-            self.schedule,
+            self._rates,
+            self._schedule,
             self._uncovered,
-            uncovered_mask=mirror.uncovered_mask if mirror else None,
-            arrays=mirror.arrays if mirror else None,
+            uncovered_mask=self._mirror.uncovered_mask,
+            arrays=self._mirror.arrays,
             upper_bounds=[bar for _hub, _hub_graph, _version, bar in jobs],
         )
         for (hub, _hub_graph, version, _bar), result in zip(jobs, results):
@@ -818,7 +766,7 @@ class ChitchatScheduler:
         heap = self._hub_heap
         while heap:
             entry = heap[0]
-            key, _rank, hub, version, _result = entry
+            key, hub, version, _result = entry
             if version != self._hub_version.get(hub, 0):
                 heapq.heappop(heap)
                 continue
@@ -881,7 +829,7 @@ class ChitchatScheduler:
         found: HubEntry | None = None
         while heap:
             entry = heap[0]
-            key, _rank, hub, version, _result = entry
+            key, hub, version, _result = entry
             if version != self._hub_version.get(hub, 0):
                 heapq.heappop(heap)
                 continue
@@ -918,18 +866,15 @@ class ChitchatScheduler:
     def _cover(self, edges, edge_ids: np.ndarray | None) -> None:
         """Drop ``edges`` from the uncovered set (and its bitmask mirror)."""
         self._uncovered.difference_update(edges)
-        if self._mirror is not None:
-            self._mirror.cover(edges, edge_ids)
+        self._mirror.cover(edges, edge_ids)
 
     def _add_push(self, edge: Edge) -> None:
-        self.schedule.add_push(edge)
-        if self._mirror is not None:
-            self._mirror.add_push(edge)
+        self._schedule.add_push(edge)
+        self._mirror.add_push(edge)
 
     def _add_pull(self, edge: Edge) -> None:
-        self.schedule.add_pull(edge)
-        if self._mirror is not None:
-            self._mirror.add_pull(edge)
+        self._schedule.add_pull(edge)
+        self._mirror.add_pull(edge)
 
     def _apply_hub(self, result: DensestResult) -> None:
         hub = result.hub
@@ -944,7 +889,7 @@ class ChitchatScheduler:
         for edge in result.covered:
             u, v = edge
             if u != hub and v != hub:  # cross-edge: piggybacked through hub
-                self.schedule.cover_via_hub(edge, hub)
+                self._schedule.cover_via_hub(edge, hub)
         self._cover(result.covered, result.covered_ids)
         self.stats.hub_selections += 1
         self.stats.edges_covered_by_hubs += len(newly)
@@ -958,7 +903,7 @@ class ChitchatScheduler:
 
     def _apply_singleton(self, edge: Edge) -> None:
         u, v = edge
-        if self.workload.rp(u) <= self.workload.rc(v):
+        if self._rates.rp(u) <= self._rates.rc(v):
             self._add_push(edge)
             drops = (v,)  # edge is the push leg x -> w of G(v)
         else:
@@ -968,11 +913,11 @@ class ChitchatScheduler:
         self.stats.singleton_selections += 1
         if self._record_log:
             self.stats.selection_log.append(
-                ("singleton", hybrid_edge_cost(edge, self.workload), 1)
+                ("singleton", hybrid_edge_cost(edge, self._rates), 1)
             )
         self._invalidate([edge], weight_drops=drops)
 
-    def _invalidate(self, covered_edges, weight_drops: tuple[Node, ...]) -> None:
+    def _invalidate(self, covered_edges, weight_drops: tuple[int, ...]) -> None:
         """Algorithm 1 line 14, split by how a hub's champion can move.
 
         Covering elements only *raises* a hub's optimum, so a hub whose
@@ -1020,7 +965,7 @@ class ChitchatScheduler:
             self._dirty.add(hub)
             heapq.heappush(
                 self._hub_heap,
-                (self._opt_lb[hub], self._rank[hub], hub, version, None),
+                (self._opt_lb[hub], hub, version, None),
             )
         # weight-drop refreshes happen at the current state, so their
         # probes certify fresh bounds — bounding them by the best
@@ -1031,11 +976,69 @@ class ChitchatScheduler:
             if hub in self._eligible:
                 self._refresh_hub(hub, upper_bound=bar)
 
+
+def _dense_instance(
+    graph: GraphView, workload: Workload
+) -> tuple[CSRGraph, Workload, list[Node] | None]:
+    """The scheduler's dense instance: CSR graph, rates, dense-id labels.
+
+    Dense-id graphs freeze as they are (``labels`` is ``None``); any
+    other graph is relabeled in the heap's tie-break order — numeric for
+    integer ids, ``repr``-sorted otherwise — and ``labels[i]`` is the
+    caller's label of dense id ``i``.  The workload is used as is when
+    its users are exactly the dense ids; otherwise (relabeled graphs,
+    users outside the graph) the graph's rates are gathered into a
+    dense-id workload, raising :class:`~repro.errors.WorkloadError` for
+    a node without rates.
+    """
+    labels: list[Node] | None = None
+    if has_dense_int_ids(graph):
+        csr = to_csr(graph)
+    else:
+        nodes = list(graph.nodes())
+        if all(type(node) is int for node in nodes):
+            labels = sorted(nodes)
+        else:
+            labels = sorted(nodes, key=repr)
+        index = {label: i for i, label in enumerate(labels)}
+        edges = list(graph.edges())
+        csr = CSRGraph.from_arrays(
+            len(labels),
+            np.fromiter((index[u] for u, _v in edges), np.int64, len(edges)),
+            np.fromiter((index[v] for _u, v in edges), np.int64, len(edges)),
+        )
+    users = labels
+    if labels is None:
+        try:
+            workload.as_arrays(csr.num_nodes)
+        except WorkloadError:
+            users = range(csr.num_nodes)
+    if users is not None:
+        workload = Workload.from_dense_arrays(
+            np.array([workload.rp(user) for user in users], dtype=np.float64),
+            np.array([workload.rc(user) for user in users], dtype=np.float64),
+        )
+    return csr, workload, labels
+
+
+def _relabel_schedule(
+    schedule: RequestSchedule, labels: list[Node]
+) -> RequestSchedule:
+    """Translate a dense-id schedule into the caller's labels."""
+    return RequestSchedule(
+        push={(labels[u], labels[v]) for u, v in schedule.push},
+        pull={(labels[u], labels[v]) for u, v in schedule.pull},
+        hub_cover={
+            (labels[u], labels[v]): labels[w]
+            for (u, v), w in schedule.hub_cover.items()
+        },
+    )
+
+
 def chitchat_schedule(
     graph: GraphView,
     workload: Workload,
     max_cross_edges: int | None = None,
-    backend: str = "auto",
     oracle: str = "peel",
     epsilon: float = 0.0,
     batch_k: int = 0,
@@ -1046,7 +1049,6 @@ def chitchat_schedule(
         graph,
         workload,
         max_cross_edges,
-        backend=backend,
         oracle=oracle,
         epsilon=epsilon,
         batch_k=batch_k,
@@ -1058,7 +1060,6 @@ def chitchat_with_stats(
     graph: GraphView,
     workload: Workload,
     max_cross_edges: int | None = None,
-    backend: str = "auto",
     oracle: str = "peel",
     epsilon: float = 0.0,
     batch_k: int = 0,
@@ -1070,7 +1071,6 @@ def chitchat_with_stats(
         workload,
         max_cross_edges,
         record_log=True,
-        backend=backend,
         oracle=oracle,
         epsilon=epsilon,
         batch_k=batch_k,

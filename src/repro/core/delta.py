@@ -204,8 +204,8 @@ class DeltaScheduler:
             )
         #: Live rate tables; ``self.workload`` is a view over them, so
         #: rate events mutate in place and every oracle call sees the
-        #: current prices.  (Never call ``as_arrays`` on this workload —
-        #: the dense cache would freeze the mutable rates.)
+        #: current prices.  Every change clears the workload's dense-array
+        #: cache, which ``schedule_cost`` fills on large schedules.
         self._production: dict[Node, float] = dict(workload.production)
         self._consumption: dict[Node, float] = dict(workload.consumption)
         self.workload = Workload(
@@ -275,6 +275,7 @@ class DeltaScheduler:
         if user not in self._production:
             self._production[user] = self._rp_floor
             self._consumption[user] = self._rc_floor
+            self.workload.clear_array_cache()
 
     def _add_push(self, edge: Edge) -> None:
         if edge not in self.schedule.push:
@@ -452,6 +453,7 @@ class DeltaScheduler:
         self._cost += (rp - old_rp) * push_out + (rc - old_rc) * pull_in
         self._production[user] = rp
         self._consumption[user] = rc
+        self.workload.clear_array_cache()
         return True
 
     # ------------------------------------------------------------------

@@ -53,7 +53,7 @@ one whose ratio no longer equals the vertex's current one; free vertices
 
 When the hub-graph was built on the CSR backend it carries the global edge
 id of every element (:attr:`HubGraph.element_ids`); callers that maintain a
-dense uncovered bitmask (the CHITCHAT CSR fast path) can pass it as
+dense uncovered bitmask (``ChitchatScheduler``) can pass it as
 ``uncovered_mask`` and the element filtering becomes one vectorized numpy
 lookup instead of per-element set membership.
 """
@@ -70,7 +70,6 @@ import numpy as np
 from repro.core.hubgraph import HubGraph
 from repro.core.tolerances import OPT_BOUND_MARGIN
 from repro.core.schedule import RequestSchedule
-from repro.errors import WorkloadError
 from repro.graph.digraph import Edge, Node
 from repro.workload.rates import Workload
 
@@ -156,7 +155,7 @@ class OracleCutoff:
 class OracleArrays:
     """Dense mirrors of the scheduler state for the vectorized oracle.
 
-    Maintained by the CSR-mode CHITCHAT schedulers alongside their
+    Maintained by ``ChitchatScheduler`` alongside its
     :class:`RequestSchedule`: ``rp``/``rc`` are the
     :meth:`Workload.as_arrays` rate vectors, ``push_mask``/``pull_mask``
     are bool vectors over global edge ids marking scheduled legs.  With
@@ -174,12 +173,11 @@ class OracleArrays:
 class ScheduleMirror:
     """Keeps the dense oracle mirrors in lockstep with a scheduler's state.
 
-    A CSR-mode ``ChitchatScheduler`` owns one of these and routes
-    every mutation through it: :meth:`add_push`/:meth:`add_pull`
-    after the corresponding :class:`RequestSchedule` update, and
-    :meth:`cover` whenever edges leave the uncovered set.  ``arrays`` is
-    ``None`` when the workload has no dense id space (the oracle then
-    prices legs in Python); the uncovered bitmask works regardless.
+    ``ChitchatScheduler`` owns one of these and routes every mutation
+    through it: :meth:`add_push`/:meth:`add_pull` after the corresponding
+    :class:`RequestSchedule` update, and :meth:`cover` whenever edges
+    leave the uncovered set.  ``workload`` must have dense user ids
+    ``0..n-1`` (:meth:`Workload.as_arrays` raises otherwise).
     """
 
     __slots__ = ("edge_ids", "uncovered_mask", "arrays")
@@ -189,25 +187,19 @@ class ScheduleMirror:
             edge: i for i, edge in enumerate(edges)
         }
         self.uncovered_mask = np.ones(len(edges), dtype=bool)
-        try:
-            rp, rc = workload.as_arrays(graph.num_nodes)
-        except WorkloadError:
-            self.arrays: OracleArrays | None = None
-        else:
-            self.arrays = OracleArrays(
-                rp=rp,
-                rc=rc,
-                push_mask=np.zeros(len(edges), dtype=bool),
-                pull_mask=np.zeros(len(edges), dtype=bool),
-            )
+        rp, rc = workload.as_arrays(graph.num_nodes)
+        self.arrays = OracleArrays(
+            rp=rp,
+            rc=rc,
+            push_mask=np.zeros(len(edges), dtype=bool),
+            pull_mask=np.zeros(len(edges), dtype=bool),
+        )
 
     def add_push(self, edge: Edge) -> None:
-        if self.arrays is not None:
-            self.arrays.push_mask[self.edge_ids[edge]] = True
+        self.arrays.push_mask[self.edge_ids[edge]] = True
 
     def add_pull(self, edge: Edge) -> None:
-        if self.arrays is not None:
-            self.arrays.pull_mask[self.edge_ids[edge]] = True
+        self.arrays.pull_mask[self.edge_ids[edge]] = True
 
     def cover(self, edges, edge_ids: np.ndarray | None = None) -> None:
         """Clear uncovered bits for ``edges`` (by precomputed ids if given)."""

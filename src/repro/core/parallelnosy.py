@@ -36,7 +36,7 @@ from repro.core.cost import hybrid_edge_cost, schedule_cost
 from repro.core.hubgraph import single_consumer_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import Edge, Node
-from repro.graph.view import GraphView, NeighborSetCache, as_graph_view, edge_list
+from repro.graph.view import GraphView, NeighborSetCache, edge_list
 from repro.workload.rates import Workload
 
 
@@ -150,15 +150,12 @@ class ParallelNosyOptimizer:
     Parameters
     ----------
     graph, workload:
-        The DISSEMINATION instance; ``graph`` may be either adjacency
-        backend (see :func:`repro.graph.view.as_graph_view`).
+        The DISSEMINATION instance; the run reads ``graph`` through the
+        backend it is given (dict or CSR — identical schedules).
     max_candidate_producers:
         Optional cap on ``|X|`` per candidate (memory bound akin to the
         MapReduce cross-edge bound ``b``); producers with the largest
         per-edge savings are kept.
-    backend:
-        ``"auto"`` (default) applies the CSR fast path above the size
-        threshold; ``"csr"``/``"dict"`` force a backend.
     """
 
     def __init__(
@@ -166,9 +163,8 @@ class ParallelNosyOptimizer:
         graph: GraphView,
         workload: Workload,
         max_candidate_producers: int | None = None,
-        backend: str = "auto",
     ) -> None:
-        self.graph = as_graph_view(graph, backend)
+        self.graph = graph
         self.workload = workload
         self.max_candidate_producers = max_candidate_producers
         self.state = ParallelNosyState()
@@ -352,12 +348,9 @@ def parallel_nosy_schedule(
     workload: Workload,
     max_iterations: int = 20,
     max_candidate_producers: int | None = None,
-    backend: str = "auto",
 ) -> RequestSchedule:
     """Run PARALLELNOSY and return the finalized feasible schedule."""
-    optimizer = ParallelNosyOptimizer(
-        graph, workload, max_candidate_producers, backend=backend
-    )
+    optimizer = ParallelNosyOptimizer(graph, workload, max_candidate_producers)
     return optimizer.run(max_iterations)
 
 
@@ -366,16 +359,13 @@ def parallel_nosy_with_history(
     workload: Workload,
     max_iterations: int = 20,
     max_candidate_producers: int | None = None,
-    backend: str = "auto",
 ) -> tuple[RequestSchedule, list[IterationResult]]:
     """Run PARALLELNOSY keeping the per-iteration convergence history.
 
     The history is what Figure 4 plots: the cost after each iteration,
     converted to an improvement ratio over the hybrid baseline.
     """
-    optimizer = ParallelNosyOptimizer(
-        graph, workload, max_candidate_producers, backend=backend
-    )
+    optimizer = ParallelNosyOptimizer(graph, workload, max_candidate_producers)
     optimizer.run(max_iterations)
     return optimizer.finalize(), optimizer.history
 
@@ -385,11 +375,10 @@ def improvement_history(
     workload: Workload,
     max_iterations: int = 20,
     max_candidate_producers: int | None = None,
-    backend: str = "auto",
 ) -> list[float]:
     """Predicted improvement ratio over FF after each iteration (Figure 4)."""
     baseline_cost = schedule_cost(hybrid_schedule(graph, workload), workload)
     _, history = parallel_nosy_with_history(
-        graph, workload, max_iterations, max_candidate_producers, backend=backend
+        graph, workload, max_iterations, max_candidate_producers
     )
     return [baseline_cost / item.cost_after for item in history]

@@ -3,31 +3,27 @@
 Two adjacency backends implement the read-only :class:`GraphView` protocol
 that every scheduling algorithm in :mod:`repro.core` consumes:
 
-* :class:`SocialGraph` — mutable dict-of-sets adjacency, the default for
-  construction, churn, and small instances;
+* :class:`SocialGraph` — mutable dict-of-sets adjacency, for
+  construction and churn;
 * :class:`CSRGraph` — a frozen numpy CSR snapshot (dense ``0..n-1`` node
   ids, sorted adjacency slices) powering the vectorized kernels of the
   algorithm hot path.
 
-:func:`as_graph_view` picks between them: with ``backend="auto"`` a
-dense-id :class:`SocialGraph` of at least :data:`CSR_FASTPATH_THRESHOLD`
-nodes is frozen via :func:`to_csr` before the algorithms run — the CSR
-fast path — while smaller or non-dense graphs stay on the dict backend.
-Both backends are property-tested to produce identical schedules.
+Static schedulers run on CSR: CHITCHAT freezes dense-id graphs with
+:func:`to_csr` and relabels any other graph once at its boundary, handing
+the schedule back in the caller's labels.  Churn maintenance runs on the
+mutable dict graph.
 """
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Edge, Node, SocialGraph
 from repro.graph.view import (
-    CSR_FASTPATH_THRESHOLD,
     GraphView,
     NeighborSetCache,
-    as_graph_view,
     edge_list,
     has_dense_int_ids,
     sorted_array_intersect,
     to_csr,
-    to_social_graph,
     wedge_nodes,
 )
 from repro.graph.generators import (
@@ -56,7 +52,6 @@ from repro.graph.stats import (
 
 __all__ = [
     "CSRGraph",
-    "CSR_FASTPATH_THRESHOLD",
     "DegreeSummary",
     "Edge",
     "GraphStats",
@@ -64,13 +59,11 @@ __all__ = [
     "NeighborSetCache",
     "Node",
     "SocialGraph",
-    "as_graph_view",
     "average_clustering",
     "edge_list",
     "has_dense_int_ids",
     "sorted_array_intersect",
     "to_csr",
-    "to_social_graph",
     "wedge_nodes",
     "breadth_first_sample",
     "configuration_model_graph",

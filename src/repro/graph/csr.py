@@ -9,8 +9,8 @@ stream adjacency data.
 
 :class:`CSRGraph` implements the read-only
 :class:`~repro.graph.view.GraphView` protocol, so every algorithm in
-:mod:`repro.core` runs on it directly (the CSR fast path).  Adjacency slices
-are sorted, which the vectorized kernels (hub-graph construction, wedge
+:mod:`repro.core` runs on it directly — CHITCHAT always does.  Adjacency
+slices are sorted, which the vectorized kernels (hub-graph construction, wedge
 intersection, binary-search edge membership) rely on.
 
 Nodes must be dense integers ``0..n-1``.  Graphs with arbitrary hashable ids
@@ -201,7 +201,7 @@ class CSRGraph:
 
         Raises :class:`GraphError` when the edge does not exist.  Edge ids
         index the dense per-edge vectors the schedulers' batch accounting
-        uses (e.g. the uncovered-edge bitmask of the CHITCHAT fast path).
+        uses (e.g. CHITCHAT's uncovered-edge bitmask).
         """
         lo, hi = self.out_indptr[u], self.out_indptr[u + 1]
         pos = int(np.searchsorted(self.out_indices[lo:hi], v))

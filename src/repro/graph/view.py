@@ -1,4 +1,4 @@
-"""The :class:`GraphView` protocol and backend selection helpers.
+"""The :class:`GraphView` protocol and the shared adjacency helpers.
 
 Every scheduling algorithm in :mod:`repro.core` reads the social graph
 through the same small read-only adjacency interface — successors,
@@ -6,54 +6,30 @@ predecessors, degrees, edge membership, node/edge iteration.  Two backends
 implement it:
 
 * :class:`~repro.graph.digraph.SocialGraph` — the mutable dict-of-sets
-  structure, best for incremental updates and small instances;
-* :class:`~repro.graph.csr.CSRGraph` — the frozen numpy CSR snapshot,
-  best for the algorithms' read-mostly hot loops on large instances
-  (flat-array adjacency, cache-friendly scans, vectorized kernels).
+  structure, which churn maintenance
+  (:class:`~repro.core.delta.DeltaScheduler`) edits in place;
+* :class:`~repro.graph.csr.CSRGraph` — the frozen numpy CSR snapshot with
+  dense ids ``0..n-1`` (flat-array adjacency, cache-friendly scans,
+  vectorized kernels).
 
-:func:`as_graph_view` implements the automatic ``to_csr()`` fast path: a
-``SocialGraph`` with dense integer node ids and at least
-:data:`CSR_FASTPATH_THRESHOLD` nodes is frozen into a ``CSRGraph`` before
-the algorithms run, which both schedulers' property tests assert is
-behavior-preserving (identical schedules and costs).  The helpers below
-(:func:`wedge_nodes`, :func:`edge_list`, :func:`sorted_array_intersect`)
-give the core algorithms one backend-dispatched implementation of their
-inner adjacency operations.
+The static schedulers take either.  CHITCHAT always runs on CSR: it
+freezes dense-id graphs with :func:`to_csr` and relabels any other graph
+once at its boundary, translating the schedule back to the caller's
+labels.  PARALLELNOSY and the baselines run on the view they are given.
+The helpers below (:func:`wedge_nodes`, :func:`edge_list`,
+:func:`sorted_array_intersect`) give the core algorithms one
+backend-dispatched implementation of their inner adjacency operations.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Edge, Node, SocialGraph
-
-def _threshold_from_env() -> int:
-    raw = os.environ.get("REPRO_CSR_THRESHOLD", "5000")
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphError(
-            f"REPRO_CSR_THRESHOLD must be an integer, got {raw!r}"
-        ) from None
-
-
-#: Node count at which ``backend="auto"`` upgrades a dense-integer
-#: :class:`SocialGraph` to a :class:`CSRGraph` snapshot before running the
-#: scheduling algorithms.  Below it the dict backend's per-node Python sets
-#: win (no freeze cost, cheap tiny-set intersections); above it the CSR
-#: backend's flat arrays and vectorized kernels win.  Override with the
-#: ``REPRO_CSR_THRESHOLD`` environment variable.
-CSR_FASTPATH_THRESHOLD = _threshold_from_env()
-
-#: Valid values for the ``backend=`` parameter of the scheduling entry
-#: points (:func:`repro.core.chitchat.chitchat_schedule` and friends).
-BACKENDS = ("auto", "dict", "csr")
 
 #: Below this combined adjacency size, :func:`wedge_nodes` on a CSR backend
 #: intersects via Python sets instead of ``numpy`` (per-call numpy overhead
@@ -113,45 +89,6 @@ def to_csr(graph: GraphView) -> CSRGraph:
     if isinstance(graph, CSRGraph):
         return graph
     return CSRGraph.from_graph(graph)
-
-
-def to_social_graph(graph: GraphView) -> SocialGraph:
-    """Thaw any :class:`GraphView` into a mutable :class:`SocialGraph`."""
-    if isinstance(graph, SocialGraph):
-        return graph
-    thawed = SocialGraph()
-    thawed.add_nodes_from(graph.nodes())
-    thawed.add_edges_from(graph.edges())
-    return thawed
-
-
-def as_graph_view(
-    graph: GraphView,
-    backend: str = "auto",
-    threshold: int | None = None,
-) -> GraphView:
-    """Resolve the backend an algorithm should run on.
-
-    * ``"auto"`` — upgrade a dense-integer :class:`SocialGraph` with at
-      least ``threshold`` (default :data:`CSR_FASTPATH_THRESHOLD`) nodes to
-      a :class:`CSRGraph`; otherwise return the graph unchanged.  Graphs
-      with non-dense ids always stay on the dict backend.
-    * ``"csr"`` — force the CSR backend (raises
-      :class:`~repro.errors.GraphError` for non-dense node ids).
-    * ``"dict"`` — force the dict backend (thaws CSR snapshots).
-    """
-    if backend not in BACKENDS:
-        raise GraphError(f"unknown graph backend {backend!r}; options: {BACKENDS}")
-    if backend == "csr":
-        return to_csr(graph)
-    if backend == "dict":
-        return to_social_graph(graph)
-    if isinstance(graph, CSRGraph):
-        return graph
-    limit = CSR_FASTPATH_THRESHOLD if threshold is None else threshold
-    if graph.num_nodes >= limit and has_dense_int_ids(graph):
-        return to_csr(graph)
-    return graph
 
 
 def sorted_array_intersect(a: np.ndarray, b: np.ndarray) -> list[int]:
@@ -233,51 +170,6 @@ class NeighborSetCache:
         if len(succ_a) <= len(pred_b):
             return [w for w in succ_a if w in pred_b]
         return [w for w in pred_b if w in succ_a]
-
-
-def node_ranks(graph: GraphView) -> dict[Node, int]:
-    """Canonical ``node -> integer`` ranks for heap tie-breaking.
-
-    Integer-id graphs rank nodes numerically on both backends, so CSR and
-    dict runs break priority ties identically (and ``10`` sorts after
-    ``9``, unlike the old ``repr``-based keys where ``"10" < "9"``).
-    Graphs with non-integer ids fall back to one ``repr`` sort at
-    construction time — a single pass of string allocations instead of one
-    per heap entry.
-    """
-    if isinstance(graph, CSRGraph):
-        return {node: node for node in range(graph.num_nodes)}
-    nodes = list(graph.nodes())
-    if all(type(node) is int for node in nodes):
-        return {node: node for node in nodes}
-    return {node: i for i, node in enumerate(sorted(nodes, key=repr))}
-
-
-def edge_ranks(
-    graph: GraphView,
-    edges: list[Edge],
-    ranks: dict[Node, int] | None = None,
-) -> list[int]:
-    """Position of every edge in the canonical ``(rank(u), rank(v))`` order.
-
-    ``edges`` must be the :func:`edge_list` of ``graph``.  On the CSR
-    backend that list is already (src, dst)-sorted, so the ranks are the
-    positions themselves (the global CSR edge ids); the dict backend pays
-    one index sort.  Used as integer heap tie-breaks so both backends
-    resolve equal-priority singletons identically.
-    """
-    if isinstance(graph, CSRGraph):
-        return list(range(len(edges)))
-    if ranks is None:
-        ranks = node_ranks(graph)
-    order = sorted(
-        range(len(edges)),
-        key=lambda i: (ranks[edges[i][0]], ranks[edges[i][1]]),
-    )
-    rank_of = [0] * len(edges)
-    for pos, i in enumerate(order):
-        rank_of[i] = pos
-    return rank_of
 
 
 def affected_hubs(adjacency: NeighborSetCache, covered_edges) -> set[Node]:

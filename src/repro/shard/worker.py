@@ -53,7 +53,6 @@ def run_shard_task(task: dict) -> dict:
             graph,
             workload,
             max_cross_edges=task.get("max_cross_edges"),
-            backend="csr",
             oracle=task.get("oracle", "peel"),
             epsilon=task.get("epsilon", 0.0),
             batch_k=task.get("batch_k", 0),

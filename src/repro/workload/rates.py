@@ -138,6 +138,14 @@ class Workload:
             )
         return cached
 
+    def clear_array_cache(self) -> None:
+        """Drop the :meth:`as_arrays` cache.
+
+        Call after changing the ``production`` / ``consumption`` dicts in
+        place, or the vectorized cost kernels keep pricing the old rates.
+        """
+        self.__dict__.pop("_dense_arrays", None)
+
     @classmethod
     def from_dense_arrays(
         cls, production: "np.ndarray", consumption: "np.ndarray"

@@ -8,6 +8,11 @@ Naming conventions used across tests:
 * ``small_social`` — a ~120-node copying-model graph with real piggybacking
   opportunities, the work-horse for algorithm tests.
 * ``uniform_workload_for`` / ``log_workload_for`` — rate builders.
+* ``GRAPH_FORMS`` / ``graph_in_form`` — the two graph types a scheduler
+  accepts: the mutable dict ``SocialGraph`` (``"dict"``, frozen to CSR at
+  the scheduler boundary) and a frozen ``CSRGraph`` (``"csr"``, passed
+  through uncopied).  Parametrizing over them pins that the boundary is
+  transparent: same schedule, same counters, whichever form arrives.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import pytest
 
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
+from repro.graph.view import GraphView, to_csr
 from repro.workload.rates import (
     Workload,
     log_degree_workload,
@@ -24,6 +30,16 @@ from repro.workload.rates import (
 
 # The Figure 2 node names, kept readable in assertions.
 ART, BILLIE, CHARLIE = 0, 1, 2
+
+#: the graph types a scheduler accepts (see ``graph_in_form``)
+GRAPH_FORMS = ("dict", "csr")
+
+
+def graph_in_form(graph: SocialGraph, form: str) -> GraphView:
+    """``graph`` as handed to a scheduler: itself, or frozen to CSR."""
+    if form not in GRAPH_FORMS:
+        raise ValueError(f"unknown graph form {form!r}")
+    return to_csr(graph) if form == "csr" else graph
 
 
 @pytest.fixture

@@ -32,10 +32,9 @@ class EagerChitchatScheduler(ChitchatScheduler):
     """
 
     def _seed_lazy_heap(self) -> None:
-        for node in self.graph.nodes():
-            if node in self._eligible:
-                self._eager_equivalent += 1
-                self._refresh_hub(node)
+        for node in sorted(self._eligible):
+            self._eager_equivalent += 1
+            self._refresh_hub(node)
 
     def _invalidate(self, covered_edges, weight_drops) -> None:
         affected = affected_hubs(self._adjacency, covered_edges)

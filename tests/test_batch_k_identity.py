@@ -6,8 +6,9 @@ them in one block-diagonal arena pass installs exactly the true costs
 the sequential scheduler would have installed refreshing each hub one
 at a time at the heap top, and the greedy winner is re-derived from
 those true costs with unchanged tie-breaks.  So at ``epsilon=0`` full
-scheduler runs must be *byte-identical* at every batch width on both
-adjacency backends.  Property-tested on random instances here, plus
+scheduler runs must be *byte-identical* at every batch width, whichever
+graph form (dict or CSR) the scheduler is handed.  Property-tested on
+random instances here, plus
 fixed-seed checks that batching actually fires at scale and cuts
 kernel invocations.  Batching is opt-in (``batch_k=0`` is the
 default), so every batched leg here passes ``batch_k`` explicitly.
@@ -32,6 +33,7 @@ from repro.flow import FLOW_METHODS
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
+from tests.conftest import GRAPH_FORMS, graph_in_form
 
 SMALL = settings(
     max_examples=15,
@@ -82,25 +84,24 @@ class TestBatchKIdentity:
     @SMALL
     @given(instances())
     @pytest.mark.parametrize("method", FLOW_METHODS)
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
     def test_chitchat_batched_matches_sequential(
-        self, backend, method, instance
+        self, form, method, instance
     ):
         """At every sequential kernel: arenas always run the wave kernel,
         so a loop-kernel run batched must still match itself unbatched."""
         graph, workload = instance
+        given_graph = graph_in_form(graph, form)
         sequential = ChitchatScheduler(
-            graph,
+            given_graph,
             workload,
-            backend=backend,
             oracle="exact",
             batch_k=0,
             method=method,
         ).run()
         batched = ChitchatScheduler(
-            graph,
+            given_graph,
             workload,
-            backend=backend,
             oracle="exact",
             batch_k=BATCH_K,
             method=method,
@@ -111,10 +112,10 @@ class TestBatchKIdentity:
     def test_every_width_matches_on_fixed_instance(self, width):
         graph, workload = fixed_instance(4, nodes=250)
         sequential = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=0
+            graph, workload, oracle="exact", batch_k=0
         ).run()
         batched = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=width
+            graph, workload, oracle="exact", batch_k=width
         ).run()
         assert_same_schedule(sequential, batched)
 
@@ -125,10 +126,10 @@ class TestBatchKFires:
     def test_chitchat_batching_fires_and_cuts_invocations(self):
         graph, workload = fixed_instance(3)
         sequential = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=0
+            graph, workload, oracle="exact", batch_k=0
         )
         batched = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
+            graph, workload, oracle="exact", batch_k=BATCH_K
         )
         seq_schedule = sequential.run()
         bat_schedule = batched.run()
@@ -145,7 +146,7 @@ class TestBatchKFires:
     def test_width_one_disables_batching(self):
         graph, workload = fixed_instance(1, nodes=120)
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=1
+            graph, workload, oracle="exact", batch_k=1
         )
         scheduler.run()
         assert scheduler.stats.batched_solves == 0
@@ -153,7 +154,7 @@ class TestBatchKFires:
     def test_stats_expose_kernel_time_split(self):
         graph, workload = fixed_instance(0, nodes=120)
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
+            graph, workload, oracle="exact", batch_k=BATCH_K
         )
         scheduler.run()
         stats = scheduler.stats
@@ -170,14 +171,13 @@ class TestBatchKWithEpsilon:
         graph, workload = fixed_instance(5, nodes=250)
         base = schedule_cost(
             ChitchatScheduler(
-                graph, workload, backend="csr", oracle="exact", batch_k=0
+                graph, workload, oracle="exact", batch_k=0
             ).run(),
             workload,
         )
         scheduler = ChitchatScheduler(
             graph,
             workload,
-            backend="csr",
             oracle="exact",
             epsilon=epsilon,
             batch_k=BATCH_K,
@@ -192,9 +192,9 @@ class TestDefaultIsPerHub:
 
     def test_default_exact_scheduler_never_batches(self):
         graph, workload = fixed_instance(3)
-        default = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        default = ChitchatScheduler(graph, workload, oracle="exact")
         opted_in = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=BATCH_K
+            graph, workload, oracle="exact", batch_k=BATCH_K
         )
         assert_same_schedule(default.run(), opted_in.run())
         assert default.stats.batched_solves == 0

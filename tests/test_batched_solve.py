@@ -16,8 +16,8 @@ ISSUE 6's contract, bottom layer up:
   pressure (``max_cached`` smaller than the batch).
 
 Scheduler-level byte-identity at ε=0 (``batch_k`` on full CHITCHAT
-runs, backends × oracles) lives in ``tests/test_epsilon_greedy.py``,
-which owns the schedule-equality harness.
+runs, every width and flow method) lives in
+``tests/test_batch_k_identity.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.flow.batched_solve import BatchedNetwork, BlockTemplate, FlowStats
 from repro.flow.exact_oracle import ExactOracle, MultiHubSession
 from repro.flow.maxflow import FlowError, FlowNetwork
 from repro.graph.digraph import SocialGraph
-from repro.graph.view import as_graph_view, edge_list
+from repro.graph.view import edge_list, to_csr
 from repro.workload.rates import Workload
 
 METHODS = ("loop", "wave")
@@ -367,7 +367,7 @@ class TestMultiHubSessionDifferential:
             },
         )
         hubs = [remap[h] for h in hubs]
-        view = as_graph_view(graph, "csr")
+        view = to_csr(graph)
         edges = edge_list(view)
         mirror = ScheduleMirror(view, workload, edges)
         csr_hub_graphs = [build_hub_graph(view, hub) for hub in hubs]

@@ -11,7 +11,8 @@ The contract under test (``repro.core.delta``):
 * repair never increases the maintained cost (each greedy step is
   charged at most the cheapest remaining singleton);
 
-parametrized over adjacency backends × oracles × flow methods.
+parametrized over the wrapped run's input graph (dict or CSR) × oracles
+× flow methods.
 ``TestApplyOnly`` pins ``apply`` with no ``repair`` — the paper's
 section 3.3 policy, which Figure 5 measures — rule by rule.
 """
@@ -43,6 +44,7 @@ from repro.errors import ReproError, ScheduleError
 from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
+from repro.graph.view import to_csr
 from repro.workload import (
     ChurnEvent,
     Workload,
@@ -69,7 +71,11 @@ def make_instance(seed: int, nodes: int = 50):
 
 
 def completed_run(graph, workload, backend: str = "dict"):
-    scheduler = ChitchatScheduler(graph, workload, backend=backend)
+    """A finished default CHITCHAT run on ``graph`` handed in as a dict
+    graph or frozen to CSR (``backend``) — ``from_scheduler`` thaws
+    either into the mutable graph churn runs on."""
+    view = to_csr(graph) if backend == "csr" else graph
+    scheduler = ChitchatScheduler(view, workload)
     scheduler.run()
     return scheduler
 
@@ -157,7 +163,8 @@ class TestDifferential:
 
 
 class TestOracleMatrix:
-    """The contract holds on every oracle stack and adjacency backend."""
+    """The contract holds on every oracle stack, whichever graph type the
+    wrapped run was given."""
 
     @pytest.mark.parametrize("oracle,method", ORACLE_STACKS)
     @pytest.mark.parametrize("backend", ["dict", "csr"])
@@ -394,13 +401,9 @@ def assert_run_contract(delta, event):
     delta.repair()
     assert delta.cost() <= before + 1e-9
     assert delta.is_feasible()
-    # price against a snapshot: a large rescan caches the live workload's
-    # dense arrays, which would freeze its rates for every later rescan
-    rates = Workload(
-        production=dict(delta.workload.production),
-        consumption=dict(delta.workload.consumption),
+    assert delta.cost() == pytest.approx(
+        schedule_cost(delta.schedule, delta.workload)
     )
-    assert delta.cost() == pytest.approx(schedule_cost(delta.schedule, rates))
 
 
 def e16_quick_instance():
@@ -417,6 +420,36 @@ def small_churn_instance(seed):
     graph, workload = make_instance(seed)
     scheduler = completed_run(graph, workload)
     return scheduler, churn_stream(graph, workload, 60, seed=seed + 40)
+
+
+class TestLiveRateCache:
+    """A large rescan caches the live workload's dense rate arrays; every
+    rate change must drop that cache, or later rescans price old rates."""
+
+    def test_rescan_after_rate_event_prices_new_rates(self):
+        scheduler, _events = e16_quick_instance()
+        delta = DeltaScheduler.from_scheduler(scheduler)
+        schedule = delta.schedule
+        assert len(schedule.push) + len(schedule.pull) >= 2048  # batch path
+        assert schedule_cost(schedule, delta.workload) == pytest.approx(
+            delta.cost()
+        )
+        user = max(delta.graph.nodes(), key=delta.graph.out_degree)
+        delta.apply(
+            ChurnEvent(
+                kind="rate",
+                user=user,
+                rp=delta.workload.rp(user) * 3.0,
+                rc=delta.workload.rc(user) * 3.0,
+            )
+        )
+        assert schedule_cost(delta.schedule, delta.workload) == pytest.approx(
+            delta.cost()
+        )
+        delta.repair()
+        assert schedule_cost(delta.schedule, delta.workload) == pytest.approx(
+            delta.cost()
+        )
 
 
 class TestRelayCandidates:

@@ -3,7 +3,8 @@
 Three contracts:
 
 * ``epsilon=0`` is *byte-identical* to exact greedy — property-tested on
-  random instances across both adjacency backends and both oracles;
+  random instances under both oracles and on both graph forms a
+  scheduler accepts (dict and CSR);
 * ``epsilon>0`` keeps every feasibility invariant and the documented
   cost bound: the per-step acceptance costs at most ``(1+ε)`` times the
   true step optimum, and on the deterministic fixed-seed battery below
@@ -34,6 +35,7 @@ from repro.flow.exact_oracle import ExactOracle, MultiHubSession
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
+from tests.conftest import GRAPH_FORMS, graph_in_form
 
 SMALL = settings(
     max_examples=20,
@@ -84,22 +86,23 @@ class TestEpsilonZeroIdentity:
     @SMALL
     @given(instances())
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
     def test_chitchat_epsilon_zero_matches_default(
-        self, backend, oracle, instance
+        self, form, oracle, instance
     ):
         graph, workload = instance
+        given_graph = graph_in_form(graph, form)
         plain = ChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle
+            given_graph, workload, oracle=oracle
         ).run()
         zero = ChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle, epsilon=0.0
+            given_graph, workload, oracle=oracle, epsilon=0.0
         ).run()
         assert_same_schedule(plain, zero)
 
     def test_epsilon_zero_never_counts_accepts(self):
         graph, workload = fixed_instance(0)
-        scheduler = ChitchatScheduler(graph, workload, backend="csr")
+        scheduler = ChitchatScheduler(graph, workload)
         scheduler.run()
         assert scheduler.stats.epsilon_accepts == 0
 
@@ -120,18 +123,19 @@ class TestWarmOracleIdentity:
     schedule (ISSUE 5): the preflow repairs and the λ re-seeding are pure
     performance changes, so a full CHITCHAT run on its own (warm) session
     must be byte-identical to one on the cold reference session, on both
-    backends and across the ε relaxation."""
+    graph forms and across the ε relaxation."""
 
     @SMALL
     @given(instances())
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_chitchat_warm_matches_cold(self, backend, epsilon, instance):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_chitchat_warm_matches_cold(self, form, epsilon, instance):
         graph, workload = instance
-        options = dict(backend=backend, oracle="exact", epsilon=epsilon)
-        warm = ChitchatScheduler(graph, workload, **options).run()
+        given_graph = graph_in_form(graph, form)
+        options = dict(oracle="exact", epsilon=epsilon)
+        warm = ChitchatScheduler(given_graph, workload, **options).run()
         cold = with_cold_session(
-            ChitchatScheduler(graph, workload, **options)
+            ChitchatScheduler(given_graph, workload, **options)
         ).run()
         assert_same_schedule(warm, cold)
 
@@ -139,9 +143,9 @@ class TestWarmOracleIdentity:
         """On a real instance the warm session must resume preflows
         (stats.warm_solves > 0, repairs > 0) and still match cold."""
         graph, workload = fixed_instance(3)
-        warm = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        warm = ChitchatScheduler(graph, workload, oracle="exact")
         cold = with_cold_session(
-            ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+            ChitchatScheduler(graph, workload, oracle="exact")
         )
         warm_schedule = warm.run()
         cold_schedule = cold.run()
@@ -161,12 +165,12 @@ class TestEpsilonCostBound:
         """Fixed-seed battery: ε-greedy prices within (1+ε) of exact."""
         graph, workload = fixed_instance(seed)
         exact = ChitchatScheduler(
-            graph, workload, backend="csr", oracle=oracle
+            graph, workload, oracle=oracle
         )
         base = schedule_cost(exact.run(), workload)
         for epsilon in EPSILONS:
             relaxed = ChitchatScheduler(
-                graph, workload, backend="csr", oracle=oracle, epsilon=epsilon
+                graph, workload, oracle=oracle, epsilon=epsilon
             )
             schedule = relaxed.run()
             validate_schedule(graph, schedule)
@@ -175,8 +179,8 @@ class TestEpsilonCostBound:
 
     @SMALL
     @given(instances())
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_feasible_and_bounded_on_random_instances(self, backend, instance):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_feasible_and_bounded_on_random_instances(self, form, instance):
         """ε-greedy always covers everything and never beats-the-bound.
 
         The hybrid baseline stays an upper bound for any ε: every
@@ -190,7 +194,7 @@ class TestEpsilonCostBound:
         hybrid_cost = greedy_upper_bound(graph, workload)
         for epsilon in (0.05, 0.5):
             scheduler = ChitchatScheduler(
-                graph, workload, backend=backend, epsilon=epsilon
+                graph_in_form(graph, form), workload, epsilon=epsilon
             )
             schedule = scheduler.run()
             validate_schedule(graph, schedule)
@@ -201,10 +205,10 @@ class TestEpsilonSavings:
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
     def test_relaxation_fires_and_saves_calls(self, oracle):
         graph, workload = fixed_instance(1, nodes=600)
-        exact = ChitchatScheduler(graph, workload, backend="csr", oracle=oracle)
+        exact = ChitchatScheduler(graph, workload, oracle=oracle)
         exact.run()
         relaxed = ChitchatScheduler(
-            graph, workload, backend="csr", oracle=oracle, epsilon=0.05
+            graph, workload, oracle=oracle, epsilon=0.05
         )
         relaxed.run()
         assert relaxed.stats.epsilon_accepts > 0
@@ -235,10 +239,10 @@ class TestProductionDefault:
         from repro.experiments.datasets import e10_twitter_sample
 
         sample, workload = e10_twitter_sample(scale=0.4)
-        exact = ChitchatScheduler(sample, workload, backend="csr")
+        exact = ChitchatScheduler(sample, workload)
         base_cost = schedule_cost(exact.run(), workload)
         relaxed = ChitchatScheduler(
-            sample, workload, backend="csr", epsilon=PRODUCTION_EPSILON
+            sample, workload, epsilon=PRODUCTION_EPSILON
         )
         schedule = relaxed.run()
         validate_schedule(sample, schedule)

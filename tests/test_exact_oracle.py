@@ -24,7 +24,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
+from tests.conftest import (
+    ART,
+    BILLIE,
+    CHARLIE,
+    GRAPH_FORMS,
+    graph_in_form,
+    make_uniform,
+)
 from tests.test_densest import brute_force_best
 from tests.reference_eager import EagerChitchatScheduler
 from tests.test_lazy_chitchat import assert_lazy_equivalent
@@ -232,19 +239,19 @@ class TestOptionValidation:
     oracle — a flow method is checked even under the peel, which never
     builds a flow network — and a removed value names the options.  A
     NaN ``epsilon`` and a negative ``max_cross_edges`` (which used to act
-    as 0) fail there too."""
+    as 0) fail there too, before the graph (dict or CSR) is read."""
 
     def test_option_tuples(self):
         assert ORACLE_MODES == ("peel", "exact")
         assert FLOW_METHODS == ("auto", "wave", "loop")
 
     @pytest.mark.parametrize("options, named", BAD_OPTIONS)
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_scheduler_rejects_bad_option_up_front(self, backend, options, named):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_scheduler_rejects_bad_option_up_front(self, form, options, named):
         graph = social_copying_graph(40, out_degree=4, seed=1)
         workload = log_degree_workload(graph, read_write_ratio=5.0)
         with pytest.raises(ReproError) as excinfo:
-            ChitchatScheduler(graph, workload, backend=backend, **options)
+            ChitchatScheduler(graph_in_form(graph, form), workload, **options)
         assert str(named) in str(excinfo.value)
 
     @pytest.mark.parametrize("options, named", BAD_OPTIONS)
@@ -277,24 +284,26 @@ class TestExactScheduler:
         )
         return graph, log_degree_workload(graph, read_write_ratio=5.0)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_lazy_vs_eager(self, backend):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_lazy_vs_eager(self, form):
         """Byte-identical: a retained exact champion is still the optimum."""
         graph, workload = self._instance()
+        given_graph = graph_in_form(graph, form)
         eager = EagerChitchatScheduler(
-            graph, workload, backend=backend, oracle="exact"
+            given_graph, workload, oracle="exact"
         )
-        lazy = ChitchatScheduler(graph, workload, backend=backend, oracle="exact")
+        lazy = ChitchatScheduler(given_graph, workload, oracle="exact")
         assert_lazy_equivalent(graph, workload, eager, lazy, "exact")
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
 
     def test_backends_agree(self):
+        """A dict graph and its CSR freeze give the same exact schedule."""
         graph, workload = self._instance(n=200, seed=11)
         schedules = [
             ChitchatScheduler(
-                graph, workload, backend=backend, oracle="exact"
+                graph_in_form(graph, form), workload, oracle="exact"
             ).run()
-            for backend in ("dict", "csr")
+            for form in GRAPH_FORMS
         ]
         assert schedules[0].push == schedules[1].push
         assert schedules[0].pull == schedules[1].pull
@@ -303,8 +312,8 @@ class TestExactScheduler:
     def test_exact_runs_fewer_full_evaluations_than_peel(self):
         """Lazy+exact must re-evaluate strictly less than lazy+peel."""
         graph, workload = self._instance()
-        peel = ChitchatScheduler(graph, workload, backend="csr", oracle="peel")
-        exact = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        peel = ChitchatScheduler(graph, workload, oracle="peel")
+        exact = ChitchatScheduler(graph, workload, oracle="exact")
         peel.run()
         exact.run()
         assert exact.stats.oracle_calls < peel.stats.oracle_calls
@@ -318,8 +327,8 @@ class TestExactScheduler:
             600, out_degree=10, copy_fraction=0.7, reciprocity=0.2, seed=7
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
-        peel = ChitchatScheduler(graph, workload, backend="csr", oracle="peel").run()
-        exact = ChitchatScheduler(graph, workload, backend="csr", oracle="exact").run()
+        peel = ChitchatScheduler(graph, workload, oracle="peel").run()
+        exact = ChitchatScheduler(graph, workload, oracle="exact").run()
         assert schedule_cost(exact, workload) <= schedule_cost(
             peel, workload
         ) + 1e-6
@@ -330,7 +339,7 @@ class TestExactScheduler:
         ids: no cached hub-graph materializes its tuple element index."""
         graph, workload = self._instance()
         scheduler = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="exact", batch_k=batch_k
+            graph, workload, oracle="exact", batch_k=batch_k
         )
         scheduler.run()
         assert scheduler._hub_cache
@@ -343,13 +352,13 @@ class TestExactScheduler:
         """The session's eviction count and peak cached-network count are
         surfaced in ChitchatStats under the registry's scheduler/oracle."""
         graph, workload = self._instance(n=150)
-        roomy = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        roomy = ChitchatScheduler(graph, workload, oracle="exact")
         roomy.run()
         assert roomy.stats.oracle_evictions == 0
         assert roomy.stats.peak_cached_networks == roomy._exact.peak_cached > 0
         # dead hubs released their networks: fewer remain than ever peaked
         assert len(roomy._exact._problems) < roomy.stats.peak_cached_networks
-        capped = ChitchatScheduler(graph, workload, backend="csr", oracle="exact")
+        capped = ChitchatScheduler(graph, workload, oracle="exact")
         capped._exact.max_cached = 2
         capped.run()
         assert capped.stats.oracle_evictions == capped._exact.evictions > 0
@@ -357,7 +366,7 @@ class TestExactScheduler:
         oracle_node = capped.metrics.snapshot()["scheduler"]["oracle"]
         assert oracle_node["evictions"] == capped._exact.evictions
         assert oracle_node["peak_cached"] == 2
-        peel = ChitchatScheduler(graph, workload, backend="csr")
+        peel = ChitchatScheduler(graph, workload)
         peel.run()
         assert peel.stats.oracle_evictions == 0
         assert peel.stats.peak_cached_networks == 0

@@ -1,10 +1,14 @@
 """Backend parity: the dict and CSR GraphView backends are interchangeable.
 
-The CSR fast path is a pure performance choice, so every algorithm must
-produce *identical* output on both backends — same schedules (push/pull/hub
-sets, not just costs) from the same instance.  Hypothesis drives random
-DISSEMINATION instances through both backends of each scheduler; unit
-tests below cover the protocol helpers and the auto-selection policy.
+CHITCHAT always runs on CSR: handed a dict graph or its CSR freeze it
+must return the identical schedule and counters (``tests/test_relabel.py``
+covers the relabeling boundary); the algorithms that read the view they are given —
+PARALLELNOSY, the hybrid baseline, hub-graph construction and the
+densest-subgraph oracle, which churn repair runs on the dict graph —
+must produce *identical* output on both backends: same schedules
+(push/pull/hub sets, not just costs) from the same instance.  Hypothesis
+drives random DISSEMINATION instances through both backends; unit tests
+below cover the protocol helpers.
 """
 
 from __future__ import annotations
@@ -21,19 +25,14 @@ from repro.core.densest import densest_subgraph
 from repro.core.hubgraph import build_hub_graph
 from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.core.schedule import RequestSchedule
-from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import SocialGraph
 from repro.graph.view import (
-    CSR_FASTPATH_THRESHOLD,
     GraphView,
     NeighborSetCache,
-    as_graph_view,
     edge_list,
     has_dense_int_ids,
     sorted_array_intersect,
     to_csr,
-    to_social_graph,
     wedge_nodes,
 )
 from repro.workload.rates import Workload
@@ -75,8 +74,8 @@ class TestSchedulerParity:
     @given(instances())
     def test_chitchat_backends_identical(self, instance):
         graph, workload = instance
-        dict_schedule = chitchat_schedule(graph, workload, backend="dict")
-        csr_schedule = chitchat_schedule(graph, workload, backend="csr")
+        dict_schedule = chitchat_schedule(graph, workload)
+        csr_schedule = chitchat_schedule(to_csr(graph), workload)
         assert_same_schedule(dict_schedule, csr_schedule)
         assert schedule_cost(dict_schedule, workload) == pytest.approx(
             schedule_cost(csr_schedule, workload), abs=1e-9
@@ -86,8 +85,8 @@ class TestSchedulerParity:
     @given(instances())
     def test_chitchat_stats_match(self, instance):
         graph, workload = instance
-        _, stats_dict = chitchat_with_stats(graph, workload, backend="dict")
-        _, stats_csr = chitchat_with_stats(graph, workload, backend="csr")
+        _, stats_dict = chitchat_with_stats(graph, workload)
+        _, stats_csr = chitchat_with_stats(to_csr(graph), workload)
         assert stats_dict.hub_selections == stats_csr.hub_selections
         assert stats_dict.singleton_selections == stats_csr.singleton_selections
         assert stats_dict.oracle_calls == stats_csr.oracle_calls
@@ -98,8 +97,8 @@ class TestSchedulerParity:
     def test_parallelnosy_backends_identical(self, instance):
         graph, workload = instance
         assert_same_schedule(
-            parallel_nosy_schedule(graph, workload, 5, backend="dict"),
-            parallel_nosy_schedule(graph, workload, 5, backend="csr"),
+            parallel_nosy_schedule(graph, workload, 5),
+            parallel_nosy_schedule(to_csr(graph), workload, 5),
         )
 
     @SMALL
@@ -191,47 +190,11 @@ class TestGraphViewProtocol:
 
 
 class TestBackendSelection:
-    def test_auto_keeps_small_graphs_on_dict(self):
-        graph = SocialGraph([(0, 1), (1, 2)])
-        assert as_graph_view(graph) is graph
-
-    def test_auto_upgrades_above_threshold(self):
-        graph = SocialGraph([(i, i + 1) for i in range(50)])
-        assert isinstance(as_graph_view(graph, threshold=10), CSRGraph)
-
-    def test_auto_respects_global_threshold(self):
-        graph = SocialGraph([(i, i + 1) for i in range(CSR_FASTPATH_THRESHOLD + 1)])
-        assert isinstance(as_graph_view(graph), CSRGraph)
-
-    def test_auto_keeps_non_dense_ids_on_dict(self):
-        graph = SocialGraph([(f"u{i}", f"u{i + 1}") for i in range(50)])
-        assert as_graph_view(graph, threshold=10) is graph
-
-    def test_forced_csr_rejects_non_dense_ids(self):
-        graph = SocialGraph([("a", "b")])
-        with pytest.raises(GraphError):
-            as_graph_view(graph, "csr")
-
-    def test_forced_dict_thaws_csr(self):
-        graph = SocialGraph([(0, 1), (1, 2)])
-        thawed = as_graph_view(to_csr(graph), "dict")
-        assert isinstance(thawed, SocialGraph)
-        assert thawed == graph
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(GraphError):
-            as_graph_view(SocialGraph([(0, 1)]), "sparse")
-
     def test_has_dense_int_ids(self):
         assert has_dense_int_ids(SocialGraph([(0, 1), (1, 2)]))
         assert not has_dense_int_ids(SocialGraph([(1, 2), (2, 3)]))
         assert not has_dense_int_ids(SocialGraph([("a", "b")]))
         assert has_dense_int_ids(to_csr(SocialGraph([(0, 1)])))
-
-    def test_to_social_graph_roundtrip(self):
-        graph = SocialGraph([(0, 1), (1, 2), (0, 2)])
-        assert to_social_graph(to_csr(graph)) == graph
-        assert to_social_graph(graph) is graph
 
     def test_schedulers_accept_csr_input_directly(self):
         graph = SocialGraph([(0, 2), (2, 1), (0, 1), (3, 0), (2, 3)])
@@ -241,6 +204,6 @@ class TestBackendSelection:
         )
         csr = to_csr(graph)
         assert_same_schedule(
-            chitchat_schedule(graph, workload, backend="dict"),
+            chitchat_schedule(graph, workload),
             chitchat_schedule(csr, workload),
         )

@@ -6,7 +6,7 @@ it.  What that leaves of "lazy == eager" depends on the oracle:
 
 * under ``oracle="exact"`` a retained champion is still the optimum, so
   lazy and eager schedules stay **byte-identical** (property-tested on
-  both backends);
+  both graph forms a scheduler accepts, dict and CSR);
 * under ``"peel"`` a retained champion is the peel of the
   state it was *last evaluated at* — still a factor-2 answer (Lemma 1:
   the hub's optimum only rises under covering), but not necessarily what
@@ -16,9 +16,6 @@ it.  What that leaves of "lazy == eager" depends on the oracle:
   what is *guaranteed* — feasibility, cost at most hybrid, cost within
   0.5 % of eager, fewer full oracle calls — and never equality by luck.
   The per-step factor-2 certificate is ``tests/test_step_certificate.py``;
-* dict and CSR runs issue the identical oracle-call sequence (every heap
-  key is backend-independent), so they agree byte for byte *and* counter
-  for counter;
 * the bootstrap prune may only drop hubs that provably can never win.
 """
 
@@ -35,11 +32,11 @@ from repro.core.chitchat import (
 )
 from repro.core.coverage import validate_schedule
 from repro.core.cost import schedule_cost
-from repro.core.densest import _PROBE_VECTOR_THRESHOLD
-from repro.core.hubgraph import build_hub_graph
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
+from repro.graph.view import GraphView, NeighborSetCache
 from repro.workload.rates import Workload, log_degree_workload
+from tests.conftest import GRAPH_FORMS, graph_in_form
 from tests.reference_eager import EagerChitchatScheduler
 
 SMALL = settings(
@@ -107,15 +104,16 @@ class CountingScheduler(ChitchatScheduler):
     """Counts what the eager rule (Algorithm 1 line 14) would peel along
     *this run's own* selections: every relay-capable hub once at bootstrap,
     then every relay-capable hub whose hub-graph holds an edge a selection
-    covered.  Takes the instance as a dict graph (set algebra)."""
+    covered.  Reads the instance through Python-set adjacency, so it
+    takes either graph form."""
 
-    def __init__(self, graph: SocialGraph, *args, **kwargs) -> None:
+    def __init__(self, graph: GraphView, *args, **kwargs) -> None:
         super().__init__(graph, *args, **kwargs)
-        self.social = graph
+        self.social = NeighborSetCache(graph)
         self.relays = {
             node
             for node in graph.nodes()
-            if graph.predecessors(node) and graph.successors(node)
+            if self.social.predecessors(node) and self.social.successors(node)
         }
         self.eager_rule_calls = 0
 
@@ -136,70 +134,32 @@ class TestLazyEagerEquivalence:
     @SMALL
     @given(instances())
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_chitchat_lazy_vs_eager(self, backend, oracle, instance):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_chitchat_lazy_vs_eager(self, form, oracle, instance):
         graph, workload = instance
+        given_graph = graph_in_form(graph, form)
         eager = EagerChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle
+            given_graph, workload, oracle=oracle
         )
-        lazy = ChitchatScheduler(graph, workload, backend=backend, oracle=oracle)
+        lazy = ChitchatScheduler(given_graph, workload, oracle=oracle)
         assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
-
-    @pytest.mark.parametrize(
-        "scheduler_cls",
-        [EagerChitchatScheduler, ChitchatScheduler],
-        ids=["eager", "lazy"],
-    )
-    def test_backends_agree_call_for_call(self, scheduler_cls):
-        """Dict and CSR runs issue the same oracle calls in the same order.
-
-        Retained peel champions make the schedule depend on every heap
-        key, and the one key that used to differ between backends was the
-        bounded probe's (the scalar twin on every dict-built hub-graph,
-        the vectorized one on CSR-built hub-graphs of at least
-        ``_PROBE_VECTOR_THRESHOLD`` elements).  With the twin chosen by
-        hub-graph size alone, the counters match exactly, not just the
-        schedules — on an instance that has such hub-graphs.
-        """
-        graph = social_copying_graph(
-            250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
-        )
-        workload = log_degree_workload(graph, read_write_ratio=5.0)
-        assert any(
-            build_hub_graph(graph, hub).num_elements >= _PROBE_VECTOR_THRESHOLD
-            for hub in graph.nodes()
-        )
-        by_dict, by_csr = (
-            scheduler_cls(graph, workload, backend=backend)
-            for backend in ("dict", "csr")
-        )
-        assert_same_schedule(by_dict.run(), by_csr.run())
-        for counter in (
-            "oracle_calls",
-            "oracle_early_exits",
-            "champions_retained",
-            "hub_selections",
-            "singleton_selections",
-        ):
-            assert getattr(by_dict.stats, counter) == getattr(by_csr.stats, counter)
-        lazy = scheduler_cls is ChitchatScheduler
-        assert (by_csr.stats.champions_retained > 0) == lazy
 
 
 class TestOracleCallSavings:
     @pytest.mark.parametrize("oracle", ["peel", "exact"])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
     def test_strictly_fewer_oracle_calls_on_nontrivial_instance(
-        self, backend, oracle
+        self, form, oracle
     ):
         graph = social_copying_graph(
             250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
+        given_graph = graph_in_form(graph, form)
         eager = EagerChitchatScheduler(
-            graph, workload, backend=backend, oracle=oracle
+            given_graph, workload, oracle=oracle
         )
-        lazy = CountingScheduler(graph, workload, backend=backend, oracle=oracle)
+        lazy = CountingScheduler(given_graph, workload, oracle=oracle)
         assert_lazy_equivalent(graph, workload, eager, lazy, oracle)
         assert lazy.stats.oracle_calls < eager.stats.oracle_calls
         assert lazy.stats.champions_retained > 0
@@ -219,7 +179,7 @@ class TestOracleCallSavings:
             250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
-        _schedule, stats = chitchat_with_stats(graph, workload, backend="csr")
+        _schedule, stats = chitchat_with_stats(graph, workload)
         assert stats.oracle_early_exits > 0
 
 
@@ -236,16 +196,17 @@ class TestBootstrapPrune:
         consumption[5] = 0.05
         return graph, Workload(production=production, consumption=consumption)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_crossfree_hub_pruned_without_any_oracle_call(self, backend):
+    @pytest.mark.parametrize("form", GRAPH_FORMS)
+    def test_crossfree_hub_pruned_without_any_oracle_call(self, form):
         graph, workload = self.make_star()
         dense, mapping = graph.relabeled()
         dense_workload = Workload(
             production={mapping[n]: workload.production[n] for n in graph.nodes()},
             consumption={mapping[n]: workload.consumption[n] for n in graph.nodes()},
         )
-        eager = EagerChitchatScheduler(dense, dense_workload, backend=backend)
-        lazy = ChitchatScheduler(dense, dense_workload, backend=backend)
+        given_graph = graph_in_form(dense, form)
+        eager = EagerChitchatScheduler(given_graph, dense_workload)
+        lazy = ChitchatScheduler(given_graph, dense_workload)
         assert_same_schedule(eager.run(), lazy.run())
         assert lazy.stats.hubs_pruned == 1
         assert lazy.stats.oracle_calls == 0
@@ -258,8 +219,8 @@ class TestBootstrapPrune:
         hub that could have won a step would show as a schedule diff (the
         prune itself is oracle-agnostic)."""
         graph, workload = instance
-        lazy = ChitchatScheduler(graph, workload, backend="dict", oracle="exact")
+        lazy = ChitchatScheduler(graph, workload, oracle="exact")
         eager = EagerChitchatScheduler(
-            graph, workload, backend="dict", oracle="exact"
+            graph, workload, oracle="exact"
         )
         assert_same_schedule(eager.run(), lazy.run())

@@ -196,7 +196,7 @@ class TestShardedSchedule:
             graph, workload, num_shards=1, num_workers=1, oracle="peel"
         )
         sequential = ChitchatScheduler(
-            graph, workload, backend="csr", oracle="peel"
+            graph, workload, oracle="peel"
         ).run()
         assert execution.plan.cut_edges == 0
         assert execution.reconciliation["boundary_hubs"] == 0

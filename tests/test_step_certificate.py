@@ -32,6 +32,7 @@ from repro.core.hubgraph import build_hub_graph
 from repro.flow import ExactOracle
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import log_degree_workload
+from tests.conftest import GRAPH_FORMS, graph_in_form
 
 #: float slack on the factor-2 comparison (costs are sums of a few rates)
 REL_SLACK = 1e-9
@@ -101,14 +102,16 @@ class CertifiedScheduler(ChitchatScheduler):
         super()._apply_hub(result)
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
+@pytest.mark.parametrize("form", GRAPH_FORMS)
 @pytest.mark.parametrize("seed", [1, 4])
-def test_every_hub_selection_is_a_factor_two_step(backend, seed):
+def test_every_hub_selection_is_a_factor_two_step(seed, form):
     graph = social_copying_graph(
         70, out_degree=6, copy_fraction=0.7, reciprocity=0.3, seed=seed
     )
     workload = log_degree_workload(graph, read_write_ratio=5.0)
-    scheduler = CertifiedScheduler(graph, workload, backend=backend, oracle="peel")
+    scheduler = CertifiedScheduler(
+        graph_in_form(graph, form), workload, oracle="peel"
+    )
     schedule = scheduler.run()
     validate_schedule(graph, schedule)
     assert scheduler.certified_steps == scheduler.stats.hub_selections > 0

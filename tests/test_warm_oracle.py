@@ -39,7 +39,7 @@ from repro.flow.exact_oracle import ExactOracle
 from repro.flow.maxflow import FlowNetwork
 from repro.flow.parametric import ParametricDensest
 from repro.graph.digraph import SocialGraph
-from repro.graph.view import as_graph_view, edge_list
+from repro.graph.view import edge_list, to_csr
 from repro.workload.rates import Workload
 
 SMALL = settings(
@@ -415,7 +415,7 @@ class TestWarmExactOracleSession:
     def test_csr_mask_path_warm_equals_cold(self, seed):
         """The vectorized bitmask/arrays input path, warm vs cold."""
         graph, workload, hub, rng = hub_instance(200 + seed)
-        view = as_graph_view(graph, "csr")
+        view = to_csr(graph)
         edges = edge_list(view)
         mirror_warm = ScheduleMirror(view, workload, edges)
         mirror_cold = ScheduleMirror(view, workload, edges)
@@ -563,6 +563,30 @@ class TestWarmExactOracleSession:
         assert again.weight == reference.weight
         assert again.opt_lower_bound == reference.opt_lower_bound
         assert session.evictions == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invalidate_restarts_a_live_hub_cold(self, seed):
+        """``invalidate`` on a cached hub keeps its network but makes the
+        next solve cold, so a non-monotone re-opening (delta repair's
+        case) answers exactly as the cold reference session."""
+        graph, workload, hub, rng = hub_instance(600 + seed)
+        hub_graph = build_hub_graph(graph, hub)
+        session = ExactOracle(warm=True)
+        schedule = RequestSchedule()
+        elements = sorted(hub_graph.elements())
+        shrunk = set(rng.sample(elements, max(1, len(elements) // 2)))
+        assert session(hub_graph, workload, schedule, set(elements)) is not None
+        session(hub_graph, workload, schedule, shrunk)
+        network = session._problems[hub]
+        session.invalidate(hub)
+        assert session._problems[hub] is network
+        warm_before = session.warm_solves
+        again = session(hub_graph, workload, schedule, set(elements))
+        reference = ExactOracle(warm=False)(
+            hub_graph, workload, schedule, set(elements)
+        )
+        assert session.warm_solves == warm_before  # restarted cold
+        assert_same_result(again, reference)
 
     def test_hub_id_collision_rebuilds_instead_of_reusing(self):
         """Same hub id, different graph: the stale network is not served."""
