@@ -101,6 +101,16 @@ hub-graph elements with a dense edge-id bitmask.  The relabeling stays
 private: ``graph``, ``workload`` and the returned ``schedule`` are in the
 caller's labels.  (Churn runs on the mutable dict graph instead — see
 :class:`~repro.core.delta.DeltaScheduler`.)
+
+Lifetime
+--------
+A finished run keeps only its result: ``schedule``, ``stats``,
+``metrics``, ``graph``, ``workload`` and the certified bounds of the
+schedule's relays (:meth:`ChitchatScheduler.certified_bounds`).  The
+working set — about 36 MB traced on the n = 3000 copying instance — is
+released when :meth:`ChitchatScheduler.run` returns, so a process that
+holds on to the scheduler (a churn maintainer wrapping its schedule)
+does not hold on to it too.
 """
 
 from __future__ import annotations
@@ -151,6 +161,33 @@ HubEntry = tuple[float, int, int, "DensestResult | None"]
 #: Sentinel returned by ``ChitchatScheduler._epsilon_accept`` when the
 #: relaxation resolves the greedy step in favor of the best singleton.
 _SINGLETON_WINS = object()
+
+#: What ``ChitchatScheduler._release`` drops once ``run()`` completes.
+_WORKING_SET = (
+    "_csr",
+    "_rates",
+    "_labels",
+    "_exact",
+    "_multi",
+    "_schedule",
+    "_uncovered",
+    "_mirror",
+    "_adjacency",
+    "_eligible_mask",
+    "_eligible",
+    "_hub_version",
+    "_hub_cache",
+    "_champion",
+    "_hub_heap",
+    "_dirty",
+    "_queued",
+    "_opt_lb",
+    "_state_version",
+    "_bound_state",
+    "_eager_equivalent",
+    "_bootstrapped",
+    "_singleton_heap",
+)
 
 
 def validate_greedy_options(
@@ -442,6 +479,8 @@ class ChitchatScheduler:
         # full peels the eager invalidation rule would have issued
         self._eager_equivalent = 0
         self._bootstrapped = False
+        self._finished = False
+        self._relay_bounds: dict[Node, float] = {}
         # (price, CSR edge id, edge): the edge id is the (u, v) tie-break
         self._singleton_heap: list[tuple[float, int, Edge]] = list(
             zip(singleton_costs, range(len(edges)), edges)
@@ -450,7 +489,14 @@ class ChitchatScheduler:
 
     # ------------------------------------------------------------------
     def run(self) -> RequestSchedule:
-        """Execute the greedy loop until every edge is covered."""
+        """Execute the greedy loop until every edge is covered.
+
+        On completion the scheduler keeps only its result (see
+        :meth:`_release`); a second call returns the same schedule
+        without doing any work.
+        """
+        if self._finished:
+            return self.schedule
         with trace.span("scheduler.run") as run_span:
             if not self._bootstrapped:
                 self._bootstrapped = True
@@ -494,7 +540,41 @@ class ChitchatScheduler:
         if self._labels is not None:
             self.schedule = _relabel_schedule(self._schedule, self._labels)
         self.stats.final_cost = schedule_cost(self.schedule, self.workload)
+        self._release()
         return self.schedule
+
+    def certified_bounds(self, hubs) -> dict[Node, float]:
+        """Certified lower bounds on the given relays' optimum costs.
+
+        For each hub of ``hubs`` that relays a cross-edge of the finished
+        schedule (a ``hub_cover`` value), the best certified lower bound
+        on that hub's optimum cost per element recorded at its last
+        oracle call, in the caller's labels; other hubs are omitted (and
+        all are before :meth:`run` completes).  The shard tier's
+        reconciliation orders boundary hubs by these.
+        """
+        bounds = self._relay_bounds
+        return {hub: bounds[hub] for hub in hubs if hub in bounds}
+
+    def _release(self) -> None:
+        """Drop the run's working set; keep only its result.
+
+        A finished scheduler holds ``schedule``, ``stats``, ``metrics``,
+        ``graph``, ``workload`` and its relays' certified bounds.  The
+        hub-graph cache, champions, heaps, neighbour sets, edge-id
+        mirror, uncovered set, per-hub state maps, the private dense
+        instance and the exact oracle's flow networks go: they are dead
+        weight in a process that keeps the scheduler around (a churn
+        maintainer wraps its schedule and runs for hours).
+        """
+        labels = self._labels
+        self._relay_bounds = {
+            hub if labels is None else labels[hub]: self._opt_lb[hub]
+            for hub in set(self._schedule.hub_cover.values())
+        }
+        for name in _WORKING_SET:
+            delattr(self, name)
+        self._finished = True
 
     # ------------------------------------------------------------------
     # Candidate maintenance

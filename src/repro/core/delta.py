@@ -23,13 +23,15 @@ when their last cover disappeared, and direct edges incident to a
 re-priced user).
 Duplicate adds, removals of absent edges, and value-identical rate
 events are counted no-ops and touch nothing, so a no-op stream leaves
-the schedule byte-identical.
+the schedule byte-identical.  A ``leg → covers`` index maps every leg
+edge to the covers relayed over it, so a removal finds exactly the
+covers it breaks in one lookup.
 
 Localized repair (the greedy over the dirtied region)
 -----------------------------------------------------
 :meth:`DeltaScheduler.repair` turns the residue into the *element set*
 (residue edges that still exist, are direct-served, and are not load-
-bearing legs of a live cover — a refcount per leg guards that), strips
+bearing legs of a live cover — the leg index guards that), strips
 their direct service, and re-runs the CHITCHAT greedy over exactly those
 elements.  Candidate hubs are the *relays*: wedge intermediaries
 ``w ∈ succ(u) ∩ pred(v)`` of some re-opened ``(u, v)``.  A hub with no
@@ -156,8 +158,8 @@ class DeltaScheduler:
 
     The scheduler owns the graph, rates, and schedule it is given (pass
     copies to keep the originals): mutate them only through
-    :meth:`apply` / :meth:`repair` so the reverse indexes, leg
-    refcounts, and the running cost stay consistent.
+    :meth:`apply` / :meth:`repair` so the leg index and the running
+    cost stay consistent.
 
     Parameters
     ----------
@@ -217,15 +219,13 @@ class DeltaScheduler:
         self._rc_floor = min(
             (r for r in self._consumption.values() if r > 0), default=1.0
         )
-        # reverse index of hub_cover plus a per-leg refcount: a direct
-        # edge that doubles as a live cover's leg cannot be re-opened
-        # (dropping its push/pull would break the cover for zero gain)
-        self._by_hub: dict[Node, set[Edge]] = {}
-        self._leg_need: dict[Edge, int] = {}
+        # leg edge -> the covers relayed over it: removing the leg breaks
+        # exactly that set, and a direct edge that is a live cover's leg
+        # cannot be re-opened (dropping its push/pull would break the
+        # cover for zero gain)
+        self._leg_covers: dict[Edge, set[Edge]] = {}
         for edge, hub in schedule.hub_cover.items():
-            self._by_hub.setdefault(hub, set()).add(edge)
-            self._bump_leg((edge[0], hub))
-            self._bump_leg((hub, edge[1]))
+            self._pin_legs(edge, hub)
         self._cost = sum(self._rp(u) for u, _v in schedule.push) + sum(
             self._rc(v) for _u, v in schedule.pull
         )
@@ -307,17 +307,19 @@ class DeltaScheduler:
             self._add_pull(edge)
 
     # ------------------------------------------------------------------
-    # Leg refcounts
+    # Leg index
     # ------------------------------------------------------------------
-    def _bump_leg(self, leg: Edge) -> None:
-        self._leg_need[leg] = self._leg_need.get(leg, 0) + 1
+    def _pin_legs(self, edge: Edge, hub: Node) -> None:
+        """Record ``edge``'s cover through ``hub`` under both its legs."""
+        self._leg_covers.setdefault((edge[0], hub), set()).add(edge)
+        self._leg_covers.setdefault((hub, edge[1]), set()).add(edge)
 
-    def _drop_leg(self, leg: Edge) -> None:
-        count = self._leg_need.get(leg, 0) - 1
-        if count > 0:
-            self._leg_need[leg] = count
+    def _unpin_leg(self, leg: Edge, edge: Edge) -> None:
+        covers = self._leg_covers[leg]
+        covers.discard(edge)
+        if covers:
             return
-        self._leg_need.pop(leg, None)
+        del self._leg_covers[leg]
         # the leg edge itself (if still a live social edge) stays served
         # by its push/pull but no cover depends on it anymore — it can be
         # re-opened for cheaper service through some other hub
@@ -327,14 +329,11 @@ class DeltaScheduler:
             self._residue.add(leg)
             self.stats.legs_freed += 1
 
-    def _release_cover(self, edge: Edge, hub: Node) -> None:
-        """Drop ``edge``'s cover through ``hub`` and unpin its legs."""
-        self.schedule.hub_cover.pop(edge, None)
-        covered = self._by_hub.get(hub)
-        if covered is not None:
-            covered.discard(edge)
-        self._drop_leg((edge[0], hub))
-        self._drop_leg((hub, edge[1]))
+    def _release_cover(self, edge: Edge) -> None:
+        """Drop ``edge``'s hub cover and unpin its legs."""
+        hub = self.schedule.hub_cover.pop(edge)
+        self._unpin_leg((edge[0], hub), edge)
+        self._unpin_leg((hub, edge[1]), edge)
 
     # ------------------------------------------------------------------
     # Event application
@@ -407,18 +406,11 @@ class DeltaScheduler:
         self._remove_push(edge)
         self._remove_pull(edge)
         if edge in self.schedule.hub_cover:
-            self._release_cover(edge, self.schedule.hub_cover[edge])
-        # covers relayed over this edge break: the edge was the push leg
-        # (v acting as hub) or the pull leg (u acting as hub)
-        broken: list[tuple[Edge, Node]] = []
-        for covered in self._by_hub.get(v, ()):
-            if covered[0] == u:
-                broken.append((covered, v))
-        for covered in self._by_hub.get(u, ()):
-            if covered[1] == v:
-                broken.append((covered, u))
-        for covered, hub in broken:
-            self._release_cover(covered, hub)
+            self._release_cover(edge)
+        # covers relayed over this edge break: the edge was their push
+        # leg (v acting as hub) or their pull leg (u acting as hub)
+        for covered in tuple(self._leg_covers.get(edge, ())):
+            self._release_cover(covered)
             self.stats.covers_broken += 1
             self._serve_directly(covered)
             self._residue.add(covered)
@@ -476,7 +468,7 @@ class DeltaScheduler:
                 edge
                 for edge in self._residue
                 if self.graph.has_edge(*edge)
-                and self._leg_need.get(edge, 0) == 0
+                and edge not in self._leg_covers
                 and edge not in self.schedule.hub_cover
                 and (edge in self.schedule.push or edge in self.schedule.pull)
             ]
@@ -633,9 +625,7 @@ class DeltaScheduler:
             u, v = edge
             if u != hub and v != hub:  # cross-edge piggybacked through hub
                 self.schedule.cover_via_hub(edge, hub)
-                self._by_hub.setdefault(hub, set()).add(edge)
-                self._bump_leg((u, hub))
-                self._bump_leg((hub, v))
+                self._pin_legs(edge, hub)
         uncovered -= result.covered
         self.stats.hub_selections += 1
         # the selection paid this hub-graph's legs: its champion can only

@@ -135,10 +135,12 @@ class ExactOracle:
     the differential tests compare warm sessions against: both return
     byte-identical results, and every scheduler runs warm.
 
-    Schedulers own one session per run; the cache is keyed by hub node
-    and capped at ``max_cached`` problems (:data:`ORACLE_SESSION_HUBS`,
-    ``None`` = unbounded) with least-recently-solved eviction, so
-    million-hub graphs cannot pin one flow network per hub in memory.
+    Schedulers own one session per run and drop it, flow networks and
+    all, once the run completes (its gauges live on in the run's stats).
+    The cache is keyed by hub node and capped at ``max_cached`` problems
+    (:data:`ORACLE_SESSION_HUBS`, ``None`` = unbounded) with
+    least-recently-solved eviction, so million-hub graphs cannot pin one
+    flow network per hub in memory.
 
     Session counters (cumulative, read by the schedulers into their
     run stats): ``warm_solves`` — flow solves that resumed a preflow;

@@ -71,6 +71,10 @@ from repro.core.tolerances import DINKELBACH_RTOL, OPT_BOUND_MARGIN
 from repro.flow.maxflow import FlowNetwork
 from repro.obs import trace
 
+#: Positive vertex weights spanning more than a double's mantissa (the
+#: smallest below ``max × 2⁻⁵²``) make a warm solve restart cold.
+WARM_WEIGHT_SPAN = 2.0**-52
+
 #: Hard cap on Dinkelbach iterations; the search is provably finite and
 #: empirically needs single digits, so hitting this means float trouble —
 #: the incumbent (still a feasible, near-optimal subgraph) is returned.
@@ -97,6 +101,8 @@ class _Prepared:
     lam: float
     best: tuple[tuple[int, ...], tuple[int, ...], float]
     best_is_seed: bool
+    #: whether capacity changes may repair the live preflow in place
+    repairable: bool
     iterations: int = 0
 
 
@@ -319,7 +325,14 @@ class ParametricDensest:
                 # float-overshoot path, a repair cut re-establishes the
                 # maximal-selection contract (see below)
                 best_is_seed = True
-        if self.warm and self._warm_ready and self._prev_selected:
+        # repairing a preflow in place needs every capacity representable
+        # next to the largest: positive weights spanning more than a
+        # double's mantissa make the repair lose flow and cut wrongly, so
+        # such a solve (and its repair cut) runs cold
+        repairable = self._repairable(weight)
+        if not repairable:
+            self.invalidate()
+        if self._warm_ready and self._prev_selected:
             # the previous call's optimal selection, re-priced under the
             # current weights and alive set, is still a genuine
             # sub-hypergraph (its covered elements kept all their
@@ -337,7 +350,7 @@ class ParametricDensest:
                     best_is_seed = True
 
         net = self.net
-        use_warm = self.warm and self._warm_ready
+        use_warm = self._warm_ready
         # not warm-ready again until a solve completes through _finish
         self._warm_ready = False
         if use_warm:
@@ -352,6 +365,7 @@ class ParametricDensest:
             lam=lam,
             best=best,
             best_is_seed=best_is_seed,
+            repairable=repairable,
         )
 
     def _iterate(self, p: _Prepared) -> DenseSelection:
@@ -442,13 +456,14 @@ class ParametricDensest:
         One cut a float margin below the incumbent's density extracts
         the *maximal* optimal subgraph (every optimal subgraph is
         strictly positive there); runs on this problem's own network —
-        warm when enabled, since the residuals encode the preflow just
-        solved at the higher λ and the cut only lowers sink capacities.
+        warm when the solve is (``p.repairable``), since the residuals
+        encode the preflow just solved at the higher λ and the cut only
+        lowers sink capacities.
         """
         net = self.net
         sel, cov, wgt = p.best
         lam = (len(cov) / wgt) * OPT_BOUND_MARGIN
-        self._program_capacities(*self._targets(lam, p.weight), self.warm)
+        self._program_capacities(*self._targets(lam, p.weight), p.repairable)
         p.iterations += 1
         net.solve()
         side = net.source_side()
@@ -636,11 +651,23 @@ class ParametricDensest:
             iterations=iterations,
         )
         # the network now holds a completed solve of its base capacities:
-        # the next warm call may repair it, seeded by this selection
+        # the next warm call may repair it, seeded by this selection —
+        # unless these weights already left the state unrepairable
         self._prev_selected = selection.selected
         self._prev_covered = selection.covered
-        self._warm_ready = True
+        self._warm_ready = self._repairable(weight)
         return selection
+
+    def _repairable(self, weight: Sequence[float]) -> bool:
+        """Whether a warm session may repair a preflow under ``weight``:
+        its positive weights span at most ``WARM_WEIGHT_SPAN``."""
+        if not self.warm:
+            return False
+        weights = np.asarray(weight, dtype=np.float64)[: self.num_verts]
+        positive = weights[weights > 0.0]
+        return not positive.size or bool(
+            positive.min() >= positive.max() * WARM_WEIGHT_SPAN
+        )
 
 
 def densest_selection(

@@ -61,11 +61,11 @@ def run_shard_task(task: dict) -> dict:
         schedule = scheduler.run()
         span.set(shard=task["shard_id"], edges=graph.num_edges)
 
-    selected_hubs = set(schedule.hub_cover.values())
     hub_bounds = {
-        int(hub): float(scheduler._opt_lb[hub])
-        for hub in selected_hubs
-        if hub in scheduler._opt_lb
+        int(hub): float(bound)
+        for hub, bound in scheduler.certified_bounds(
+            schedule.hub_cover.values()
+        ).items()
     }
     stats = scheduler.stats
     result = {

@@ -35,6 +35,7 @@ from tests.conftest import (
 from tests.test_densest import brute_force_best
 from tests.reference_eager import EagerChitchatScheduler
 from tests.test_lazy_chitchat import assert_lazy_equivalent
+from tests.test_scheduler_lifetime import InspectBeforeRelease
 from repro.core.chitchat import (
     ChitchatScheduler,
     chitchat_schedule,
@@ -338,33 +339,35 @@ class TestExactScheduler:
         """The CSR path prices and packages from peel positions and edge
         ids: no cached hub-graph materializes its tuple element index."""
         graph, workload = self._instance()
-        scheduler = ChitchatScheduler(
+        scheduler = InspectBeforeRelease(
             graph, workload, oracle="exact", batch_k=batch_k
         )
         scheduler.run()
-        assert scheduler._hub_cache
+        hub_graphs = scheduler.seen["_hub_cache"].values()
+        assert hub_graphs
         assert all(
-            hub_graph._element_index is None
-            for hub_graph in scheduler._hub_cache.values()
+            hub_graph._element_index is None for hub_graph in hub_graphs
         )
 
     def test_memory_gauges_mirror_the_session(self):
         """The session's eviction count and peak cached-network count are
         surfaced in ChitchatStats under the registry's scheduler/oracle."""
         graph, workload = self._instance(n=150)
-        roomy = ChitchatScheduler(graph, workload, oracle="exact")
+        roomy = InspectBeforeRelease(graph, workload, oracle="exact")
         roomy.run()
+        session = roomy.seen["_exact"]
         assert roomy.stats.oracle_evictions == 0
-        assert roomy.stats.peak_cached_networks == roomy._exact.peak_cached > 0
+        assert roomy.stats.peak_cached_networks == session.peak_cached > 0
         # dead hubs released their networks: fewer remain than ever peaked
-        assert len(roomy._exact._problems) < roomy.stats.peak_cached_networks
-        capped = ChitchatScheduler(graph, workload, oracle="exact")
+        assert len(session._problems) < roomy.stats.peak_cached_networks
+        capped = InspectBeforeRelease(graph, workload, oracle="exact")
         capped._exact.max_cached = 2
         capped.run()
-        assert capped.stats.oracle_evictions == capped._exact.evictions > 0
+        evictions = capped.seen["_exact"].evictions
+        assert capped.stats.oracle_evictions == evictions > 0
         assert capped.stats.peak_cached_networks == 2
         oracle_node = capped.metrics.snapshot()["scheduler"]["oracle"]
-        assert oracle_node["evictions"] == capped._exact.evictions
+        assert oracle_node["evictions"] == evictions
         assert oracle_node["peak_cached"] == 2
         peel = ChitchatScheduler(graph, workload)
         peel.run()

@@ -30,7 +30,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core.densest import ScheduleMirror
 from repro.core.hubgraph import build_hub_graph
@@ -255,6 +255,29 @@ def covering_runs(draw):
 class TestWarmParametricDifferential:
     @SMALL
     @given(covering_runs())
+    # a weight dropped below max weight × 2⁻⁵² — to a tiny normal or a
+    # denormal — left a preflow the warm repair could not represent; the
+    # third solve then returned a non-optimal selection
+    @example(
+        run=(
+            [(0,), (0,), (0,), (1,), (1,), (3,)],
+            4,
+            [1.0] * 4,
+            [
+                ([0, 3], (1, 1.1754943508222875e-38)),
+                ([4], None),
+                ([], None),
+            ],
+        )
+    )
+    @example(
+        run=(
+            [(0,), (0,), (2,), (0, 1)],
+            3,
+            [1.0, 1.0, 2.0],
+            [([0], (0, 5e-324)), ([1], None), ([], None)],
+        )
+    )
     @pytest.mark.parametrize("method", METHODS)
     def test_warm_equals_cold_equals_brute_force(self, method, run):
         """Every step: warm == fresh-cold instance == exhaustive optimum."""
