@@ -235,21 +235,27 @@ def e14_flow_kernel(scale: float) -> dict:
     new seconds / total peel seconds); ``equal`` certifies that both
     kernel configurations returned identical selections on every hub.
     """
-    from repro.core.densest import densest_subgraph
+    from repro.core.densest import (
+        ScheduleMirror,
+        dense_vertex_weights,
+        densest_subgraph,
+    )
     from repro.core.hubgraph import build_hub_graph
-    from repro.core.schedule import RequestSchedule
     from repro.flow.parametric import ParametricDensest
 
     n = max(600, int(E13_BASE_NODES * scale))
-    graph = social_copying_graph(
-        num_nodes=n,
-        out_degree=E13_OUT_DEGREE,
-        copy_fraction=0.7,
-        reciprocity=0.2,
-        seed=7,
+    graph = to_csr(
+        social_copying_graph(
+            num_nodes=n,
+            out_degree=E13_OUT_DEGREE,
+            copy_fraction=0.7,
+            reciprocity=0.2,
+            seed=7,
+        )
     )
     workload = log_degree_workload(graph, read_write_ratio=E13_READ_WRITE_RATIO)
-    schedule = RequestSchedule()
+    # initial state: every edge uncovered, nothing scheduled
+    mirror = ScheduleMirror(graph.num_edges, *workload.as_arrays(graph.num_nodes))
 
     hubs = []
     for node in graph.nodes():
@@ -267,18 +273,14 @@ def e14_flow_kernel(scale: float) -> dict:
             method=method,
             seed_lambda=seed_lambda,
         )
-        weight = [
-            hub_graph.vertex_weight(peel.verts[i], workload, schedule)
-            for i in range(len(peel.verts))
-        ]
+        weight = dense_vertex_weights(hub_graph, peel, mirror.arrays).tolist()
         started = time.perf_counter()
         selection = problem.solve(weight)
         return time.perf_counter() - started, selection
 
     def peel_seconds(hub_graph):
-        uncovered = {edge for edge, _ in hub_graph.element_index()}
         started = time.perf_counter()
-        densest_subgraph(hub_graph, workload, schedule, uncovered)
+        densest_subgraph(hub_graph, mirror.uncovered_mask, mirror.arrays)
         return time.perf_counter() - started
 
     totals = {

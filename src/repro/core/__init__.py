@@ -11,8 +11,9 @@ filtering always run as vectorized kernels over flat edge arrays.
 PARALLELNOSY and the baselines run on the view they are given (their
 dict and CSR runs are property-tested identical in
 ``tests/test_graphview.py``).  Churn maintenance
-(:class:`~repro.core.delta.DeltaScheduler`) runs on the mutable dict
-graph.
+(:class:`~repro.core.delta.DeltaScheduler`) relabels to dense ids the
+same way and keeps a mutable graph beside an append-only edge-id index,
+so its repairs feed the oracle the same dense input.
 
 The CHITCHAT schedulers additionally take an ``oracle=`` parameter
 selecting the densest-subgraph oracle: ``"peel"`` (the paper's factor-2

@@ -99,8 +99,8 @@ edge's is its CSR position, the singleton prices and bootstrap bounds
 come from vectorized passes over the edge arrays, and the oracle filters
 hub-graph elements with a dense edge-id bitmask.  The relabeling stays
 private: ``graph``, ``workload`` and the returned ``schedule`` are in the
-caller's labels.  (Churn runs on the mutable dict graph instead — see
-:class:`~repro.core.delta.DeltaScheduler`.)
+caller's labels.  :class:`~repro.core.delta.DeltaScheduler` relabels
+churn runs the same way, onto a mutable dense-id graph.
 
 Lifetime
 --------
@@ -170,7 +170,7 @@ _WORKING_SET = (
     "_exact",
     "_multi",
     "_schedule",
-    "_uncovered",
+    "_edge_ids",
     "_mirror",
     "_adjacency",
     "_eligible_mask",
@@ -433,11 +433,14 @@ class ChitchatScheduler:
             self._schedule if self._labels is None else RequestSchedule()
         )
         edges = edge_list(self._csr)
-        self._uncovered: set[Edge] = set(edges)
-        # dense edge-id mirrors of the scheduler state: the oracle filters
+        # dense edge-id mirrors of the scheduler state — the uncovered
+        # bitmask is the only record of coverage: the oracle filters
         # hub-graph elements and prices legs with vectorized lookups
-        # instead of Python set membership
-        self._mirror = ScheduleMirror(self._csr, self._rates, edges)
+        self._edge_ids = {edge: i for i, edge in enumerate(edges)}
+        self._mirror = ScheduleMirror(
+            len(edges), *self._rates.as_arrays(self._csr.num_nodes)
+        )
+        self._num_uncovered = len(edges)
         arrays = self._mirror.arrays
         src, dst = self._csr.edge_arrays()
         singleton_costs = np.minimum(arrays.rp[src], arrays.rc[dst]).tolist()
@@ -502,7 +505,7 @@ class ChitchatScheduler:
                 self._bootstrapped = True
                 with trace.span("scheduler.bootstrap"):
                     self._seed_lazy_heap()
-            while self._uncovered:
+            while self._num_uncovered:
                 singleton = self._best_singleton()
                 limit = singleton[0] if singleton is not None else math.inf
                 hub_entry = self._pop_best_hub_entry(limit)
@@ -510,7 +513,7 @@ class ChitchatScheduler:
                     self._apply_hub(hub_entry[3])
                 elif singleton is not None:
                     heapq.heappop(self._singleton_heap)
-                    self._apply_singleton(singleton[2])
+                    self._apply_singleton(singleton[2], singleton[1])
                 else:  # pragma: no cover - defensive; singletons always exist
                     raise RuntimeError(
                         "no candidate available but edges remain uncovered"
@@ -562,10 +565,10 @@ class ChitchatScheduler:
         A finished scheduler holds ``schedule``, ``stats``, ``metrics``,
         ``graph``, ``workload`` and its relays' certified bounds.  The
         hub-graph cache, champions, heaps, neighbour sets, edge-id
-        mirror, uncovered set, per-hub state maps, the private dense
-        instance and the exact oracle's flow networks go: they are dead
-        weight in a process that keeps the scheduler around (a churn
-        maintainer wraps its schedule and runs for hours).
+        mirror (with the uncovered bitmask), per-hub state maps, the
+        private dense instance and the exact oracle's flow networks go:
+        they are dead weight in a process that keeps the scheduler around
+        (a churn maintainer wraps its schedule and runs for hours).
         """
         labels = self._labels
         self._relay_bounds = {
@@ -699,11 +702,8 @@ class ChitchatScheduler:
         oracle = self._exact if self._exact is not None else densest_subgraph
         result = oracle(
             hub_graph,
-            self._rates,
-            self._schedule,
-            self._uncovered,
-            uncovered_mask=self._mirror.uncovered_mask,
-            arrays=self._mirror.arrays,
+            self._mirror.uncovered_mask,
+            self._mirror.arrays,
             upper_bound=upper_bound,
         )
         self._install_result(hub, version, result)
@@ -818,11 +818,8 @@ class ChitchatScheduler:
             jobs.append((hub, hub_graph, version, bar))
         results = self._multi(
             [hub_graph for _hub, hub_graph, _version, _bar in jobs],
-            self._rates,
-            self._schedule,
-            self._uncovered,
-            uncovered_mask=self._mirror.uncovered_mask,
-            arrays=self._mirror.arrays,
+            self._mirror.uncovered_mask,
+            self._mirror.arrays,
             upper_bounds=[bar for _hub, _hub_graph, _version, bar in jobs],
         )
         for (hub, _hub_graph, version, _bar), result in zip(jobs, results):
@@ -933,9 +930,10 @@ class ChitchatScheduler:
         return None
 
     def _best_singleton(self) -> tuple[float, int, Edge] | None:
+        uncovered = self._mirror.uncovered_mask.item
         while self._singleton_heap:
             entry = self._singleton_heap[0]
-            if entry[2] in self._uncovered:
+            if uncovered(entry[1]):
                 return entry
             heapq.heappop(self._singleton_heap)
         return None
@@ -943,22 +941,17 @@ class ChitchatScheduler:
     # ------------------------------------------------------------------
     # Selection application
     # ------------------------------------------------------------------
-    def _cover(self, edges, edge_ids: np.ndarray | None) -> None:
-        """Drop ``edges`` from the uncovered set (and its bitmask mirror)."""
-        self._uncovered.difference_update(edges)
-        self._mirror.cover(edges, edge_ids)
-
     def _add_push(self, edge: Edge) -> None:
         self._schedule.add_push(edge)
-        self._mirror.add_push(edge)
+        self._mirror.add_push(self._edge_ids[edge])
 
     def _add_pull(self, edge: Edge) -> None:
         self._schedule.add_pull(edge)
-        self._mirror.add_pull(edge)
+        self._mirror.add_pull(self._edge_ids[edge])
 
     def _apply_hub(self, result: DensestResult) -> None:
         hub = result.hub
-        newly = result.covered & self._uncovered
+        newly = int(self._mirror.uncovered_mask[result.covered_ids].sum())
         if not newly:  # stale despite version match; defensive
             self._refresh_hub(hub)
             return
@@ -970,18 +963,19 @@ class ChitchatScheduler:
             u, v = edge
             if u != hub and v != hub:  # cross-edge: piggybacked through hub
                 self._schedule.cover_via_hub(edge, hub)
-        self._cover(result.covered, result.covered_ids)
+        self._mirror.cover(result.covered_ids)
+        self._num_uncovered -= newly
         self.stats.hub_selections += 1
-        self.stats.edges_covered_by_hubs += len(newly)
+        self.stats.edges_covered_by_hubs += newly
         if self._record_log:
             self.stats.selection_log.append(
-                ("hub", result.cost_per_element, len(newly))
+                ("hub", result.cost_per_element, newly)
             )
         # the selection's own hub-graph lost vertex weights (its legs were
         # just paid) — the only hub whose champion can get cheaper
         self._invalidate(result.covered, weight_drops=(hub,))
 
-    def _apply_singleton(self, edge: Edge) -> None:
+    def _apply_singleton(self, edge: Edge, edge_id: int) -> None:
         u, v = edge
         if self._rates.rp(u) <= self._rates.rc(v):
             self._add_push(edge)
@@ -989,7 +983,8 @@ class ChitchatScheduler:
         else:
             self._add_pull(edge)
             drops = (u,)  # edge is the pull leg w -> y of G(u)
-        self._cover((edge,), None)
+        self._mirror.cover(edge_id)
+        self._num_uncovered -= 1
         self.stats.singleton_selections += 1
         if self._record_log:
             self.stats.selection_log.append(
@@ -1075,11 +1070,7 @@ def _dense_instance(
     if has_dense_int_ids(graph):
         csr = to_csr(graph)
     else:
-        nodes = list(graph.nodes())
-        if all(type(node) is int for node in nodes):
-            labels = sorted(nodes)
-        else:
-            labels = sorted(nodes, key=repr)
+        labels = _label_order(graph.nodes())
         index = {label: i for i, label in enumerate(labels)}
         edges = list(graph.edges())
         csr = CSRGraph.from_arrays(
@@ -1101,10 +1092,18 @@ def _dense_instance(
     return csr, workload, labels
 
 
-def _relabel_schedule(
-    schedule: RequestSchedule, labels: list[Node]
-) -> RequestSchedule:
-    """Translate a dense-id schedule into the caller's labels."""
+def _label_order(nodes) -> list[Node]:
+    """Node labels in the heap's tie-break order, the order dense ids follow:
+    numeric for integer ids, ``repr``-sorted otherwise."""
+    nodes = list(nodes)
+    if all(type(node) is int for node in nodes):
+        return sorted(nodes)
+    return sorted(nodes, key=repr)
+
+
+def _relabel_schedule(schedule: RequestSchedule, labels) -> RequestSchedule:
+    """Translate a schedule's node ids through ``labels`` (a dense-id ->
+    label list, or a label -> dense-id dict for the way in)."""
     return RequestSchedule(
         push={(labels[u], labels[v]) for u, v in schedule.push},
         pull={(labels[u], labels[v]) for u, v in schedule.pull},

@@ -61,6 +61,16 @@ re-open the same incidence shape reuses the compiled network, cold-
 restarted first (:meth:`ExactOracle.invalidate` — a new element set
 re-opens coverage non-monotonically, breaking the warm diff's contract).
 
+Dense ids
+---------
+Like :class:`~repro.core.chitchat.ChitchatScheduler`, the scheduler
+relabels users once at its boundary, in the same tie-break order (the
+identity on ``0..n-1`` ids; a user first seen mid-stream takes the next
+id), and repairs break ties in ``repr`` order of those ids.  The graph
+keeps an append-only edge-id index, and one growing
+:class:`~repro.core.densest.ScheduleMirror` is the oracle's only input.
+Every public face is in the caller's labels.
+
 Invariants (asserted by ``tests/test_delta_schedule.py``)
 ---------------------------------------------------------
 * **Feasibility** — after every ``apply`` and every ``repair`` the
@@ -76,7 +86,7 @@ Invariants (asserted by ``tests/test_delta_schedule.py``)
   hub-graph elements (``DeltaStats.elements_materialized``) — each
   element is a leg in at most two relays' hub-graphs and a cross-edge,
   with its two endpoints, in one per wedge — independent of any hub's
-  degree (unless ``max_cross_edges`` forces maximal builds).
+  degree.
 * **Exact cost tracking** — :meth:`cost` is maintained incrementally
   (O(degree) per rate event, O(1) per service change) and equals the
   full rescan.
@@ -87,11 +97,13 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.core.chitchat import validate_greedy_options
-from repro.core.densest import DensestResult, densest_subgraph
+import numpy as np
+
+from repro.core.chitchat import _label_order, _relabel_schedule
+from repro.core.densest import DensestResult, ScheduleMirror, densest_subgraph
 from repro.core.hubgraph import HubGraph, build_hub_graph
 from repro.core.schedule import RequestSchedule
-from repro.errors import ScheduleError, WorkloadError
+from repro.errors import GraphError, ScheduleError, WorkloadError
 from repro.flow.exact_oracle import ExactOracle, validate_oracle_mode
 from repro.flow.maxflow import validate_flow_method
 from repro.graph.digraph import Edge, Node, SocialGraph
@@ -153,6 +165,50 @@ class DeltaStats(StatsView):
     }
 
 
+class _ChurnGraph:
+    """The scheduler's dense-id graph: mutable adjacency plus edge ids.
+
+    ``social`` holds the adjacency; ``ids[u][v]`` is the id of the live
+    edge ``u -> v``, its index into the
+    :class:`~repro.core.densest.ScheduleMirror` vectors (keyed per
+    producer, like the adjacency, so a lookup probes two small dicts).
+    The ids are append-only: a new edge takes the next id and a removed
+    edge's id is retired, never reused.  Restricted hub-graph builds read
+    them through :meth:`edge_id`.
+    """
+
+    __slots__ = ("social", "ids", "issued")
+
+    def __init__(self, social: SocialGraph) -> None:
+        self.social = social
+        self.ids: dict[int, dict[int, int]] = {u: {} for u in social}
+        for edge_id, (u, v) in enumerate(social.edges()):
+            self.ids[u][v] = edge_id
+        #: ids handed out so far: the next edge's id
+        self.issued = social.num_edges
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.ids.get(u, ())
+
+    def edge_id(self, u: int, v: int) -> int:
+        try:
+            return self.ids[u][v]
+        except KeyError:
+            raise GraphError(f"edge {u!r} -> {v!r} is not in the graph") from None
+
+    def add_edge(self, u: int, v: int) -> int:
+        """Insert ``u -> v``; returns its (new) id."""
+        self.social.add_edge(u, v)
+        edge_id = self.ids.setdefault(u, {})[v] = self.issued
+        self.issued += 1
+        return edge_id
+
+    def remove_edge(self, u: int, v: int) -> int:
+        """Delete ``u -> v``; returns the id it retires."""
+        self.social.remove_edge(u, v)
+        return self.ids[u].pop(v)
+
+
 class DeltaScheduler:
     """Maintains a near-greedy schedule over a mutating instance.
 
@@ -164,8 +220,9 @@ class DeltaScheduler:
     Parameters
     ----------
     graph:
-        Mutable :class:`~repro.graph.digraph.SocialGraph` (CSR runs
-        convert via :meth:`from_scheduler`).
+        Mutable :class:`~repro.graph.digraph.SocialGraph` with any
+        hashable node ids (CSR runs convert via :meth:`from_scheduler`);
+        events edit it in place.
     workload:
         Rates at wrap time; the scheduler keeps its own mutable copy —
         rate events re-price it, and users first seen mid-stream enter
@@ -174,14 +231,11 @@ class DeltaScheduler:
     schedule:
         A feasible schedule for ``graph`` (validated unless
         ``validate=False``), typically a completed CHITCHAT run's.
-    oracle, method, max_cross_edges:
+    oracle, method:
         The repair greedy's oracle stack, with the same semantics (and
         the same up-front validation) as on
         :class:`~repro.core.chitchat.ChitchatScheduler`: ``"peel"``
         (default) or ``"exact"`` (warm parametric max-flow sessions).
-        ``max_cross_edges`` (default ``None``) makes repairs build
-        maximal, truncated hub-graphs as the full run does, at
-        O(hub degree) per evaluation.
     """
 
     def __init__(
@@ -191,23 +245,19 @@ class DeltaScheduler:
         schedule: RequestSchedule,
         oracle: str = "peel",
         method: str = "auto",
-        max_cross_edges: int | None = None,
         validate: bool = True,
     ) -> None:
         validate_oracle_mode(oracle)
         validate_flow_method(method)
-        validate_greedy_options(max_cross_edges=max_cross_edges)
-        self.graph = graph
-        self.schedule = schedule
-        self.max_cross_edges = max_cross_edges
         if validate and not schedule.is_feasible(graph):
             raise ScheduleError(
                 "DeltaScheduler requires a feasible schedule to wrap"
             )
-        #: Live rate tables; ``self.workload`` is a view over them, so
-        #: rate events mutate in place and every oracle call sees the
-        #: current prices.  Every change clears the workload's dense-array
-        #: cache, which ``schedule_cost`` fills on large schedules.
+        self.graph = graph
+        #: Live rate tables in the caller's labels; ``self.workload`` is a
+        #: view over them, so rate events mutate it in place.  Every
+        #: change clears the workload's dense-array cache, which
+        #: ``schedule_cost`` fills on large schedules.
         self._production: dict[Node, float] = dict(workload.production)
         self._consumption: dict[Node, float] = dict(workload.consumption)
         self.workload = Workload(
@@ -219,6 +269,37 @@ class DeltaScheduler:
         self._rc_floor = min(
             (r for r in self._consumption.values() if r > 0), default=1.0
         )
+        # the dense id space: the graph's nodes and the workload's users,
+        # in ChitchatScheduler's tie-break order.  While the labels *are*
+        # the ids (``_shared``), the caller's graph and schedule are the
+        # dense ones; otherwise both are private, translated copies.
+        users = set(graph.nodes()) | set(self._production)
+        self._shared = all(
+            type(u) is int and 0 <= u < len(users) for u in users
+        )
+        self._labels: list[Node] = _label_order(users)
+        self._ids = dict(
+            zip(self._labels, self._labels if self._shared else range(len(users)))
+        )
+        if not self._shared:
+            ids = self._ids
+            graph = SocialGraph((ids[u], ids[v]) for u, v in graph.edges())
+            schedule = _relabel_schedule(schedule, ids)
+        self._graph = _ChurnGraph(graph)
+        self._schedule = schedule
+        production, consumption = self._production, self._consumption
+        self._mirror = ScheduleMirror(
+            self._graph.issued,
+            np.array([production.get(u, self._rp_floor) for u in self._labels]),
+            np.array([consumption.get(u, self._rc_floor) for u in self._labels]),
+        )
+        self._mirror.uncovered_mask[:] = False
+        for u, v in schedule.push:
+            if self._graph.has_edge(u, v):
+                self._mirror.add_push(self._graph.ids[u][v])
+        for u, v in schedule.pull:
+            if self._graph.has_edge(u, v):
+                self._mirror.add_pull(self._graph.ids[u][v])
         # leg edge -> the covers relayed over it: removing the leg breaks
         # exactly that set, and a direct edge that is a live cover's leg
         # cannot be re-opened (dropping its push/pull would break the
@@ -226,12 +307,15 @@ class DeltaScheduler:
         self._leg_covers: dict[Edge, set[Edge]] = {}
         for edge, hub in schedule.hub_cover.items():
             self._pin_legs(edge, hub)
-        self._cost = sum(self._rp(u) for u, _v in schedule.push) + sum(
-            self._rc(v) for _u, v in schedule.pull
+        rp, rc = self._mirror.arrays.rp.item, self._mirror.arrays.rc.item
+        self._cost = sum(rp(u) for u, _v in schedule.push) + sum(
+            rc(v) for _u, v in schedule.pull
         )
         #: Direct-served edges whose assignment an event may have left
         #: improvable; consumed (and re-screened) by :meth:`repair`.
         self._residue: set[Edge] = set()
+        #: Elements the repair in progress has still to cover.
+        self._open = 0
         self.metrics = MetricsRegistry()
         self.stats = DeltaStats(node=self.metrics.node("delta"))
         self._exact = (
@@ -260,56 +344,106 @@ class DeltaScheduler:
             **options,
         )
 
-    # ------------------------------------------------------------------
-    # Rate access and cost-tracked schedule mutation
-    # ------------------------------------------------------------------
-    def _rp(self, user: Node) -> float:
-        rate = self._production.get(user)
-        return self._rp_floor if rate is None else rate
+    @property
+    def schedule(self) -> RequestSchedule:
+        """The maintained schedule, in the caller's labels.
 
-    def _rc(self, user: Node) -> float:
-        rate = self._consumption.get(user)
-        return self._rc_floor if rate is None else rate
+        The live object while the labels are the dense ids; otherwise a
+        translated copy, taken on each access.
+        """
+        if self._shared:
+            return self._schedule
+        return _relabel_schedule(self._schedule, self._labels)
 
-    def _ensure_user(self, user: Node) -> None:
-        if user not in self._production:
-            self._production[user] = self._rp_floor
-            self._consumption[user] = self._rc_floor
+    # ------------------------------------------------------------------
+    # The id boundary
+    # ------------------------------------------------------------------
+    def _user_id(self, label: Node) -> int:
+        """``label``'s dense id; a user first seen here takes the next id
+        and enters at the floor rates."""
+        if label not in self._production:
+            self._production[label] = self._rp_floor
+            self._consumption[label] = self._rc_floor
             self.workload.clear_array_cache()
+        user = self._ids.get(label)
+        if user is not None:
+            return user
+        user = len(self._labels)
+        if self._shared and type(label) is int and label == user:
+            user = label
+        elif self._shared:
+            # the labels stop being the ids: from here on the dense graph
+            # and schedule are private, translated at the boundary
+            self._shared = False
+            self._graph.social = self._graph.social.copy()
+            self._schedule = self._schedule.copy()
+        self._labels.append(label)
+        self._ids[label] = user
+        self._mirror.reserve(self._graph.issued, user + 1)
+        self._mirror.arrays.rp[user] = self._production[label]
+        self._mirror.arrays.rc[user] = self._consumption[label]
+        return user
 
+    # ------------------------------------------------------------------
+    # Cost-tracked schedule mutation (dense ids)
+    # ------------------------------------------------------------------
+    # The helpers below keep the schedule, its mirror bits and the running
+    # cost in step; they run a dozen times per event, so they index the
+    # mirror's vectors directly.
     def _add_push(self, edge: Edge) -> None:
-        if edge not in self.schedule.push:
-            self.schedule.push.add(edge)
-            self._cost += self._rp(edge[0])
+        if edge not in self._schedule.push:
+            self._schedule.push.add(edge)
+            arrays = self._mirror.arrays
+            arrays.push_mask[self._graph.ids[edge[0]][edge[1]]] = True
+            self._cost += arrays.rp.item(edge[0])
 
     def _add_pull(self, edge: Edge) -> None:
-        if edge not in self.schedule.pull:
-            self.schedule.pull.add(edge)
-            self._cost += self._rc(edge[1])
+        if edge not in self._schedule.pull:
+            self._schedule.pull.add(edge)
+            arrays = self._mirror.arrays
+            arrays.pull_mask[self._graph.ids[edge[0]][edge[1]]] = True
+            self._cost += arrays.rc.item(edge[1])
 
-    def _remove_push(self, edge: Edge) -> None:
-        if edge in self.schedule.push:
-            self.schedule.push.discard(edge)
-            self._cost -= self._rp(edge[0])
-
-    def _remove_pull(self, edge: Edge) -> None:
-        if edge in self.schedule.pull:
-            self.schedule.pull.discard(edge)
-            self._cost -= self._rc(edge[1])
+    def _strip(self, edge: Edge, edge_id: int) -> None:
+        """Drop the direct service of ``edge`` (id ``edge_id``), push and
+        pull alike."""
+        schedule = self._schedule
+        in_push, in_pull = edge in schedule.push, edge in schedule.pull
+        if not (in_push or in_pull):
+            return
+        u, v = edge
+        arrays = self._mirror.arrays
+        if in_push:
+            schedule.push.discard(edge)
+            arrays.push_mask[edge_id] = False
+            self._cost -= arrays.rp.item(u)
+        if in_pull:
+            schedule.pull.discard(edge)
+            arrays.pull_mask[edge_id] = False
+            self._cost -= arrays.rc.item(v)
 
     def _serve_directly(self, edge: Edge) -> None:
-        if edge in self.schedule.push or edge in self.schedule.pull:
-            return  # already served directly (e.g. as another cover's leg)
+        """Serve ``edge`` by the hybrid rule (its cheaper side), unless it
+        is served directly already (e.g. as another cover's leg)."""
+        schedule = self._schedule
+        if edge in schedule.push or edge in schedule.pull:
+            return
         u, v = edge
-        if self._rp(u) <= self._rc(v):
-            self._add_push(edge)
+        arrays = self._mirror.arrays
+        rp, rc = arrays.rp.item(u), arrays.rc.item(v)
+        if rp <= rc:
+            schedule.push.add(edge)
+            arrays.push_mask[self._graph.ids[u][v]] = True
+            self._cost += rp
         else:
-            self._add_pull(edge)
+            schedule.pull.add(edge)
+            arrays.pull_mask[self._graph.ids[u][v]] = True
+            self._cost += rc
 
     # ------------------------------------------------------------------
     # Leg index
     # ------------------------------------------------------------------
-    def _pin_legs(self, edge: Edge, hub: Node) -> None:
+    def _pin_legs(self, edge: Edge, hub: int) -> None:
         """Record ``edge``'s cover through ``hub`` under both its legs."""
         self._leg_covers.setdefault((edge[0], hub), set()).add(edge)
         self._leg_covers.setdefault((hub, edge[1]), set()).add(edge)
@@ -323,15 +457,15 @@ class DeltaScheduler:
         # the leg edge itself (if still a live social edge) stays served
         # by its push/pull but no cover depends on it anymore — it can be
         # re-opened for cheaper service through some other hub
-        if self.graph.has_edge(*leg) and (
-            leg in self.schedule.push or leg in self.schedule.pull
+        if self._graph.has_edge(*leg) and (
+            leg in self._schedule.push or leg in self._schedule.pull
         ):
             self._residue.add(leg)
             self.stats.legs_freed += 1
 
     def _release_cover(self, edge: Edge) -> None:
         """Drop ``edge``'s hub cover and unpin its legs."""
-        hub = self.schedule.hub_cover.pop(edge)
+        hub = self._schedule.hub_cover.pop(edge)
         self._unpin_leg((edge[0], hub), edge)
         self._unpin_leg((hub, edge[1]), edge)
 
@@ -384,28 +518,31 @@ class DeltaScheduler:
         return self.schedule
 
     def _apply_add(self, edge: Edge) -> bool:
-        u, v = edge
-        if self.graph.has_edge(u, v):
+        a, b = edge
+        if self._graph.has_edge(self._ids.get(a), self._ids.get(b)):
             return False
-        self._ensure_user(u)
-        self._ensure_user(v)
-        self.graph.add_edge(u, v)
+        u, v = self._user_id(a), self._user_id(b)
+        if not self._shared:
+            self.graph.add_edge(a, b)
+        if self._graph.add_edge(u, v) >= len(self._mirror.uncovered_mask):
+            self._mirror.reserve(self._graph.issued, len(self._labels))
         self.stats.edges_added += 1
-        self._serve_directly(edge)
-        self._residue.add(edge)
+        self._serve_directly((u, v))
+        self._residue.add((u, v))
         return True
 
     def _apply_remove(self, edge: Edge) -> bool:
-        u, v = edge
-        if not self.graph.has_edge(u, v):
+        a, b = edge
+        u, v = edge = (self._ids.get(a), self._ids.get(b))
+        if not self._graph.has_edge(u, v):
             return False
-        self.graph.remove_edge(u, v)
         self.stats.edges_removed += 1
         self._residue.discard(edge)
-        # the edge itself no longer needs service
-        self._remove_push(edge)
-        self._remove_pull(edge)
-        if edge in self.schedule.hub_cover:
+        if not self._shared:
+            self.graph.remove_edge(a, b)
+        # the edge no longer needs service; its id retires with it
+        self._strip(edge, self._graph.remove_edge(u, v))
+        if edge in self._schedule.hub_cover:
             self._release_cover(edge)
         # covers relayed over this edge break: the edge was their push
         # leg (v acting as hub) or their pull leg (u acting as hub)
@@ -416,10 +553,10 @@ class DeltaScheduler:
             self._residue.add(covered)
         return True
 
-    def _apply_rate(self, user: Node, rp: float, rc: float) -> bool:
-        self._ensure_user(user)
-        old_rp = self._production[user]
-        old_rc = self._consumption[user]
+    def _apply_rate(self, label: Node, rp: float, rc: float) -> bool:
+        user = self._user_id(label)
+        old_rp = self._production[label]
+        old_rc = self._consumption[label]
         if rp == old_rp and rc == old_rc:
             return False
         self.stats.rate_changes += 1
@@ -427,24 +564,28 @@ class DeltaScheduler:
         # direct-served incident edges (covers are free and stay put)
         push_out = 0
         pull_in = 0
-        if user in self.graph:
-            for succ in self.graph.successors_view(user):
+        social = self._graph.social
+        schedule = self._schedule
+        if user in social:
+            for succ in social.successors_view(user):
                 edge = (user, succ)
-                in_push = edge in self.schedule.push
+                in_push = edge in schedule.push
                 if in_push:
                     push_out += 1
-                if in_push or edge in self.schedule.pull:
+                if in_push or edge in schedule.pull:
                     self._residue.add(edge)
-            for pred in self.graph.predecessors_view(user):
+            for pred in social.predecessors_view(user):
                 edge = (pred, user)
-                in_pull = edge in self.schedule.pull
+                in_pull = edge in schedule.pull
                 if in_pull:
                     pull_in += 1
-                if in_pull or edge in self.schedule.push:
+                if in_pull or edge in schedule.push:
                     self._residue.add(edge)
         self._cost += (rp - old_rp) * push_out + (rc - old_rc) * pull_in
-        self._production[user] = rp
-        self._consumption[user] = rc
+        self._production[label] = rp
+        self._consumption[label] = rc
+        self._mirror.arrays.rp[user] = rp
+        self._mirror.arrays.rc[user] = rc
         self.workload.clear_array_cache()
         return True
 
@@ -464,13 +605,15 @@ class DeltaScheduler:
         """
         with trace.span("delta.repair") as span:
             self.stats.repairs += 1
+            live = self._graph.has_edge
+            schedule = self._schedule
             elements = [
                 edge
                 for edge in self._residue
-                if self.graph.has_edge(*edge)
+                if live(*edge)
                 and edge not in self._leg_covers
-                and edge not in self.schedule.hub_cover
-                and (edge in self.schedule.push or edge in self.schedule.pull)
+                and edge not in schedule.hub_cover
+                and (edge in schedule.push or edge in schedule.pull)
             ]
             self._residue.clear()
             refreshes_before = self.stats.hub_refreshes
@@ -485,11 +628,21 @@ class DeltaScheduler:
 
     def _repair_elements(self, elements: list[Edge]) -> None:
         self.stats.elements_reopened += len(elements)
+        # strip each element's direct service and re-open it; its singleton
+        # price is the hybrid one at the current rates
+        ids = self._graph.ids
+        arrays = self._mirror.arrays
+        uncovered = self._mirror.uncovered_mask
+        singletons = []
         for edge in elements:
-            self._remove_push(edge)
-            self._remove_pull(edge)
-        uncovered: set[Edge] = set(elements)
-        candidates, serves = self._repair_candidates(uncovered)
+            edge_id = ids[edge[0]][edge[1]]
+            self._strip(edge, edge_id)
+            uncovered[edge_id] = True
+            price = min(arrays.rp.item(edge[0]), arrays.rc.item(edge[1]))
+            singletons.append((price, repr(edge), edge, edge_id))
+        heapq.heapify(singletons)
+        self._open = len(elements)
+        candidates, serves = self._repair_candidates(elements)
         if self._exact is not None:
             # the re-opened elements grew these hubs' coverage back —
             # non-monotonic for the warm preflow diff, so cold-restart
@@ -498,22 +651,16 @@ class DeltaScheduler:
                 self._exact.invalidate(hub)
             self.stats.sessions_invalidated += len(candidates)
 
-        singletons = [
-            (min(self._rp(u), self._rc(v)), repr((u, v)), (u, v))
-            for u, v in uncovered
-        ]
-        heapq.heapify(singletons)
-
         # candidate hub -> its hub-graph for this repair
-        hub_graphs: dict[Node, HubGraph] = {}
-        version: dict[Node, int] = {}
-        heap: list[tuple[float, str, Node, int, DensestResult]] = []
+        hub_graphs: dict[int, HubGraph] = {}
+        version: dict[int, int] = {}
+        heap: list[tuple[float, str, int, int, DensestResult]] = []
         for hub in candidates:
             hub_graphs[hub] = self._repair_hub_graph(hub, serves[hub])
-            self._queue_champion(hub, uncovered, hub_graphs, version, heap)
+            self._queue_champion(hub, hub_graphs, version, heap)
 
-        while uncovered:
-            while singletons and singletons[0][2] not in uncovered:
+        while self._open:
+            while singletons and not uncovered.item(singletons[0][3]):
                 heapq.heappop(singletons)
             limit = singletons[0][0] if singletons else math.inf
             winner: DensestResult | None = None
@@ -524,24 +671,20 @@ class DeltaScheduler:
                     continue
                 if key > limit:
                     break
-                if not result.covered <= uncovered:
+                if not all(map(uncovered.item, result.covered_ids.tolist())):
                     # a previous selection covered part of this champion:
                     # its price is stale, recompute at the current state
                     heapq.heappop(heap)
-                    self._queue_champion(
-                        hub, uncovered, hub_graphs, version, heap
-                    )
+                    self._queue_champion(hub, hub_graphs, version, heap)
                     continue
                 winner = heapq.heappop(heap)[4]
                 break
             if winner is not None:
-                self._apply_repair_hub(
-                    winner, uncovered, hub_graphs, version, heap
-                )
+                self._apply_repair_hub(winner, hub_graphs, version, heap)
             elif singletons:
-                _cost, _rank, edge = heapq.heappop(singletons)
+                _cost, _rank, edge, edge_id = heapq.heappop(singletons)
                 self._apply_repair_singleton(
-                    edge, uncovered, hub_graphs, version, heap
+                    edge, edge_id, hub_graphs, version, heap
                 )
             else:  # pragma: no cover - defensive; singletons always exist
                 raise ScheduleError(
@@ -549,8 +692,8 @@ class DeltaScheduler:
                 )
 
     def _repair_candidates(
-        self, uncovered: set[Edge]
-    ) -> tuple[list[Node], dict[Node, list[Edge]]]:
+        self, elements: list[Edge]
+    ) -> tuple[list[int], dict[int, list[Edge]]]:
         """The repair's relays (sorted by ``repr``) and what each serves.
 
         A relay is a wedge intermediary ``w ∈ succ(u) ∩ pred(v)`` of some
@@ -559,45 +702,41 @@ class DeltaScheduler:
         this list has no re-opened cross-edge, so it can only re-buy a leg
         at that leg's own rate — never below the singleton price.
         """
-        serves: dict[Node, list[Edge]] = {}
-        for edge in uncovered:
+        social = self._graph.social
+        serves: dict[int, list[Edge]] = {}
+        for edge in elements:
             u, v = edge
-            for w in self.graph.successors_view(u) & self.graph.predecessors_view(v):
+            for w in social.successors_view(u) & social.predecessors_view(v):
                 serves.setdefault(w, []).append(edge)
-        for edge in uncovered:
+        for edge in elements:
             for end in edge:
                 if end in serves:
                     serves[end].append(edge)
         return sorted(serves, key=repr), serves
 
-    def _repair_hub_graph(self, hub: Node, elements: list[Edge]) -> HubGraph:
+    def _repair_hub_graph(self, hub: int, elements: list[Edge]) -> HubGraph:
         """``hub``'s hub-graph for one repair: just ``elements``, the
         re-opened elements it can serve — O(len(elements)), not O(degree).
-
-        ``max_cross_edges`` alone keeps the maximal build: truncation clips
-        a prefix of the maximal enumeration order.
         """
-        if self.max_cross_edges is not None:
-            hub_graph = build_hub_graph(self.graph, hub, self.max_cross_edges)
-        else:
-            hub_graph = build_hub_graph(self.graph, hub, elements=elements)
+        hub_graph = build_hub_graph(self._graph, hub, elements=elements)
         self.stats.elements_materialized += hub_graph.num_elements
         return hub_graph
 
     def _queue_champion(
         self,
-        hub: Node,
-        uncovered: set[Edge],
-        hub_graphs: dict[Node, HubGraph],
-        version: dict[Node, int],
+        hub: int,
+        hub_graphs: dict[int, HubGraph],
+        version: dict[int, int],
         heap: list,
     ) -> None:
         """(Re)compute ``hub``'s champion over the element set and queue it."""
         version[hub] = version.get(hub, 0) + 1
-        if not uncovered:
+        if not self._open:
             return
         oracle = self._exact if self._exact is not None else densest_subgraph
-        result = oracle(hub_graphs[hub], self.workload, self.schedule, uncovered)
+        result = oracle(
+            hub_graphs[hub], self._mirror.uncovered_mask, self._mirror.arrays
+        )
         self.stats.hub_refreshes += 1
         if self._exact is not None:
             self.stats.exact_refreshes += 1
@@ -611,9 +750,8 @@ class DeltaScheduler:
     def _apply_repair_hub(
         self,
         result: DensestResult,
-        uncovered: set[Edge],
-        hub_graphs: dict[Node, HubGraph],
-        version: dict[Node, int],
+        hub_graphs: dict[int, HubGraph],
+        version: dict[int, int],
         heap: list,
     ) -> None:
         hub = result.hub
@@ -624,35 +762,34 @@ class DeltaScheduler:
         for edge in result.covered:
             u, v = edge
             if u != hub and v != hub:  # cross-edge piggybacked through hub
-                self.schedule.cover_via_hub(edge, hub)
+                self._schedule.cover_via_hub(edge, hub)
                 self._pin_legs(edge, hub)
-        uncovered -= result.covered
+        self._mirror.cover(result.covered_ids)
+        self._open -= len(result.covered)
         self.stats.hub_selections += 1
         # the selection paid this hub-graph's legs: its champion can only
         # get cheaper, so refresh it eagerly (other hubs' champions only
         # rise; the staleness check at the heap top re-prices them)
         if hub in hub_graphs:
-            self._queue_champion(hub, uncovered, hub_graphs, version, heap)
+            self._queue_champion(hub, hub_graphs, version, heap)
 
     def _apply_repair_singleton(
         self,
         edge: Edge,
-        uncovered: set[Edge],
-        hub_graphs: dict[Node, HubGraph],
-        version: dict[Node, int],
+        edge_id: int,
+        hub_graphs: dict[int, HubGraph],
+        version: dict[int, int],
         heap: list,
     ) -> None:
-        u, v = edge
-        if self._rp(u) <= self._rc(v):
-            self._add_push(edge)
-            drop = v  # edge is the push leg x -> w of G(v)
-        else:
-            self._add_pull(edge)
-            drop = u  # edge is the pull leg w -> y of G(u)
-        uncovered.discard(edge)
+        self._serve_directly(edge)
+        # the edge is now the push leg x -> w of G(v), or the pull leg
+        # w -> y of G(u)
+        drop = edge[1] if edge in self._schedule.push else edge[0]
+        self._mirror.uncovered_mask[edge_id] = False
+        self._open -= 1
         self.stats.singleton_selections += 1
         if drop in hub_graphs:
-            self._queue_champion(drop, uncovered, hub_graphs, version, heap)
+            self._queue_champion(drop, hub_graphs, version, heap)
 
     # ------------------------------------------------------------------
     # Queries
@@ -670,6 +807,22 @@ class DeltaScheduler:
         """Residue edges awaiting the next :meth:`repair`."""
         return len(self._residue)
 
+    def residue(self) -> set[Edge]:
+        """The residue edges awaiting the next :meth:`repair`, in the
+        caller's labels (what a snapshot saves)."""
+        labels = self._labels
+        return {(labels[u], labels[v]) for u, v in self._residue}
+
+    def restore_residue(self, edges) -> None:
+        """Queue ``edges`` (caller labels) for the next :meth:`repair` —
+        how a resumed snapshot gets its :meth:`residue` back.  Edges that
+        are not live, or not re-openable, are dropped by the repair's own
+        screening."""
+        ids = self._ids
+        self._residue.update(
+            (ids[a], ids[b]) for a, b in edges if a in ids and b in ids
+        )
+
     def is_feasible(self) -> bool:
         """Whether the maintained schedule serves every live edge."""
-        return self.schedule.is_feasible(self.graph)
+        return self._schedule.is_feasible(self._graph.social)

@@ -30,6 +30,12 @@ weight), so excluding them up front is output-equivalent and keeps
 late-run oracle calls proportional to the remaining uncovered elements,
 not the hub size.
 
+The oracle takes one form of input: a hub-graph built on dense edge ids
+(:attr:`HubGraph.element_ids`) plus a :class:`ScheduleMirror`'s dense
+state — the uncovered-edge bitmask and the scheduled-leg masks and rate
+vectors (:class:`OracleArrays`).  Filtering elements is one numpy
+lookup, and vertex weights come from the masks, never from Python sets.
+
 There is one peel loop (:func:`_peel`) over flat index-addressed lists,
 and two set-ups around it, chosen by the number of alive elements:
 
@@ -50,12 +56,6 @@ tuple order, precomputed per hub-graph (:attr:`PeelIndex.rank`): ratio ties
 cost one int compare instead of a nested-tuple compare.  A stale entry is
 one whose ratio no longer equals the vertex's current one; free vertices
 (weight <= 0) are never peeled and never enter the heap.
-
-When the hub-graph was built on the CSR backend it carries the global edge
-id of every element (:attr:`HubGraph.element_ids`); callers that maintain a
-dense uncovered bitmask (``ChitchatScheduler``) can pass it as
-``uncovered_mask`` and the element filtering becomes one vectorized numpy
-lookup instead of per-element set membership.
 """
 
 from __future__ import annotations
@@ -69,9 +69,7 @@ import numpy as np
 
 from repro.core.hubgraph import HubGraph
 from repro.core.tolerances import OPT_BOUND_MARGIN
-from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import Edge, Node
-from repro.workload.rates import Workload
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,8 @@ class DensestResult:
 
     ``cost_per_element`` is ``g(S) / |covered|`` — the SET-COVER selection
     key (0.0 when the subgraph is free, ``inf`` when it covers nothing).
-    ``covered_ids`` holds the global CSR edge ids of ``covered`` (same
-    iteration order) when the hub-graph was CSR-built, else ``None``.
+    ``covered_ids`` holds the edge ids of ``covered`` (in hub-graph
+    element order).
 
     ``opt_lower_bound`` is a certified lower bound on the *true optimum*
     cost per element over all sub-hub-graphs (``max`` of the pre-peel
@@ -153,15 +151,13 @@ class OracleCutoff:
 
 @dataclass(frozen=True)
 class OracleArrays:
-    """Dense mirrors of the scheduler state for the vectorized oracle.
+    """Dense mirrors of the scheduler state the oracle prices with.
 
-    Maintained by ``ChitchatScheduler`` alongside its
-    :class:`RequestSchedule`: ``rp``/``rc`` are the
-    :meth:`Workload.as_arrays` rate vectors, ``push_mask``/``pull_mask``
-    are bool vectors over global edge ids marking scheduled legs.  With
-    these (plus the hub-graph's :attr:`HubGraph.element_ids`) vertex
-    weights are computed in one ``np.where`` instead of per-vertex set
-    membership.
+    ``rp``/``rc`` are rate vectors indexed by dense user id;
+    ``push_mask``/``pull_mask`` are bool vectors over edge ids marking
+    scheduled legs.  With these (plus the hub-graph's
+    :attr:`HubGraph.element_ids`) vertex weights are computed in one
+    ``np.where``.
     """
 
     rp: np.ndarray
@@ -171,46 +167,61 @@ class OracleArrays:
 
 
 class ScheduleMirror:
-    """Keeps the dense oracle mirrors in lockstep with a scheduler's state.
+    """Keeps the dense oracle inputs in lockstep with a scheduler's state.
 
-    ``ChitchatScheduler`` owns one of these and routes every mutation
-    through it: :meth:`add_push`/:meth:`add_pull` after the corresponding
-    :class:`RequestSchedule` update, and :meth:`cover` whenever edges
-    leave the uncovered set.  ``workload`` must have dense user ids
-    ``0..n-1`` (:meth:`Workload.as_arrays` raises otherwise).
+    Per-edge vectors are indexed by edge id, ``0..num_edges-1``; edges
+    start uncovered and unscheduled.  ``ChitchatScheduler`` updates them
+    through :meth:`add_push` / :meth:`add_pull` after each leg bought and
+    :meth:`cover` as edges leave the uncovered set.  ``DeltaScheduler``
+    also drops legs and re-opens edges, a dozen bit flips per churn event,
+    so it writes the vectors itself; its id space grows, and
+    :meth:`reserve` doubles the vectors when it outgrows them.
     """
 
-    __slots__ = ("edge_ids", "uncovered_mask", "arrays")
+    __slots__ = ("uncovered_mask", "arrays")
 
-    def __init__(self, graph, workload: Workload, edges: list[Edge]) -> None:
-        self.edge_ids: dict[Edge, int] = {
-            edge: i for i, edge in enumerate(edges)
-        }
-        self.uncovered_mask = np.ones(len(edges), dtype=bool)
-        rp, rc = workload.as_arrays(graph.num_nodes)
+    def __init__(self, num_edges: int, rp: np.ndarray, rc: np.ndarray) -> None:
+        self.uncovered_mask = np.ones(num_edges, dtype=bool)
         self.arrays = OracleArrays(
             rp=rp,
             rc=rc,
-            push_mask=np.zeros(len(edges), dtype=bool),
-            pull_mask=np.zeros(len(edges), dtype=bool),
+            push_mask=np.zeros(num_edges, dtype=bool),
+            pull_mask=np.zeros(num_edges, dtype=bool),
         )
 
-    def add_push(self, edge: Edge) -> None:
-        self.arrays.push_mask[self.edge_ids[edge]] = True
+    def add_push(self, edge_id: int) -> None:
+        self.arrays.push_mask[edge_id] = True
 
-    def add_pull(self, edge: Edge) -> None:
-        self.arrays.pull_mask[self.edge_ids[edge]] = True
+    def add_pull(self, edge_id: int) -> None:
+        self.arrays.pull_mask[edge_id] = True
 
-    def cover(self, edges, edge_ids: np.ndarray | None = None) -> None:
-        """Clear uncovered bits for ``edges`` (by precomputed ids if given)."""
-        if edge_ids is not None:
-            self.uncovered_mask[edge_ids] = False
-        else:
-            for edge in edges:
-                self.uncovered_mask[self.edge_ids[edge]] = False
+    def cover(self, edge_ids) -> None:
+        """Clear the uncovered bits of ``edge_ids``."""
+        self.uncovered_mask[edge_ids] = False
 
-    def cover_all(self) -> None:
-        self.uncovered_mask[:] = False
+    def reserve(self, num_edges: int, num_users: int) -> None:
+        """Make room for edge ids below ``num_edges`` and users below
+        ``num_users``, doubling a vector that is too short; new slots are
+        covered, unscheduled and priced 0 until the caller sets them."""
+        arrays = self.arrays
+        if num_edges <= len(self.uncovered_mask) and num_users <= len(arrays.rp):
+            return
+        self.uncovered_mask = _grown(self.uncovered_mask, num_edges)
+        self.arrays = OracleArrays(
+            rp=_grown(arrays.rp, num_users),
+            rc=_grown(arrays.rc, num_users),
+            push_mask=_grown(arrays.push_mask, num_edges),
+            pull_mask=_grown(arrays.pull_mask, num_edges),
+        )
+
+
+def _grown(vector: np.ndarray, needed: int) -> np.ndarray:
+    """``vector`` itself if it holds ``needed`` slots, else zero-padded
+    to twice its length (or to ``needed``, if that is more)."""
+    if needed <= len(vector):
+        return vector
+    size = max(needed, 2 * len(vector))
+    return np.concatenate((vector, np.zeros(size - len(vector), vector.dtype)))
 
 
 #: Water-filling rounds of the bounded probe.  Each round costs a couple
@@ -225,9 +236,8 @@ _PROBE_STEP = 0.25
 #: different iterations (vectorized = Jacobi, scalar = Gauss–Seidel) whose
 #: bounds differ in the last digits and become heap keys, and the lazy
 #: scheduler's retained champions make the schedule a function of every
-#: heap key, so the choice must depend on the hub-graph's size alone:
-#: never on how many of its elements are still alive, nor on which graph
-#: backend built it.
+#: heap key, so the choice must depend on the hub-graph's size alone,
+#: never on how many of its elements are still alive.
 _PROBE_VECTOR_THRESHOLD = 192
 #: At or below this many alive (still-uncovered) elements the oracle runs
 #: on Python scalars over the compact alive index; above it the numpy
@@ -373,7 +383,7 @@ def _probe_bound_python(
 def dense_vertex_weights(
     hub_graph: HubGraph, peel, arrays: OracleArrays
 ) -> np.ndarray:
-    """All vertex weights of a CSR-built hub-graph in one vectorized pass.
+    """All vertex weights of a hub-graph in one vectorized pass.
 
     Leg element ``i`` touches exactly vertex ``i`` and
     :attr:`HubGraph.element_ids` lists legs first, so the scheduled-leg
@@ -396,16 +406,16 @@ def dense_vertex_weights(
 
 def _vector_probe(num_elems: int) -> bool:
     """Which probe twin answers — decided by the hub-graph's size alone
-    (see :data:`_PROBE_VECTOR_THRESHOLD`), the same on every backend."""
+    (see :data:`_PROBE_VECTOR_THRESHOLD`)."""
     return num_elems >= _PROBE_VECTOR_THRESHOLD
 
 
 def probe_optimum_bound(
     peel,
     weight: list[float],
-    weight_arr: np.ndarray | None,
+    weight_arr: np.ndarray,
     alive_element: list[bool],
-    alive_arr: np.ndarray | None,
+    alive_arr: np.ndarray,
     num_verts: int,
     num_elems: int,
 ) -> float:
@@ -417,12 +427,10 @@ def probe_optimum_bound(
     :func:`_vector_probe` dispatch, over the whole-hub-graph index.
     """
     if _vector_probe(num_elems):
-        if alive_arr is None:
-            alive_arr = np.asarray(alive_element, dtype=bool)
         return _probe_bound_vectorized(
             peel.assign_vert[alive_arr],
             peel.assign_alt[alive_arr],
-            weight_arr if weight_arr is not None else np.asarray(weight),
+            weight_arr,
             num_verts,
         )
     prim_all = peel.assign_vert_list
@@ -533,60 +541,38 @@ def _peel(
 
 def densest_subgraph(
     hub_graph: HubGraph,
-    workload: Workload,
-    schedule: RequestSchedule,
-    uncovered: set[Edge],
-    uncovered_mask: np.ndarray | None = None,
-    arrays: OracleArrays | None = None,
+    uncovered_mask: np.ndarray,
+    arrays: OracleArrays,
     upper_bound: float | None = None,
 ) -> DensestResult | OracleCutoff | None:
-    """Run the weighted peeling on ``hub_graph`` against ``uncovered``.
+    """Run the weighted peeling on ``hub_graph`` against the uncovered edges.
 
-    Returns ``None`` when no sub-hub-graph covers any uncovered element.
-    Deterministic: ties in the weighted degree break by vertex ordering.
-    ``uncovered_mask`` is an optional dense bool vector over global edge
-    ids (must agree with ``uncovered``) and ``arrays`` the matching
-    schedule mirrors; both are used only when the hub-graph carries
-    :attr:`HubGraph.element_ids`, turning element filtering, degree
-    counting, and weight computation into vectorized ops.
+    ``uncovered_mask`` is a dense bool vector over edge ids marking the
+    still-uncovered edges and ``arrays`` the matching schedule mirrors
+    (both kept by a :class:`ScheduleMirror`); the hub-graph's
+    :attr:`HubGraph.element_ids` address them.  Returns ``None`` when no
+    sub-hub-graph covers any uncovered element.  Deterministic: ties in
+    the weighted degree break by vertex ordering.
 
     ``upper_bound`` enables the early exit: when the pre-peel relaxation
     proves the champion's cost per element strictly exceeds it, the peel
     is abandoned and an :class:`OracleCutoff` carrying the certified
     bound is returned instead of a result.
     """
-    element_ids = hub_graph.element_ids
     # --- Restrict to the still-uncovered elements: the compact alive index.
-    if element_ids is not None and uncovered_mask is not None:
-        alive_arr = uncovered_mask[element_ids]
-        alive_pos = alive_arr.nonzero()[0]
-    else:
-        alive_arr = None
-        arrays = None  # the dense mirrors are addressed by element_ids
-        alive_pos = [
-            ei
-            for ei, (edge, _) in enumerate(hub_graph.element_index())
-            if edge in uncovered
-        ]
+    alive_arr = uncovered_mask[hub_graph.element_ids]
+    alive_pos = alive_arr.nonzero()[0]
     if len(alive_pos) == 0:
         return None
-    solve = (
-        _densest_small
-        if len(alive_pos) <= _SMALL_PEEL_THRESHOLD
-        else _densest_general
-    )
-    return solve(
-        hub_graph, workload, schedule, alive_pos, alive_arr, arrays, upper_bound
-    )
+    if len(alive_pos) <= _SMALL_PEEL_THRESHOLD:
+        return _densest_small(hub_graph, alive_pos.tolist(), arrays, upper_bound)
+    return _densest_general(hub_graph, alive_pos, alive_arr, arrays, upper_bound)
 
 
 def _densest_small(
     hub_graph: HubGraph,
-    workload: Workload,
-    schedule: RequestSchedule,
-    alive_pos,
-    alive_arr: np.ndarray | None,
-    arrays: OracleArrays | None,
+    alive_pos: list[int],
+    arrays: OracleArrays,
     upper_bound: float | None,
 ) -> DensestResult | OracleCutoff | None:
     """Small-problem path: Python scalars over the compact alive index.
@@ -599,8 +585,6 @@ def _densest_small(
     for bit (``tests/test_peel_kernel.py``).
     """
     peel = hub_graph.peel_index()
-    if alive_arr is not None:
-        alive_pos = alive_pos.tolist()
     prim_all = peel.assign_vert_list
     alt_all = peel.assign_alt_list
     prim_verts = [prim_all[ei] for ei in alive_pos]
@@ -611,23 +595,21 @@ def _densest_small(
     prim = [local[i] for i in prim_verts]
     alt = [local[i] for i in alt_verts]
 
+    # leg element i touches exactly vertex i, so element_ids[i] is the leg
+    # whose payment zeroes vertex i
     verts = peel.verts
-    if arrays is not None:
-        num_x = len(hub_graph.x_nodes)
-        leg_id = hub_graph.element_ids.item
-        push_paid = arrays.push_mask.item
-        pull_paid = arrays.pull_mask.item
-        rp = arrays.rp.item
-        rc = arrays.rc.item
-        weight = [
-            (0.0 if push_paid(leg_id(i)) else rp(verts[i][1]))
-            if i < num_x
-            else (0.0 if pull_paid(leg_id(i)) else rc(verts[i][1]))
-            for i in active
-        ]
-    else:
-        vertex_weight = hub_graph.vertex_weight
-        weight = [vertex_weight(verts[i], workload, schedule) for i in active]
+    num_x = len(hub_graph.x_nodes)
+    leg_id = hub_graph.element_ids.item
+    push_paid = arrays.push_mask.item
+    pull_paid = arrays.pull_mask.item
+    rp = arrays.rp.item
+    rc = arrays.rc.item
+    weight = [
+        (0.0 if push_paid(leg_id(i)) else rp(verts[i][1]))
+        if i < num_x
+        else (0.0 if pull_paid(leg_id(i)) else rc(verts[i][1]))
+        for i in active
+    ]
 
     mediant_bound = 0.0
     if upper_bound is not None:
@@ -692,59 +674,23 @@ def _densest_small(
 
 def _densest_general(
     hub_graph: HubGraph,
-    workload: Workload,
-    schedule: RequestSchedule,
-    alive_pos,
-    alive_arr: np.ndarray | None,
-    arrays: OracleArrays | None,
+    alive_pos: np.ndarray,
+    alive_arr: np.ndarray,
+    arrays: OracleArrays,
     upper_bound: float | None,
 ) -> DensestResult | OracleCutoff | None:
     """General path: hub-graph-sized index-addressed state, numpy set-up
     and reconstruction around the shared :func:`_peel`."""
     peel = hub_graph.peel_index()
-    verts = peel.verts
     prim = peel.assign_vert_list
     alt = peel.assign_alt_list
-    num_verts = len(verts)
+    num_verts = len(peel.verts)
     num_elems = len(prim)
-
-    # --- Degrees over alive elements; only incident vertices join the peel
-    # (a positive-weight vertex with no alive element would peel off first
-    # at ratio 0, a free one would be dropped as useless — excluding them
-    # up front is output-equivalent and skips their bookkeeping).  Cutoff
-    # probes never need degrees, so the vectorized path defers them until
-    # after the probe's possible early exit.
-    def compute_degrees() -> tuple[list[int], list[int]]:
-        if alive_arr is not None:
-            degree_arr = np.bincount(
-                peel.inc_vert[alive_arr[peel.inc_elem]], minlength=num_verts
-            )
-            return degree_arr.tolist(), np.nonzero(degree_arr)[0].tolist()
-        counts = [0] * num_verts
-        for ei in alive_pos:
-            counts[prim[ei]] += 1
-            if alt[ei] != prim[ei]:
-                counts[alt[ei]] += 1
-        return counts, [i for i in range(num_verts) if counts[i] > 0]
-
-    # --- Vertex weights (vectorized when the leg masks are available;
-    # leg element i touches exactly vertex i, so element_ids[:num_verts]
-    # are the leg edge ids in vertex order).  The scalar path prices only
-    # vertices with an alive element, so it needs the degrees up front.
-    weight_arr: np.ndarray | None = None
-    degree: list[int] | None = None
-    active: list[int] | None = None
-    if arrays is not None:
-        weight_arr = dense_vertex_weights(hub_graph, peel, arrays)
-        weight = weight_arr.tolist()
-    else:
-        degree, active = compute_degrees()
-        weight = [
-            hub_graph.vertex_weight(verts[i], workload, schedule)
-            if degree[i] > 0
-            else 0.0
-            for i in range(num_verts)
-        ]
+    # --- Vertex weights in one vectorized pass (leg element i touches
+    # exactly vertex i, so element_ids[:num_verts] are the leg edge ids in
+    # vertex order).
+    weight_arr = dense_vertex_weights(hub_graph, peel, arrays)
+    weight = weight_arr.tolist()
 
     # --- Bounded probe (lazy CHITCHAT): a mediant relaxation floors the
     # *optimum* cost per element without peeling.  Distribute each alive
@@ -762,11 +708,11 @@ def _densest_general(
             mediant_bound = _probe_bound_vectorized(
                 peel.assign_vert[alive_pos],
                 peel.assign_alt[alive_pos],
-                weight_arr if weight_arr is not None else np.asarray(weight),
+                weight_arr,
                 num_verts,
             )
         else:
-            alive_list = alive_pos if alive_arr is None else alive_pos.tolist()
+            alive_list = alive_pos.tolist()
             mediant_bound = _probe_bound_python(
                 [prim[ei] for ei in alive_list],
                 [alt[ei] for ei in alive_list],
@@ -778,25 +724,23 @@ def _densest_general(
             # no sub-hub-graph here can win — abandon before peeling
             return OracleCutoff(hub=hub_graph.hub, lower_bound=mediant_bound)
 
-    # hub-graph-sized peel state, built only once the probe has let the
-    # call through
-    if alive_arr is not None:
-        alive_element = alive_arr.tolist()
-    else:
-        alive_element = [False] * num_elems
-        for ei in alive_pos:
-            alive_element[ei] = True
-    if degree is None:
-        degree, active = compute_degrees()
+    # --- Degrees over alive elements, computed once the probe has let the
+    # call through; only incident vertices join the peel (a positive-
+    # weight vertex with no alive element would peel off first at ratio
+    # 0, a free one would be dropped as useless — excluding them up front
+    # is output-equivalent and skips their bookkeeping).
+    degree_arr = np.bincount(
+        peel.inc_vert[alive_arr[peel.inc_elem]], minlength=num_verts
+    )
     peeled = _peel(
-        active,
+        np.nonzero(degree_arr)[0].tolist(),
         weight,
-        degree,
+        degree_arr.tolist(),
         peel.rank,
         peel.incident,
         prim,
         alt,
-        alive_element,
+        alive_arr.tolist(),
         len(alive_pos),
     )
     if peeled is None:
@@ -841,7 +785,6 @@ def _package(
     """The oracle's result for ``selected`` vertices covering the elements
     at ``covered_pos`` (both ascending hub-graph indices)."""
     hub = hub_graph.hub
-    element_ids = hub_graph.element_ids
     # `selected` is ascending vertex indices and the vertex list follows
     # the canonical (repr-sorted) x_nodes/y_nodes order, so splitting by
     # side preserves the historical output order without re-sorting.
@@ -862,9 +805,7 @@ def _package(
         y_selected=tuple([y_nodes[i - num_x] for i in selected if i >= num_x]),
         covered=covered,
         weight=final_weight,
-        covered_ids=(
-            element_ids.take(covered_pos) if element_ids is not None else None
-        ),
+        covered_ids=hub_graph.element_ids.take(covered_pos),
         opt_lower_bound=opt_lb,
     )
 

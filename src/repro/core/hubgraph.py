@@ -18,16 +18,18 @@ follows), hub-graph vertices are role-tagged ``(side, node)`` pairs: the same
 user contributes an X-vertex weighted by its production rate and an
 independent Y-vertex weighted by its consumption rate.
 
-Construction is backend-dispatched through the
-:class:`~repro.graph.view.GraphView` protocol.  On the dict backend the
-cross-edge enumeration intersects Python neighbor sets per producer; on the
-CSR backend one vectorized kernel scans the concatenated successor slices of
-all of ``X`` against the sorted ``Y`` slice, and records each cross-edge's
-global CSR edge id so the densest-subgraph oracle can filter elements
-against the scheduler's uncovered-edge bitmask without touching Python sets.
-Both paths produce identical hub-graphs (same canonical ordering, truncation
-behavior, and Python-int node ids) — property-tested in
-``tests/test_graphview.py``.
+Hub-graphs are built on dense edge ids: every element carries the id of
+its social edge (:attr:`HubGraph.element_ids`), so the densest-subgraph
+oracle filters elements against the scheduler's uncovered-edge bitmask
+and prices legs from its scheduled-leg masks without touching Python sets.
+The maximal build runs one vectorized kernel on a
+:class:`~repro.graph.csr.CSRGraph`, scanning the concatenated successor
+slices of all of ``X`` against the sorted ``Y`` slice; the restricted
+build (``elements=``) reads only ``graph.edge_id``, so it also runs on the
+churn tier's mutable dense-id graph.  Any other graph is frozen with
+:func:`~repro.graph.view.to_csr` first (relabeled with
+:meth:`~repro.graph.digraph.SocialGraph.relabeled` when its ids are not
+``0..n-1``), as the schedulers do at their boundary.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ import numpy as np
 from repro.core.schedule import RequestSchedule
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import Edge, Node, SocialGraph
+from repro.graph.digraph import Edge, Node
 from repro.graph.view import GraphView, NeighborSetCache, sorted_array_intersect
-from repro.workload.rates import Workload
 
 #: Role tags for hub-graph vertices.
 X_SIDE = "x"
@@ -63,10 +64,10 @@ class PeelIndex:
     oracle's early-exit relaxation can *charge* it to (legs touch one
     vertex, so both are that vertex; a cross-edge's primary is its X
     endpoint and alternate its Y endpoint — the probe reroutes charge away
-    from zero-weight endpoints); ``x_arr``/``y_arr`` are the side node ids
-    as int64 arrays (CSR builds only, else ``None``).
+    from zero-weight endpoints); ``num_x`` counts the X side.
 
-    Everything else is derived on first use and then kept: ``rank`` (the
+    Everything else is derived on first use and then kept: ``x_arr`` /
+    ``y_arr`` (the side node ids as int64 arrays), ``rank`` (the
     peel's integer tie-break), ``incident`` (per-vertex element lists,
     ascending), the numpy mirrors ``inc_vert``/``inc_elem`` (flattened
     (vertex, element) incidence pairs for vectorized degree counting and
@@ -80,8 +81,19 @@ class PeelIndex:
     verts: list[HubVertex]
     assign_vert_list: list[int]
     assign_alt_list: list[int]
-    x_arr: np.ndarray | None
-    y_arr: np.ndarray | None
+    num_x: int
+
+    @cached_property
+    def x_arr(self) -> np.ndarray:
+        return np.asarray(
+            [node for _side, node in self.verts[: self.num_x]], dtype=np.int64
+        )
+
+    @cached_property
+    def y_arr(self) -> np.ndarray:
+        return np.asarray(
+            [node for _side, node in self.verts[self.num_x :]], dtype=np.int64
+        )
 
     @cached_property
     def rank(self) -> list[int]:
@@ -165,23 +177,20 @@ class HubGraph:
     cross_edges:
         Social edges ``x -> y`` between the two sides (possibly truncated to
         the ``max_cross_edges`` bound, mirroring the MapReduce bound ``b``).
+    element_ids:
+        Edge ids of the elements in :meth:`elements` order.  Lets the
+        oracle filter elements against a dense uncovered-edge mask, and
+        price legs from the scheduled-leg masks, in one vectorized op.
     truncated:
         True when the cross-edge bound clipped the enumeration.
-    element_ids:
-        Global CSR edge ids of the elements in :meth:`element_index` order,
-        populated only by CSR-backed construction.  Lets the oracle filter
-        elements against a dense uncovered-edge mask in one vectorized op.
     """
 
     hub: Node
     x_nodes: list[Node]
     y_nodes: list[Node]
     cross_edges: list[Edge]
+    element_ids: np.ndarray = field(repr=False, compare=False)
     truncated: bool = False
-    element_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _element_index: list[tuple[Edge, tuple[HubVertex, ...]]] | None = field(
-        default=None, repr=False, compare=False
-    )
     _peel_index: "PeelIndex | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -195,35 +204,21 @@ class HubGraph:
         return self.num_vertices + len(self.cross_edges)
 
     def elements(self) -> list[Edge]:
-        """All social edges this hub-graph can serve (legs + cross-edges)."""
+        """All social edges this hub-graph can serve, in element order.
+
+        Canonical order: push legs (``x_nodes`` order), pull legs
+        (``y_nodes`` order), then cross-edges.  A leg touches its single
+        side vertex; a cross-edge touches one X- and one Y-vertex.
+        """
         legs_in = [(x, self.hub) for x in self.x_nodes]
         legs_out = [(self.hub, y) for y in self.y_nodes]
         return legs_in + legs_out + list(self.cross_edges)
 
-    def element_index(self) -> list[tuple[Edge, tuple[HubVertex, ...]]]:
-        """Elements paired with their weighted endpoints, built once.
-
-        Canonical order: push legs (``x_nodes`` order), pull legs
-        (``y_nodes`` order), then cross-edges.  A leg touches its single
-        side vertex; a cross-edge touches one X- and one Y-vertex.  Aligned
-        with :attr:`element_ids` when the CSR build populated them.
-        """
-        if self._element_index is None:
-            index: list[tuple[Edge, tuple[HubVertex, ...]]] = [
-                ((x, self.hub), ((X_SIDE, x),)) for x in self.x_nodes
-            ]
-            index += [((self.hub, y), ((Y_SIDE, y),)) for y in self.y_nodes]
-            index += [
-                ((x, y), ((X_SIDE, x), (Y_SIDE, y))) for x, y in self.cross_edges
-            ]
-            self._element_index = index
-        return self._element_index
-
     def edges_at(self, positions) -> list[Edge]:
         """The social edges at element ``positions``, in the order given.
 
-        Decodes :meth:`element_index` positions without materializing
-        the index: push legs, then pull legs, then cross-edges.
+        Decodes :meth:`elements` positions without materializing the
+        list: push legs, then pull legs, then cross-edges.
         """
         hub = self.hub
         x_nodes = self.x_nodes
@@ -247,7 +242,7 @@ class HubGraph:
         CHITCHAT schedulers cache hub-graphs for exactly this reason): the
         vertex list (X side then Y side, aligned so leg element ``i``
         touches vertex ``i``) and each element's two endpoint indices, in
-        :meth:`element_index` order; incidence lists, the tie-break rank
+        :meth:`elements` order; incidence lists, the tie-break rank
         and the flat numpy mirrors are derived by :class:`PeelIndex` on
         first use.
         """
@@ -263,40 +258,14 @@ class HubGraph:
                 y_pos = {y: i for i, y in enumerate(self.y_nodes, num_x)}
                 assign_vert_list += [x_pos[x] for x, _ in self.cross_edges]
                 assign_alt_list += [y_pos[y] for _, y in self.cross_edges]
-            if self.element_ids is not None:  # CSR build: integer node ids
-                x_arr = np.asarray(self.x_nodes, dtype=np.int64)
-                y_arr = np.asarray(self.y_nodes, dtype=np.int64)
-            else:
-                x_arr = y_arr = None
             self._peel_index = PeelIndex(
-                verts, assign_vert_list, assign_alt_list, x_arr, y_arr
+                verts, assign_vert_list, assign_alt_list, len(self.x_nodes)
             )
         return self._peel_index
 
-    def vertex_weight(
-        self,
-        vertex: HubVertex,
-        workload: Workload,
-        schedule: RequestSchedule,
-    ) -> float:
-        """The set-cover weight ``g`` of a hub-graph vertex.
-
-        ``g(x) = rp(x)`` unless the push ``x -> w`` is already paid for
-        (``∈ H``), and ``g(y) = rc(y)`` unless the pull ``w -> y`` is already
-        paid for (``∈ L``) — exactly the weight updates of Algorithm 1.
-        """
-        side, node = vertex
-        if side == X_SIDE:
-            if (node, self.hub) in schedule.push:
-                return 0.0
-            return workload.rp(node)
-        if (self.hub, node) in schedule.pull:
-            return 0.0
-        return workload.rc(node)
-
 
 def build_hub_graph(
-    graph: GraphView,
+    graph,
     hub: Node,
     max_cross_edges: int | None = None,
     elements: Iterable[Edge] | None = None,
@@ -306,7 +275,13 @@ def build_hub_graph(
     Parameters
     ----------
     graph:
-        Either backend; the CSR backend uses the vectorized kernel.
+        A graph on dense edge ids: a :class:`~repro.graph.csr.CSRGraph`,
+        or — for restricted builds — any graph exposing ``edge_id(u, v)``
+        (the churn tier's mutable graph).  Anything else raises
+        :class:`GraphError` naming the fix: freeze it with
+        :func:`~repro.graph.view.to_csr`, after
+        :meth:`~repro.graph.digraph.SocialGraph.relabeled` when its ids
+        are not ``0..n-1``.
     max_cross_edges:
         Optional cap on enumerated cross-edges, the counterpart of the
         paper's MapReduce bound ``b`` (section 3.2): hubs of very dense
@@ -325,21 +300,12 @@ def build_hub_graph(
         an order-preserving sub-hub-graph of the maximal one and costs
         O(len(elements)) to build, independent of the hub's degree.  Both
         oracles admit only vertices incident to an *uncovered* element, so
-        for any ``uncovered`` ⊆ ``elements`` they return the same champion
-        on the restricted build as on the maximal one, bit for bit
-        (property-tested in ``tests/test_restricted_hubgraph.py``) — the
-        delta repair's output-sensitive path.  Mutually exclusive with
+        for any uncovered set within ``elements`` they return the same
+        champion on the restricted build as on the maximal one, bit for
+        bit (property-tested in ``tests/test_restricted_hubgraph.py``) —
+        the delta repair's output-sensitive path.  Mutually exclusive with
         ``max_cross_edges``: truncation clips a prefix of the *maximal*
         enumeration order, which a restricted build never enumerates.
-
-    Notes
-    -----
-    Cross-edge enumeration on the dict backend iterates, for each producer
-    ``x``, over the smaller of ``successors(x)`` and ``Y`` — the same
-    neighborhood intersection the MapReduce job performs with ``x``'s
-    out-list shipped to the hub's reducer.  The CSR backend instead scans
-    the concatenated successor slices of all producers against the sorted
-    ``Y`` slice in one numpy pass.
     """
     if elements is not None:
         if max_cross_edges is not None:
@@ -347,21 +313,31 @@ def build_hub_graph(
                 "elements= cannot be combined with max_cross_edges: "
                 "truncation is defined on the maximal enumeration order"
             )
+        if not hasattr(graph, "edge_id"):
+            raise GraphError(_dense_ids_hint(graph))
         return _build_restricted_hub_graph(graph, hub, elements)
-    if isinstance(graph, CSRGraph):
-        return _build_hub_graph_csr(graph, hub, max_cross_edges)
-    return _build_hub_graph_dict(graph, hub, max_cross_edges)
+    if not isinstance(graph, CSRGraph):
+        raise GraphError(_dense_ids_hint(graph))
+    return _build_hub_graph_csr(graph, hub, max_cross_edges)
+
+
+def _dense_ids_hint(graph) -> str:
+    return (
+        f"hub-graphs are built on dense edge ids, not on a "
+        f"{type(graph).__name__}: freeze the graph with to_csr(graph) "
+        "(relabel ids that are not 0..n-1 with SocialGraph.relabeled() first)"
+    )
 
 
 def _build_restricted_hub_graph(
-    graph: GraphView,
-    hub: Node,
-    elements: Iterable[Edge],
+    graph, hub: Node, elements: Iterable[Edge]
 ) -> HubGraph:
-    """Sub-hub-graph induced by ``elements`` (either backend).
+    """Sub-hub-graph induced by ``elements``.
 
     Work is proportional to ``len(elements)``: nothing here reads the
-    hub's neighbourhood beyond one membership probe per distinct leg.
+    hub's neighbourhood; each leg and cross-edge is checked to be a social
+    edge by its ``graph.edge_id`` lookup, which raises :class:`GraphError`
+    when it is absent.
     """
     xs: set[Node] = set()
     ys: set[Node] = set()
@@ -379,51 +355,16 @@ def _build_restricted_hub_graph(
     y_nodes = sorted(ys, key=repr)
     x_rank = {x: i for i, x in enumerate(x_nodes)}
     cross = sorted(cross_set, key=lambda edge: (x_rank[edge[0]], repr(edge[1])))
-    hub_graph = HubGraph(
-        hub=hub, x_nodes=x_nodes, y_nodes=y_nodes, cross_edges=cross
-    )
-    # every leg and cross-edge must be a social edge, or the hub cannot
-    # serve what was asked for (elements() is in element_index order)
-    if isinstance(graph, CSRGraph):  # edge_id raises GraphError when absent
-        hub_graph.element_ids = np.asarray(
-            [graph.edge_id(u, v) for u, v in hub_graph.elements()], dtype=np.int64
-        )
-    else:
-        for u, v in hub_graph.elements():
-            if not graph.has_edge(u, v):
-                raise GraphError(
-                    f"edge {u!r} -> {v!r} is not in the graph: hub {hub!r} "
-                    "cannot serve the requested elements"
-                )
-    return hub_graph
-
-
-def _build_hub_graph_dict(
-    graph: SocialGraph,
-    hub: Node,
-    max_cross_edges: int | None,
-) -> HubGraph:
-    """Per-producer set-intersection construction (dict backend)."""
-    x_nodes = sorted(graph.predecessors_view(hub), key=repr)
-    y_nodes = sorted(graph.successors_view(hub), key=repr)
-    y_set = set(y_nodes)
-    cross: list[Edge] = []
-    truncated = False
-    for x in x_nodes:
-        succ = graph.successors_view(x)
-        if len(succ) <= len(y_set):
-            hits = [y for y in succ if y in y_set and y != x]
-        else:
-            hits = [y for y in y_set if y in succ and y != x]
-        for y in sorted(hits, key=repr):
-            if max_cross_edges is not None and len(cross) >= max_cross_edges:
-                truncated = True
-                break
-            cross.append((x, y))
-        if truncated:
-            break
+    edge_id = graph.edge_id
+    element_ids = [edge_id(x, hub) for x in x_nodes]
+    element_ids += [edge_id(hub, y) for y in y_nodes]
+    element_ids += [edge_id(u, v) for u, v in cross]
     return HubGraph(
-        hub=hub, x_nodes=x_nodes, y_nodes=y_nodes, cross_edges=cross, truncated=truncated
+        hub=hub,
+        x_nodes=x_nodes,
+        y_nodes=y_nodes,
+        cross_edges=cross,
+        element_ids=np.asarray(element_ids, dtype=np.int64),
     )
 
 
@@ -437,9 +378,9 @@ def _build_hub_graph_csr(
     One kernel scans the concatenated successor slices of every producer
     against the sorted consumer slice; the flat positions of the hits *are*
     their global edge ids, captured into :attr:`HubGraph.element_ids`
-    together with the leg ids.  Output ordering matches the dict path
-    exactly (producers and, per producer, consumers in ``repr`` order) so
-    truncation clips the same prefix on both backends.
+    together with the leg ids.  Producers and, per producer, consumers
+    come in ``repr`` order — the restricted build's canonical order — and
+    truncation clips a prefix of it.
     """
     hub = int(hub)
     x_arr = graph.predecessors(hub)

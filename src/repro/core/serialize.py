@@ -297,7 +297,7 @@ def save_delta_state(delta, path: str | Path, metadata: dict | None = None) -> i
     records = 0
     edges = sorted(delta.graph.edges(), key=repr)
     users = sorted(delta.workload.users, key=repr)
-    residue = sorted(delta._residue, key=repr)
+    residue = sorted(delta.residue(), key=repr)
     schedule = delta.schedule
     with _open_text(path, "w") as handle:
         header = {
@@ -421,5 +421,5 @@ def load_delta_state(path: str | Path, **options):
         schedule,
         **options,
     )
-    delta._residue.update(residue)
+    delta.restore_residue(residue)
     return delta, header.get("metadata", {})

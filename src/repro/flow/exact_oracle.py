@@ -43,7 +43,6 @@ from repro.core.densest import (
     probe_optimum_bound,
 )
 from repro.core.hubgraph import HubGraph
-from repro.core.schedule import RequestSchedule
 from repro.core.tolerances import BATCH_MIN_BLOCKS, OPT_BOUND_MARGIN
 from repro.errors import ReproError
 from repro.flow.maxflow import validate_flow_method
@@ -53,10 +52,9 @@ from repro.flow.parametric import (
     ParametricDensest,
     _Prepared,
 )
-from repro.graph.digraph import Edge, Node
+from repro.graph.digraph import Node
 from repro.obs import trace
 from repro.obs.metrics import MetricNode
-from repro.workload.rates import Workload
 
 #: Valid ``oracle=`` arguments of the scheduling entry points.
 ORACLE_MODES = ("peel", "exact")
@@ -91,11 +89,10 @@ class _PricedHub:
 
     hub_graph: HubGraph
     peel: object
-    element_ids: np.ndarray | None
     weight: list[float]
-    weight_arr: np.ndarray | None
+    weight_arr: np.ndarray
     alive_element: list[bool]
-    alive_arr: np.ndarray | None
+    alive_arr: np.ndarray
     num_verts: int
     num_elems: int
 
@@ -252,17 +249,12 @@ class ExactOracle:
     def __call__(
         self,
         hub_graph: HubGraph,
-        workload: Workload,
-        schedule: RequestSchedule,
-        uncovered: set[Edge],
-        uncovered_mask: np.ndarray | None = None,
-        arrays: OracleArrays | None = None,
+        uncovered_mask: np.ndarray,
+        arrays: OracleArrays,
         upper_bound: float | None = None,
     ) -> DensestResult | OracleCutoff | None:
         """Exact counterpart of :func:`~repro.core.densest.densest_subgraph`."""
-        priced = self._price(
-            hub_graph, workload, schedule, uncovered, uncovered_mask, arrays
-        )
+        priced = self._price(hub_graph, uncovered_mask, arrays)
         if priced is None:
             return None
 
@@ -295,65 +287,33 @@ class ExactOracle:
     def _price(
         self,
         hub_graph: HubGraph,
-        workload: Workload,
-        schedule: RequestSchedule,
-        uncovered: set[Edge],
-        uncovered_mask: np.ndarray | None,
-        arrays: OracleArrays | None,
+        uncovered_mask: np.ndarray,
+        arrays: OracleArrays,
     ) -> _PricedHub | None:
         """Alive elements and vertex weights, priced exactly as the peel.
 
         Shared by the sequential :meth:`__call__` and the batched
-        :class:`MultiHubSession` (vectorized helpers on the CSR path,
-        which never builds the hub-graph's tuple
-        :meth:`~repro.core.hubgraph.HubGraph.element_index`).
-        ``None`` when no element of the hub-graph is still uncovered; the
-        hub's cached flow network is then released, since coverage only
-        shrinks within a run (a caller that re-opens elements gets a
-        cold rebuild, which solves to the same answer).
+        :class:`MultiHubSession`.  ``None`` when no element of the
+        hub-graph is still uncovered; the hub's cached flow network is
+        then released, since coverage only shrinks within a run (a caller
+        that re-opens elements gets a cold rebuild, which solves to the
+        same answer).
         """
         peel = hub_graph.peel_index()
-        verts = peel.verts
-        num_verts = len(verts)
-        num_elems = len(peel.assign_vert_list)
-        element_ids = hub_graph.element_ids
-        use_vectorized = element_ids is not None and uncovered_mask is not None
-
-        if use_vectorized:
-            alive_arr = uncovered_mask[element_ids]
-            alive_element = alive_arr.tolist()
-            alive_count = int(alive_arr.sum())
-        else:
-            alive_arr = None
-            alive_element = [
-                edge in uncovered for edge, _ in hub_graph.element_index()
-            ]
-            alive_count = sum(alive_element)
-        if alive_count == 0:
+        alive_arr = uncovered_mask[hub_graph.element_ids]
+        if not alive_arr.any():
             self._problems.pop(hub_graph.hub, None)
             return None
-        weight_arr: np.ndarray | None = None
-        if arrays is not None and use_vectorized:
-            weight_arr = dense_vertex_weights(hub_graph, peel, arrays)
-            weight = weight_arr.tolist()
-        else:
-            incident = peel.incident
-            weight = [
-                hub_graph.vertex_weight(verts[i], workload, schedule)
-                if any(alive_element[ei] for ei in incident[i])
-                else 0.0
-                for i in range(num_verts)
-            ]
+        weight_arr = dense_vertex_weights(hub_graph, peel, arrays)
         return _PricedHub(
             hub_graph=hub_graph,
             peel=peel,
-            element_ids=element_ids,
-            weight=weight,
+            weight=weight_arr.tolist(),
             weight_arr=weight_arr,
-            alive_element=alive_element,
+            alive_element=alive_arr.tolist(),
             alive_arr=alive_arr,
-            num_verts=num_verts,
-            num_elems=num_elems,
+            num_verts=len(peel.verts),
+            num_elems=len(peel.assign_vert_list),
         )
 
     def _package(self, priced: _PricedHub, selection) -> DensestResult | None:
@@ -361,18 +321,13 @@ class ExactOracle:
         if selection is None or not selection.covered:
             return None
         hub_graph = priced.hub_graph
-        element_ids = priced.element_ids
         covered_pos = selection.covered
         covered = frozenset(hub_graph.edges_at(covered_pos))
         # selected is ascending and the vertex list is X side first
         x_nodes = hub_graph.x_nodes
         y_nodes = hub_graph.y_nodes
         num_x = len(x_nodes)
-        covered_ids = (
-            element_ids[np.asarray(covered_pos, dtype=np.int64)]
-            if element_ids is not None
-            else None
-        )
+        covered_ids = hub_graph.element_ids[np.asarray(covered_pos, dtype=np.int64)]
         cost_per_element = selection.weight / len(covered)
         return DensestResult(
             hub=hub_graph.hub,
@@ -428,34 +383,22 @@ class MultiHubSession:
     def __call__(
         self,
         hub_graphs: Sequence[HubGraph],
-        workload: Workload,
-        schedule: RequestSchedule,
-        uncovered: set[Edge],
-        uncovered_mask: np.ndarray | None = None,
-        arrays: OracleArrays | None = None,
+        uncovered_mask: np.ndarray,
+        arrays: OracleArrays,
         upper_bounds: Sequence[float | None] | None = None,
     ) -> list[DensestResult | OracleCutoff | None]:
         """Solve every hub-graph exactly; one result slot per input."""
         with trace.span("oracle.batch") as span:
             span.set(hubs=len(hub_graphs))
             return self._call_impl(
-                hub_graphs,
-                workload,
-                schedule,
-                uncovered,
-                uncovered_mask,
-                arrays,
-                upper_bounds,
+                hub_graphs, uncovered_mask, arrays, upper_bounds
             )
 
     def _call_impl(
         self,
         hub_graphs: Sequence[HubGraph],
-        workload: Workload,
-        schedule: RequestSchedule,
-        uncovered: set[Edge],
-        uncovered_mask: np.ndarray | None,
-        arrays: OracleArrays | None,
+        uncovered_mask: np.ndarray,
+        arrays: OracleArrays,
         upper_bounds: Sequence[float | None] | None,
     ) -> list[DensestResult | OracleCutoff | None]:
         oracle = self.oracle
@@ -474,9 +417,7 @@ class MultiHubSession:
                 repeats.append((i, hub_graph))
                 continue
             seen.add(hub_graph.hub)
-            priced = oracle._price(
-                hub_graph, workload, schedule, uncovered, uncovered_mask, arrays
-            )
+            priced = oracle._price(hub_graph, uncovered_mask, arrays)
             if priced is None:
                 continue
             bound = upper_bounds[i] if upper_bounds is not None else None
@@ -522,9 +463,6 @@ class MultiHubSession:
         for i, hub_graph in repeats:
             results[i] = oracle(
                 hub_graph,
-                workload,
-                schedule,
-                uncovered,
                 uncovered_mask,
                 arrays,
                 upper_bound=(

@@ -11,8 +11,8 @@ that every scheduling algorithm in :mod:`repro.core` consumes:
 
 Static schedulers run on CSR: CHITCHAT freezes dense-id graphs with
 :func:`to_csr` and relabels any other graph once at its boundary, handing
-the schedule back in the caller's labels.  Churn maintenance runs on the
-mutable dict graph.
+the schedule back in the caller's labels.  Churn maintenance relabels the
+same way and keeps a mutable :class:`SocialGraph` beside an edge-id index.
 """
 
 from repro.graph.csr import CSRGraph

@@ -8,6 +8,8 @@ Naming conventions used across tests:
 * ``small_social`` — a ~120-node copying-model graph with real piggybacking
   opportunities, the work-horse for algorithm tests.
 * ``uniform_workload_for`` / ``log_workload_for`` — rate builders.
+* ``OracleInstance`` — a labelled instance on the oracles' one input form
+  (dense edge ids, a ``ScheduleMirror``), with results mapped back.
 * ``GRAPH_FORMS`` / ``graph_in_form`` — the two graph types a scheduler
   accepts: the mutable dict ``SocialGraph`` (``"dict"``, frozen to CSR at
   the scheduler boundary) and a frozen ``CSRGraph`` (``"csr"``, passed
@@ -17,11 +19,17 @@ Naming conventions used across tests:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.chitchat import _dense_instance
+from repro.core.densest import OracleCutoff, ScheduleMirror
+from repro.core.hubgraph import HubGraph, build_hub_graph
+from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
-from repro.graph.view import GraphView, to_csr
+from repro.graph.view import GraphView, edge_list, to_csr
 from repro.workload.rates import (
     Workload,
     log_degree_workload,
@@ -40,6 +48,102 @@ def graph_in_form(graph: SocialGraph, form: str) -> GraphView:
     if form not in GRAPH_FORMS:
         raise ValueError(f"unknown graph form {form!r}")
     return to_csr(graph) if form == "csr" else graph
+
+
+class OracleInstance:
+    """A labelled instance on the oracles' single input form.
+
+    The densest-subgraph oracles take hub-graphs built on dense edge ids
+    plus a ``ScheduleMirror``.  This freezes ``graph`` the way
+    ``ChitchatScheduler`` does at its boundary (a dense-id graph as is,
+    any other relabeled in tie-break order), builds hub-graphs on that
+    CSR (``hub_graph`` takes the caller's labels), builds the mirror of a
+    ``(schedule, uncovered)`` state given in the caller's labels, and maps
+    oracle results back to those labels (``covered_ids`` stay dense).
+    """
+
+    def __init__(self, graph: GraphView, workload: Workload) -> None:
+        self.csr, rates, self.labels = _dense_instance(graph, workload)
+        self.ids = (
+            None
+            if self.labels is None
+            else {label: i for i, label in enumerate(self.labels)}
+        )
+        self.edge_ids = {e: i for i, e in enumerate(edge_list(self.csr))}
+        self.rp, self.rc = rates.as_arrays(self.csr.num_nodes)
+
+    def dense(self, node):
+        return node if self.ids is None else self.ids[node]
+
+    def label(self, node):
+        return node if self.labels is None else self.labels[node]
+
+    def dense_edge(self, edge):
+        return (self.dense(edge[0]), self.dense(edge[1]))
+
+    def label_edge(self, edge):
+        return (self.label(edge[0]), self.label(edge[1]))
+
+    def hub_graph(self, hub, max_cross_edges=None, elements=None) -> HubGraph:
+        if elements is not None:
+            elements = [self.dense_edge(edge) for edge in elements]
+        return build_hub_graph(
+            self.csr, self.dense(hub), max_cross_edges, elements=elements
+        )
+
+    def sides(self, hub_graph: HubGraph):
+        """``(x_nodes, y_nodes, cross_edges)`` in the caller's labels."""
+        return (
+            [self.label(x) for x in hub_graph.x_nodes],
+            [self.label(y) for y in hub_graph.y_nodes],
+            [self.label_edge(edge) for edge in hub_graph.cross_edges],
+        )
+
+    def mirror(
+        self, schedule: RequestSchedule | None, uncovered
+    ) -> ScheduleMirror:
+        edge_id = self.edge_ids.__getitem__
+        mirror = ScheduleMirror(len(self.edge_ids), self.rp, self.rc)
+        mirror.uncovered_mask[:] = False
+        mirror.uncovered_mask[[edge_id(self.dense_edge(e)) for e in uncovered]] = True
+        for edge in (schedule or RequestSchedule()).push:
+            mirror.add_push(edge_id(self.dense_edge(edge)))
+        for edge in (schedule or RequestSchedule()).pull:
+            mirror.add_pull(edge_id(self.dense_edge(edge)))
+        return mirror
+
+    def call(self, oracle, hub_graph, schedule, uncovered, upper_bound=None):
+        """``oracle`` on ``hub_graph`` at that state, in caller labels."""
+        mirror = self.mirror(schedule, uncovered)
+        return self.result(
+            oracle(
+                hub_graph,
+                mirror.uncovered_mask,
+                mirror.arrays,
+                upper_bound=upper_bound,
+            )
+        )
+
+    def call_batch(self, session, hub_graphs, schedule, uncovered, **options):
+        """A ``MultiHubSession`` call at that state, in caller labels."""
+        mirror = self.mirror(schedule, uncovered)
+        results = session(
+            hub_graphs, mirror.uncovered_mask, mirror.arrays, **options
+        )
+        return [self.result(result) for result in results]
+
+    def result(self, result):
+        if result is None:
+            return None
+        if isinstance(result, OracleCutoff):
+            return dataclasses.replace(result, hub=self.label(result.hub))
+        return dataclasses.replace(
+            result,
+            hub=self.label(result.hub),
+            x_selected=tuple(self.label(x) for x in result.x_selected),
+            y_selected=tuple(self.label(y) for y in result.y_selected),
+            covered=frozenset(self.label_edge(e) for e in result.covered),
+        )
 
 
 @pytest.fixture

@@ -10,6 +10,12 @@ bit for bit.  Do not optimize or "fix" this file: it is the definition of
 the schedule digests the perf ledger pins.  (One deliberate exception, in
 lock-step with production: :func:`probe_optimum_bound` picks the probe twin
 by hub-graph size on every backend — see its docstring.)
+
+It keeps its own tuple element index (:func:`element_index`) and scalar
+vertex pricing (:func:`vertex_weight`), which production no longer has:
+called with an ``uncovered`` set alone, it filters and prices elements
+the way the set-based oracle did, so the suite pins the dense-id kernel
+to that definition as well as to the bitmask one.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import numpy as np
 
 from repro.core.densest import DensestResult, OracleArrays, OracleCutoff
-from repro.core.hubgraph import X_SIDE, HubGraph, HubVertex
+from repro.core.hubgraph import X_SIDE, Y_SIDE, HubGraph, HubVertex
 from repro.core.schedule import RequestSchedule
 from repro.core.tolerances import OPT_BOUND_MARGIN
 from repro.graph.digraph import Edge
@@ -36,6 +42,46 @@ _PROBE_STEP = 0.25
 #: Below this element count the probe runs its scalar twin — per-call
 #: numpy overhead dominates on tiny hub-graphs.
 _PROBE_VECTOR_THRESHOLD = 192
+
+
+def element_index(hub_graph: HubGraph) -> list[tuple[Edge, tuple[HubVertex, ...]]]:
+    """Elements paired with their weighted endpoints, in element order.
+
+    Push legs (``x_nodes`` order), pull legs (``y_nodes`` order), then
+    cross-edges; a leg touches its single side vertex, a cross-edge one X-
+    and one Y-vertex.
+    """
+    hub = hub_graph.hub
+    index: list[tuple[Edge, tuple[HubVertex, ...]]] = [
+        ((x, hub), ((X_SIDE, x),)) for x in hub_graph.x_nodes
+    ]
+    index += [((hub, y), ((Y_SIDE, y),)) for y in hub_graph.y_nodes]
+    index += [
+        ((x, y), ((X_SIDE, x), (Y_SIDE, y))) for x, y in hub_graph.cross_edges
+    ]
+    return index
+
+
+def vertex_weight(
+    hub_graph: HubGraph,
+    vertex: HubVertex,
+    workload: Workload,
+    schedule: RequestSchedule,
+) -> float:
+    """The set-cover weight ``g`` of a hub-graph vertex.
+
+    ``g(x) = rp(x)`` unless the push ``x -> w`` is already paid for
+    (``∈ H``), and ``g(y) = rc(y)`` unless the pull ``w -> y`` is already
+    paid for (``∈ L``) — exactly the weight updates of Algorithm 1.
+    """
+    side, node = vertex
+    if side == X_SIDE:
+        if (node, hub_graph.hub) in schedule.push:
+            return 0.0
+        return workload.rp(node)
+    if (hub_graph.hub, node) in schedule.pull:
+        return 0.0
+    return workload.rc(node)
 
 
 def _probe_bound_vectorized(
@@ -230,7 +276,7 @@ def reference_densest_subgraph(
     bound is returned instead of a result.
     """
     hub = hub_graph.hub
-    index = hub_graph.element_index()
+    index = element_index(hub_graph)
     peel = hub_graph.peel_index()
     verts = peel.verts
     endpoint_idx = peel.endpoint_idx
@@ -288,7 +334,7 @@ def reference_densest_subgraph(
     else:
         degree, active = compute_degrees()
         weight = [
-            hub_graph.vertex_weight(verts[i], workload, schedule)
+            vertex_weight(hub_graph, verts[i], workload, schedule)
             if degree[i] > 0
             else 0.0
             for i in range(num_verts)

@@ -12,8 +12,8 @@ ISSUE 6's contract, bottom layer up:
 * ``MultiHubSession`` — a batched oracle call over ``k`` hub-graphs
   must return results byte-identical to ``k`` sequential
   ``ExactOracle`` calls at the same state, across covering sequences
-  (the warm path), on both oracle input paths, and under LRU eviction
-  pressure (``max_cached`` smaller than the batch).
+  (the warm path), and under LRU eviction pressure (``max_cached``
+  smaller than the batch).
 
 Scheduler-level byte-identity at ε=0 (``batch_k`` on full CHITCHAT
 runs, every width and flow method) lives in
@@ -27,15 +27,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.densest import ScheduleMirror
-from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.flow.batched_solve import BatchedNetwork, BlockTemplate, FlowStats
 from repro.flow.exact_oracle import ExactOracle, MultiHubSession
 from repro.flow.maxflow import FlowError, FlowNetwork
 from repro.graph.digraph import SocialGraph
-from repro.graph.view import edge_list, to_csr
 from repro.workload.rates import Workload
+from tests.conftest import OracleInstance
 
 METHODS = ("loop", "wave")
 
@@ -316,7 +314,8 @@ class TestMultiHubSessionDifferential:
         graph, workload, hubs = merged_instances(
             1000 + seed, rng.randint(2, 5)
         )
-        hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
+        instance = OracleInstance(graph, workload)
+        hub_graphs = [instance.hub_graph(hub) for hub in hubs]
         batched_oracle = ExactOracle(warm=warm)
         sequential = ExactOracle(warm=warm)
         session = MultiHubSession(batched_oracle)
@@ -325,10 +324,10 @@ class TestMultiHubSessionDifferential:
         for _round in range(6):
             if not uncovered:
                 break
-            batch = session(hub_graphs, workload, schedule, uncovered)
+            batch = instance.call_batch(session, hub_graphs, schedule, uncovered)
             for hub_graph, result in zip(hub_graphs, batch):
-                reference = sequential(
-                    hub_graph, workload, schedule, uncovered
+                reference = instance.call(
+                    sequential, hub_graph, schedule, uncovered
                 )
                 assert_same_result(result, reference)
             covered_any = [r for r in batch if r is not None and r.covered]
@@ -350,50 +349,11 @@ class TestMultiHubSessionDifferential:
             assert batched_oracle.warm_solves == sequential.warm_solves
         assert batched_oracle.flow_stats.batched_solves > 0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_csr_mask_path_matches_dict_path(self, seed):
-        graph, workload, hubs = merged_instances(2000 + seed, 3)
-        # CSR requires dense ids: relabel the merged graph and workload
-        remap = {n: i for i, n in enumerate(sorted(graph.nodes()))}
-        graph = SocialGraph(
-            sorted((remap[u], remap[v]) for u, v in graph.edges())
-        )
-        workload = Workload(
-            production={
-                remap[n]: r for n, r in workload.production.items()
-            },
-            consumption={
-                remap[n]: r for n, r in workload.consumption.items()
-            },
-        )
-        hubs = [remap[h] for h in hubs]
-        view = to_csr(graph)
-        edges = edge_list(view)
-        mirror = ScheduleMirror(view, workload, edges)
-        csr_hub_graphs = [build_hub_graph(view, hub) for hub in hubs]
-        dict_hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
-        csr_session = MultiHubSession(ExactOracle(warm=True))
-        dict_session = MultiHubSession(ExactOracle(warm=True))
-        uncovered = set(edges)
-        schedule = RequestSchedule()
-        csr_results = csr_session(
-            csr_hub_graphs,
-            workload,
-            schedule,
-            uncovered,
-            uncovered_mask=mirror.uncovered_mask,
-            arrays=mirror.arrays,
-        )
-        dict_results = dict_session(
-            dict_hub_graphs, workload, schedule, uncovered
-        )
-        for a, b in zip(csr_results, dict_results):
-            assert_same_result(a, b)
-
     def test_lru_eviction_during_batch_stays_correct(self):
         """max_cached below the batch width: evicted hubs rebuild cold."""
         graph, workload, hubs = merged_instances(3000, 4)
-        hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
+        instance = OracleInstance(graph, workload)
+        hub_graphs = [instance.hub_graph(hub) for hub in hubs]
         capped = ExactOracle(warm=True, max_cached=2)
         unbounded = ExactOracle(warm=True)
         capped_session = MultiHubSession(capped)
@@ -401,8 +361,10 @@ class TestMultiHubSessionDifferential:
         uncovered = set(graph.edges())
         schedule = RequestSchedule()
         for _round in range(3):
-            a = capped_session(hub_graphs, workload, schedule, uncovered)
-            b = unbounded_session(hub_graphs, workload, schedule, uncovered)
+            a = instance.call_batch(capped_session, hub_graphs, schedule, uncovered)
+            b = instance.call_batch(
+                unbounded_session, hub_graphs, schedule, uncovered
+            )
             for x, y in zip(a, b):
                 assert_same_result(x, y)
             champion = next(r for r in a if r is not None and r.covered)
@@ -412,14 +374,13 @@ class TestMultiHubSessionDifferential:
 
     def test_repeated_hub_in_one_batch_is_replayed_sequentially(self):
         graph, workload, hubs = merged_instances(4000, 2)
-        hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
+        instance = OracleInstance(graph, workload)
+        hub_graphs = [instance.hub_graph(hub) for hub in hubs]
         doubled = hub_graphs + [hub_graphs[0]]
         session = MultiHubSession(ExactOracle(warm=True))
-        results = session(
-            doubled, workload, RequestSchedule(), set(graph.edges())
-        )
-        reference = ExactOracle(warm=True)(
-            hub_graphs[0], workload, RequestSchedule(), set(graph.edges())
+        results = instance.call_batch(session, doubled, None, graph.edges())
+        reference = instance.call(
+            ExactOracle(warm=True), hub_graphs[0], None, graph.edges()
         )
         assert_same_result(results[0], reference)
         assert_same_result(results[2], reference)
@@ -427,14 +388,13 @@ class TestMultiHubSessionDifferential:
     def test_single_flow_bound_hub_falls_back_to_sequential(self):
         """Below BATCH_MIN_BLOCKS the arena is never built."""
         graph, workload, hubs = merged_instances(5000, 1)
-        hub_graph = build_hub_graph(graph, hubs[0])
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hubs[0])
         oracle = ExactOracle(warm=True)
         session = MultiHubSession(oracle)
-        results = session(
-            [hub_graph], workload, RequestSchedule(), set(graph.edges())
-        )
-        reference = ExactOracle(warm=True)(
-            hub_graph, workload, RequestSchedule(), set(graph.edges())
+        results = instance.call_batch(session, [hub_graph], None, graph.edges())
+        reference = instance.call(
+            ExactOracle(warm=True), hub_graph, None, graph.edges()
         )
         assert_same_result(results[0], reference)
         assert oracle.flow_stats.batched_solves == 0
@@ -445,7 +405,8 @@ class TestMultiHubSessionDifferential:
         """The session's ``method`` is a pure perf knob: identical results."""
         rng = random.Random(17)
         graph, workload, hubs = merged_instances(7000, 3)
-        hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
+        instance = OracleInstance(graph, workload)
+        hub_graphs = [instance.hub_graph(hub) for hub in hubs]
         session = MultiHubSession(ExactOracle(method=method))
         wave_session = MultiHubSession(ExactOracle(method="wave"))
         uncovered = set(graph.edges())
@@ -453,8 +414,8 @@ class TestMultiHubSessionDifferential:
         for _round in range(4):
             if not uncovered:
                 break
-            a = session(hub_graphs, workload, schedule, uncovered)
-            b = wave_session(hub_graphs, workload, schedule, uncovered)
+            a = instance.call_batch(session, hub_graphs, schedule, uncovered)
+            b = instance.call_batch(wave_session, hub_graphs, schedule, uncovered)
             for x, y in zip(a, b):
                 assert_same_result(x, y)
             covered_any = [r for r in a if r is not None and r.covered]
@@ -468,10 +429,13 @@ class TestMultiHubSessionDifferential:
 
     def test_fully_covered_hubs_yield_none_slots(self):
         graph, workload, hubs = merged_instances(6000, 3)
-        hub_graphs = [build_hub_graph(graph, hub) for hub in hubs]
+        instance = OracleInstance(graph, workload)
+        hub_graphs = [instance.hub_graph(hub) for hub in hubs]
         # drop every element of hub 0 from the uncovered set
-        uncovered = set(graph.edges()) - set(hub_graphs[0].elements())
+        uncovered = set(graph.edges()) - {
+            instance.label_edge(edge) for edge in hub_graphs[0].elements()
+        }
         session = MultiHubSession(ExactOracle(warm=True))
-        results = session(hub_graphs, workload, RequestSchedule(), uncovered)
+        results = instance.call_batch(session, hub_graphs, None, uncovered)
         assert results[0] is None
         assert results[1] is not None and results[2] is not None

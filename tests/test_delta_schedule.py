@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.delta as delta_module
-from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
+from tests.conftest import ART, BILLIE, CHARLIE, OracleInstance, make_uniform
 from tests.reference_repair import EndpointCandidatesDeltaScheduler
 from tests.test_restricted_hubgraph import churn_instance
 from repro.core.baselines import hybrid_schedule
@@ -40,7 +40,7 @@ from repro.core.parallelnosy import parallel_nosy_schedule
 from repro.core.schedule import RequestSchedule
 from repro.core.serialize import save_schedule
 from repro.core.tolerances import DELTA_QUALITY_EPSILON
-from repro.errors import ReproError, ScheduleError
+from repro.errors import GraphError, ReproError, ScheduleError
 from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
@@ -329,19 +329,6 @@ class TestLocality:
         assert 3 * len(wedges) < degree  # the bound never saw the hub's degree
         assert delta.is_feasible()
 
-    def test_truncated_repair_pays_for_the_whole_neighbourhood(self):
-        """The other side of the branch: ``max_cross_edges`` is defined on
-        the maximal enumeration order, so that path still builds it."""
-        degree = 1000
-        graph, workload = mega_hub_instance(degree)
-        delta = DeltaScheduler.from_scheduler(
-            completed_run(graph, workload), max_cross_edges=8
-        )
-        delta.apply(ChurnEvent(kind="add", edge=(1, degree + 5)))
-        delta.repair()
-        assert delta.stats.elements_materialized >= 2 * degree
-        assert delta.is_feasible()
-
     def test_untouched_covers_survive(self):
         """Events far from a cover leave its hub assignment in place."""
         graph, workload = make_instance(6)
@@ -390,8 +377,7 @@ def leg_hub_problems(draw):
                 schedule.add_push(leg)
             else:
                 schedule.add_pull(leg)
-    hub_graph = build_hub_graph(graph, hub, elements=legs)
-    return hub_graph, workload, schedule, alive
+    return graph, hub, legs, workload, schedule, alive
 
 
 def assert_run_contract(delta, event):
@@ -459,9 +445,11 @@ class TestRelayCandidates:
     @given(problem=leg_hub_problems())
     @settings(max_examples=150, deadline=None)
     def test_cross_free_champion_never_beats_its_singletons(self, problem):
-        hub_graph, workload, schedule, alive = problem
+        graph, hub, legs, workload, schedule, alive = problem
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hub, elements=legs)
         for oracle in (densest_subgraph, ExactOracle()):
-            result = oracle(hub_graph, workload, schedule, alive)
+            result = instance.call(oracle, hub_graph, schedule, alive)
             if result is None:
                 continue
             cheapest = min(
@@ -539,6 +527,131 @@ class TestRelayCandidates:
         assert pruned.cost() == pytest.approx(reference.cost(), rel=1e-3)
 
 
+class TestIdSpace:
+    """The dense id space under churn: edge ids are append-only (a new
+    edge takes the next id, a removed edge's id retires), the mirror's
+    vectors double when the ids outgrow them, and a repair leaves no
+    element uncovered."""
+
+    def assert_mirror_consistent(self, delta):
+        mirror = delta._mirror
+        schedule = delta._schedule
+        assert not mirror.uncovered_mask.any()
+        assert len(mirror.uncovered_mask) >= delta._graph.issued
+        live = {
+            (u, v): edge_id
+            for u, out in delta._graph.ids.items()
+            for v, edge_id in out.items()
+        }
+        assert set(live) == set(delta._graph.social.edges())
+        assert len(set(live.values())) == len(live)  # ids are never shared
+        pushed = {e for e, i in live.items() if mirror.arrays.push_mask[i]}
+        pulled = {e for e, i in live.items() if mirror.arrays.pull_mask[i]}
+        assert pushed == schedule.push & live.keys()
+        assert pulled == schedule.pull & live.keys()
+
+    @pytest.mark.parametrize("oracle", ["peel", "exact"])
+    def test_add_heavy_stream_grows_the_ids_past_capacity(self, oracle):
+        graph, workload = make_instance(3, nodes=20)
+        delta = DeltaScheduler.from_scheduler(
+            completed_run(graph, workload), oracle=oracle
+        )
+        capacity = len(delta._mirror.uncovered_mask)
+        assert capacity == graph.num_edges == delta._graph.issued
+        events = churn_stream(
+            graph, workload, 3 * capacity, add_fraction=0.85,
+            remove_fraction=0.1, rate_fraction=0.05, seed=5,
+        )
+        for event in events:
+            delta.apply(event)
+            assert delta.is_feasible()
+            delta.repair()
+            self.assert_mirror_consistent(delta)
+            assert delta.cost() == pytest.approx(
+                schedule_cost(delta.schedule, delta.workload)
+            )
+        assert delta._graph.issued > capacity
+        assert len(delta._mirror.uncovered_mask) > capacity
+        assert delta.stats.hub_selections > 0
+
+    @pytest.mark.parametrize("oracle", ["peel", "exact"])
+    def test_removed_edge_retires_its_id_and_a_re_add_takes_a_new_one(
+        self, oracle
+    ):
+        graph, workload = make_instance(4, nodes=20)
+        delta = DeltaScheduler.from_scheduler(
+            completed_run(graph, workload), oracle=oracle
+        )
+        edge = sorted(graph.edges())[0]
+        old_id = delta._graph.edge_id(*edge)
+        assert delta.apply(remove(edge))
+        delta.repair()
+        assert not delta._graph.has_edge(*edge)
+        arrays = delta._mirror.arrays
+        assert not arrays.push_mask[old_id] and not arrays.pull_mask[old_id]
+        self.assert_mirror_consistent(delta)
+        assert delta.apply(add(edge))
+        new_id = delta._graph.edge_id(*edge)
+        assert new_id == delta._graph.issued - 1 != old_id
+        delta.repair()
+        self.assert_mirror_consistent(delta)
+        assert delta.is_feasible()
+        assert delta.cost() == pytest.approx(
+            schedule_cost(delta.schedule, delta.workload)
+        )
+
+    def test_retired_edge_id_is_refused_by_restricted_builds(self):
+        """The churn graph is a graph on dense edge ids: a restricted
+        hub-graph build over a removed edge raises, as on CSR."""
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        hub_graph = build_hub_graph(delta._graph, CHARLIE, elements=[(ART, BILLIE)])
+        assert hub_graph.element_ids.tolist() == [
+            delta._graph.edge_id(ART, CHARLIE),
+            delta._graph.edge_id(CHARLIE, BILLIE),
+            delta._graph.edge_id(ART, BILLIE),
+        ]
+        delta.apply(remove((ART, BILLIE)))
+        with pytest.raises(GraphError):
+            build_hub_graph(delta._graph, CHARLIE, elements=[(ART, BILLIE)])
+
+    def test_restored_residue_skips_users_never_seen(self):
+        """``restore_residue`` takes caller labels; edges of unknown users
+        cannot be live, so they are dropped, and the rest is repaired."""
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        delta.restore_residue([(ART, CHARLIE), ("nobody", ART)])
+        assert delta.residue() == {(ART, CHARLIE)}
+        assert delta.pending() == 1
+        assert delta.repair() == 0  # a load-bearing leg: screened out
+        assert delta.pending() == 0
+
+    def test_label_off_the_id_sequence_keeps_the_caller_labels(self):
+        """A user whose label is not the next dense id ends the identity
+        mapping: the caller's graph and the public schedule stay in the
+        caller's labels, the dense state goes private."""
+        graph, workload, schedule = wedge_with_schedule()
+        delta = DeltaScheduler(graph, workload, schedule)
+        assert delta.graph is graph and delta.schedule is schedule
+        assert delta.apply(add((ART, "guest")))
+        assert delta.apply(add(("guest", BILLIE)))
+        delta.repair()
+        assert graph.has_edge(ART, "guest") and graph.has_edge("guest", BILLIE)
+        assert delta.graph is graph
+        served = delta.schedule.push | delta.schedule.pull
+        assert {(ART, "guest"), ("guest", BILLIE)} <= served | set(
+            delta.schedule.hub_cover
+        )
+        assert all("guest" not in edge for edge in schedule.push | schedule.pull)
+        assert delta.apply(remove((ART, CHARLIE)))
+        delta.repair()
+        assert delta.is_feasible()
+        validate_schedule(delta.graph, delta.schedule)
+        assert delta.cost() == pytest.approx(
+            schedule_cost(delta.schedule, delta.workload)
+        )
+
+
 class TestConstruction:
     def test_rejects_infeasible_schedule(self):
         graph, workload = make_instance(0)
@@ -573,7 +686,6 @@ class TestConstruction:
             ({"oracle": "auto"}, ORACLE_MODES),
             ({"method": "bogus"}, FLOW_METHODS),
             ({"method": "jit"}, FLOW_METHODS),
-            ({"max_cross_edges": -1}, "max_cross_edges"),
         ],
     )
     def test_rejects_bad_option_up_front(self, options, named):

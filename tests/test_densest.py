@@ -7,18 +7,38 @@ from itertools import chain, combinations
 
 import pytest
 
-from tests.conftest import ART, BILLIE, CHARLIE, make_uniform
+from tests.conftest import ART, BILLIE, CHARLIE, OracleInstance, make_uniform
 from repro.core.densest import densest_subgraph, unweighted_densest_subgraph
-from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import SocialGraph
 from repro.workload.rates import Workload
 
 
-def brute_force_best(hub_graph, workload, schedule, uncovered):
+def peel(graph, hub, workload, schedule, uncovered, upper_bound=None):
+    """The peel oracle on ``graph``'s hub-graph at ``hub``, in its labels."""
+    instance = OracleInstance(graph, workload)
+    return instance.call(
+        densest_subgraph,
+        instance.hub_graph(hub),
+        schedule,
+        uncovered,
+        upper_bound=upper_bound,
+    )
+
+
+def brute_force_best(graph, hub, workload, schedule, uncovered):
     """Exhaustive best-density sub-hub-graph for cross-checking the peel."""
-    xs, ys = hub_graph.x_nodes, hub_graph.y_nodes
-    hub = hub_graph.hub
+    instance = OracleInstance(graph, workload)
+    xs, ys, cross_edges = instance.sides(instance.hub_graph(hub))
+
+    def weight_of(x_sel, y_sel):
+        # Algorithm 1's weights: a leg already paid for is free
+        return sum(
+            0.0 if (x, hub) in schedule.push else workload.rp(x) for x in x_sel
+        ) + sum(
+            0.0 if (hub, y) in schedule.pull else workload.rc(y) for y in y_sel
+        )
+
     best_density = -1.0
     best = None
     x_power = chain.from_iterable(combinations(xs, r) for r in range(len(xs) + 1))
@@ -34,18 +54,12 @@ def brute_force_best(hub_graph, workload, schedule, uncovered):
             for y in y_sel:
                 if (hub, y) in uncovered:
                     covered.add((hub, y))
-            for x, y in hub_graph.cross_edges:
+            for x, y in cross_edges:
                 if x in x_sel and y in y_sel and (x, y) in uncovered:
                     covered.add((x, y))
             if not covered:
                 continue
-            weight = sum(
-                hub_graph.vertex_weight(("x", x), workload, schedule)
-                for x in x_sel
-            ) + sum(
-                hub_graph.vertex_weight(("y", y), workload, schedule)
-                for y in y_sel
-            )
+            weight = weight_of(x_sel, y_sel)
             density = math.inf if weight == 0 else len(covered) / weight
             if density > best_density:
                 best_density = density
@@ -58,9 +72,8 @@ class TestWedgeOracle:
         # rc close to rp so the full wedge (3 elements / rp + rc) is denser
         # than the push-leg-only subgraph (1 element / rp).
         w = make_uniform(wedge_graph, rp=1.0, rc=1.2)
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        result = densest_subgraph(
-            hub, w, RequestSchedule(), set(wedge_graph.edges())
+        result = peel(
+            wedge_graph, CHARLIE, w, RequestSchedule(), set(wedge_graph.edges())
         )
         assert result is not None
         assert result.x_selected == (ART,)
@@ -72,9 +85,12 @@ class TestWedgeOracle:
     def test_expensive_pull_drops_consumer_side(self, wedge_graph, wedge_workload):
         # with rc = 5 >> rp = 1 the pull leg is not worth it: the densest
         # sub-hub-graph is the bare push leg {ART} (1 element / 1.0).
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        result = densest_subgraph(
-            hub, wedge_workload, RequestSchedule(), set(wedge_graph.edges())
+        result = peel(
+            wedge_graph,
+            CHARLIE,
+            wedge_workload,
+            RequestSchedule(),
+            set(wedge_graph.edges()),
         )
         assert result is not None
         assert result.x_selected == (ART,)
@@ -83,19 +99,17 @@ class TestWedgeOracle:
         assert result.cost_per_element == pytest.approx(1.0)
 
     def test_returns_none_when_nothing_uncovered(self, wedge_graph, wedge_workload):
-        hub = build_hub_graph(wedge_graph, CHARLIE)
         assert (
-            densest_subgraph(hub, wedge_workload, RequestSchedule(), set())
+            peel(wedge_graph, CHARLIE, wedge_workload, RequestSchedule(), set())
             is None
         )
 
     def test_free_when_legs_paid(self, wedge_graph, wedge_workload):
-        hub = build_hub_graph(wedge_graph, CHARLIE)
         schedule = RequestSchedule(
             push={(ART, CHARLIE)}, pull={(CHARLIE, BILLIE)}
         )
-        result = densest_subgraph(
-            hub, wedge_workload, schedule, {(ART, BILLIE)}
+        result = peel(
+            wedge_graph, CHARLIE, wedge_workload, schedule, {(ART, BILLIE)}
         )
         assert result is not None
         assert result.weight == 0.0
@@ -114,8 +128,7 @@ class TestHubSelection:
         w = make_uniform(g, rp=1.0, rc=2.0)
         # full hub {10,11,12,20}: 7 elements / weight 5 = 0.71 cost/elem;
         # adding 21 only brings its pull leg: 8 / 7 = 0.875 -> dropped.
-        hub = build_hub_graph(g, 5)
-        result = densest_subgraph(hub, w, RequestSchedule(), set(g.edges()))
+        result = peel(g, 5, w, RequestSchedule(), set(g.edges()))
         assert result is not None
         assert 20 in result.y_selected
         assert 21 not in result.y_selected
@@ -128,10 +141,9 @@ class TestHubSelection:
             production={1: 1.0, 2: 0.5, 3: 4.0, 5: 1.0, 7: 1.0, 8: 1.0},
             consumption={1: 1.0, 2: 1.0, 3: 1.0, 5: 1.0, 7: 2.0, 8: 6.0},
         )
-        hub = build_hub_graph(g, 5)
         uncovered = set(g.edges())
-        result = densest_subgraph(hub, w, RequestSchedule(), uncovered)
-        best_density, _ = brute_force_best(hub, w, RequestSchedule(), uncovered)
+        result = peel(g, 5, w, RequestSchedule(), uncovered)
+        best_density, _ = brute_force_best(g, 5, w, RequestSchedule(), uncovered)
         assert result is not None
         # Lemma 1: factor-2 approximation of the optimum
         assert result.density >= best_density / 2.0 - 1e-9
@@ -155,20 +167,18 @@ class TestHubSelection:
                 production={n: rng.uniform(0.1, 5.0) for n in g.nodes()},
                 consumption={n: rng.uniform(0.1, 5.0) for n in g.nodes()},
             )
-            hub = build_hub_graph(g, 10)
             uncovered = set(g.edges())
-            result = densest_subgraph(hub, w, RequestSchedule(), uncovered)
+            result = peel(g, 10, w, RequestSchedule(), uncovered)
             best_density, _ = brute_force_best(
-                hub, w, RequestSchedule(), uncovered
+                g, 10, w, RequestSchedule(), uncovered
             )
             assert result is not None
             assert result.density >= best_density / 2.0 - 1e-9, f"trial {trial}"
 
     def test_covered_set_consistent_with_selection(self, two_hub_graph):
         w = make_uniform(two_hub_graph)
-        hub = build_hub_graph(two_hub_graph, 5)
-        result = densest_subgraph(
-            hub, w, RequestSchedule(), set(two_hub_graph.edges())
+        result = peel(
+            two_hub_graph, 5, w, RequestSchedule(), set(two_hub_graph.edges())
         )
         assert result is not None
         for x, y in result.covered:
@@ -206,17 +216,13 @@ class TestUnweightedReference:
 class TestBoundedOracle:
     """The ``upper_bound`` early exit and the certified optimum bounds."""
 
-    def _wedge_hub(self, wedge_graph):
-        return build_hub_graph(wedge_graph, CHARLIE)
-
     def test_low_upper_bound_returns_cutoff(self, wedge_graph):
         from repro.core.densest import OracleCutoff
 
         w = make_uniform(wedge_graph, rp=1.0, rc=1.2)
-        hub = self._wedge_hub(wedge_graph)
         uncovered = set(wedge_graph.edges())
-        result = densest_subgraph(
-            hub, w, RequestSchedule(), uncovered, upper_bound=1e-6
+        result = peel(
+            wedge_graph, CHARLIE, w, RequestSchedule(), uncovered, upper_bound=1e-6
         )
         assert isinstance(result, OracleCutoff)
         assert result.hub == CHARLIE
@@ -224,11 +230,10 @@ class TestBoundedOracle:
 
     def test_high_upper_bound_matches_unbounded_result(self, wedge_graph):
         w = make_uniform(wedge_graph, rp=1.0, rc=1.2)
-        hub = self._wedge_hub(wedge_graph)
         uncovered = set(wedge_graph.edges())
-        unbounded = densest_subgraph(hub, w, RequestSchedule(), uncovered)
-        bounded = densest_subgraph(
-            hub, w, RequestSchedule(), uncovered, upper_bound=1e9
+        unbounded = peel(wedge_graph, CHARLIE, w, RequestSchedule(), uncovered)
+        bounded = peel(
+            wedge_graph, CHARLIE, w, RequestSchedule(), uncovered, upper_bound=1e9
         )
         assert bounded.covered == unbounded.covered
         assert bounded.x_selected == unbounded.x_selected
@@ -239,9 +244,8 @@ class TestBoundedOracle:
         from repro.core.densest import OracleCutoff
 
         w = make_uniform(wedge_graph, rp=1.0, rc=50.0)
-        hub = self._wedge_hub(wedge_graph)
-        result = densest_subgraph(
-            hub, w, RequestSchedule(), set(wedge_graph.edges())
+        result = peel(
+            wedge_graph, CHARLIE, w, RequestSchedule(), set(wedge_graph.edges())
         )
         assert not isinstance(result, OracleCutoff)
 
@@ -264,20 +268,24 @@ class TestBoundedOracle:
         for hub_node in graph.nodes():
             if graph.in_degree(hub_node) == 0 or graph.out_degree(hub_node) == 0:
                 continue
-            hub = build_hub_graph(graph, hub_node)
             best_density, best = brute_force_best(
-                hub, workload, RequestSchedule(), uncovered
+                graph, hub_node, workload, RequestSchedule(), uncovered
             )
             if best is None:
                 continue
             opt_cost = 0.0 if math.isinf(best_density) else 1.0 / best_density
             # a sub-epsilon bound forces the probe on every viable hub
-            probe = densest_subgraph(
-                hub, workload, RequestSchedule(), uncovered, upper_bound=-1.0
+            probe = peel(
+                graph,
+                hub_node,
+                workload,
+                RequestSchedule(),
+                uncovered,
+                upper_bound=-1.0,
             )
             assert isinstance(probe, OracleCutoff)
             assert probe.lower_bound <= opt_cost + 1e-9
-            full = densest_subgraph(hub, workload, RequestSchedule(), uncovered)
+            full = peel(graph, hub_node, workload, RequestSchedule(), uncovered)
             assert full is not None
             assert full.opt_lower_bound <= opt_cost + 1e-9
             assert full.opt_lower_bound <= full.cost_per_element + 1e-12

@@ -29,6 +29,7 @@ from tests.conftest import (
     BILLIE,
     CHARLIE,
     GRAPH_FORMS,
+    OracleInstance,
     graph_in_form,
     make_uniform,
 )
@@ -43,9 +44,7 @@ from repro.core.chitchat import (
 )
 from repro.core.cost import schedule_cost
 from repro.core.densest import OracleCutoff, densest_subgraph
-from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
-from repro.core.tolerances import BATCH_K
 from repro.errors import ReproError
 from repro.flow import FLOW_METHODS, ORACLE_MODES, ExactOracle
 from repro.graph.digraph import SocialGraph
@@ -137,12 +136,23 @@ class TestSeededDinkelbachMaximality:
         assert seeded.covered == reference.covered
 
 
+def exact(graph, hub, workload, schedule, uncovered, upper_bound=None):
+    """The exact oracle on ``graph``'s hub-graph at ``hub``, in its labels."""
+    instance = OracleInstance(graph, workload)
+    return instance.call(
+        ExactOracle(),
+        instance.hub_graph(hub),
+        schedule,
+        uncovered,
+        upper_bound=upper_bound,
+    )
+
+
 class TestExactMatchesBruteForce:
     def test_wedge_full_selection(self, wedge_graph):
         w = make_uniform(wedge_graph, rp=1.0, rc=1.2)
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        result = ExactOracle()(
-            hub, w, RequestSchedule(), set(wedge_graph.edges())
+        result = exact(
+            wedge_graph, CHARLIE, w, RequestSchedule(), set(wedge_graph.edges())
         )
         assert result is not None and result.exact
         assert result.x_selected == (ART,)
@@ -155,13 +165,16 @@ class TestExactMatchesBruteForce:
         )
 
     def test_returns_none_when_nothing_uncovered(self, wedge_graph, wedge_workload):
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        assert ExactOracle()(hub, wedge_workload, RequestSchedule(), set()) is None
+        assert (
+            exact(wedge_graph, CHARLIE, wedge_workload, RequestSchedule(), set())
+            is None
+        )
 
     def test_free_when_legs_paid(self, wedge_graph, wedge_workload):
-        hub = build_hub_graph(wedge_graph, CHARLIE)
         schedule = RequestSchedule(push={(ART, CHARLIE)}, pull={(CHARLIE, BILLIE)})
-        result = ExactOracle()(hub, wedge_workload, schedule, {(ART, BILLIE)})
+        result = exact(
+            wedge_graph, CHARLIE, wedge_workload, schedule, {(ART, BILLIE)}
+        )
         assert result is not None
         assert result.weight == 0.0
         assert result.cost_per_element == 0.0
@@ -169,9 +182,13 @@ class TestExactMatchesBruteForce:
 
     def test_low_upper_bound_returns_cutoff(self, wedge_graph):
         w = make_uniform(wedge_graph, rp=1.0, rc=1.2)
-        hub = build_hub_graph(wedge_graph, CHARLIE)
-        result = ExactOracle()(
-            hub, w, RequestSchedule(), set(wedge_graph.edges()), upper_bound=1e-6
+        result = exact(
+            wedge_graph,
+            CHARLIE,
+            w,
+            RequestSchedule(),
+            set(wedge_graph.edges()),
+            upper_bound=1e-6,
         )
         assert isinstance(result, OracleCutoff)
         assert result.lower_bound > 1e-6
@@ -190,31 +207,29 @@ class TestExactMatchesBruteForce:
             production={1: 1.0, 2: 3.9, 5: 1.0, 7: 1.0, 8: 1.0},
             consumption={1: 1.0, 2: 1.0, 5: 1.0, 7: 1.1, 8: 4.0},
         )
-        hub = build_hub_graph(g, 5)
         uncovered = set(g.edges())
-        exact = ExactOracle()(hub, w, RequestSchedule(), uncovered)
-        best_density, _ = brute_force_best(hub, w, RequestSchedule(), uncovered)
-        assert exact.density == pytest.approx(best_density, rel=1e-9)
+        result = exact(g, 5, w, RequestSchedule(), uncovered)
+        best_density, _ = brute_force_best(g, 5, w, RequestSchedule(), uncovered)
+        assert result.density == pytest.approx(best_density, rel=1e-9)
 
     @SMALL
     @given(hub_instances())
     def test_exact_equals_brute_force_sweep(self, instance):
         graph, workload, covered = instance
-        hub = build_hub_graph(graph, 10)
         uncovered = set(graph.edges()) - covered
         schedule = RequestSchedule()
-        exact = ExactOracle()(hub, workload, schedule, uncovered)
-        best_density, _ = brute_force_best(hub, workload, schedule, uncovered)
-        if exact is None:
+        result = exact(graph, 10, workload, schedule, uncovered)
+        best_density, _ = brute_force_best(graph, 10, workload, schedule, uncovered)
+        if result is None:
             assert best_density <= 0.0 or not uncovered
             return
         if math.isinf(best_density):
-            assert exact.density == math.inf
+            assert result.density == math.inf
             return
-        assert exact.density == pytest.approx(best_density, rel=1e-9)
+        assert result.density == pytest.approx(best_density, rel=1e-9)
         # the selection must internally justify its reported density
-        assert exact.density == pytest.approx(
-            len(exact.covered) / exact.weight if exact.weight else math.inf,
+        assert result.density == pytest.approx(
+            len(result.covered) / result.weight if result.weight else math.inf,
             rel=1e-12,
         )
 
@@ -223,16 +238,17 @@ class TestExactMatchesBruteForce:
     def test_peel_within_factor_two_of_exact(self, instance):
         """Both sides of Lemma 1: exact ≤ peel ≤ 2 · exact (cost per element)."""
         graph, workload, covered = instance
-        hub = build_hub_graph(graph, 10)
         uncovered = set(graph.edges()) - covered
         schedule = RequestSchedule()
-        exact = ExactOracle()(hub, workload, schedule, uncovered)
-        peel = densest_subgraph(hub, workload, schedule, uncovered)
-        assert (exact is None) == (peel is None)
-        if exact is None:
+        instance = OracleInstance(graph, workload)
+        hub = instance.hub_graph(10)
+        optimum = instance.call(ExactOracle(), hub, schedule, uncovered)
+        peel = instance.call(densest_subgraph, hub, schedule, uncovered)
+        assert (optimum is None) == (peel is None)
+        if optimum is None:
             return
-        assert exact.cost_per_element <= peel.cost_per_element + 1e-9
-        assert peel.cost_per_element <= 2.0 * exact.cost_per_element + 1e-9
+        assert optimum.cost_per_element <= peel.cost_per_element + 1e-9
+        assert peel.cost_per_element <= 2.0 * optimum.cost_per_element + 1e-9
 
 
 class TestOptionValidation:
@@ -333,21 +349,6 @@ class TestExactScheduler:
         assert schedule_cost(exact, workload) <= schedule_cost(
             peel, workload
         ) + 1e-6
-
-    @pytest.mark.parametrize("batch_k", [0, BATCH_K])
-    def test_csr_run_never_builds_the_tuple_element_index(self, batch_k):
-        """The CSR path prices and packages from peel positions and edge
-        ids: no cached hub-graph materializes its tuple element index."""
-        graph, workload = self._instance()
-        scheduler = InspectBeforeRelease(
-            graph, workload, oracle="exact", batch_k=batch_k
-        )
-        scheduler.run()
-        hub_graphs = scheduler.seen["_hub_cache"].values()
-        assert hub_graphs
-        assert all(
-            hub_graph._element_index is None for hub_graph in hub_graphs
-        )
 
     def test_memory_gauges_mirror_the_session(self):
         """The session's eviction count and peak cached-network count are

@@ -3,9 +3,8 @@
 CHITCHAT always runs on CSR: handed a dict graph or its CSR freeze it
 must return the identical schedule and counters (``tests/test_relabel.py``
 covers the relabeling boundary); the algorithms that read the view they are given —
-PARALLELNOSY, the hybrid baseline, hub-graph construction and the
-densest-subgraph oracle, which churn repair runs on the dict graph —
-must produce *identical* output on both backends: same schedules
+PARALLELNOSY and the hybrid baseline — must produce *identical* output
+on both backends: same schedules
 (push/pull/hub sets, not just costs) from the same instance.  Hypothesis
 drives random DISSEMINATION instances through both backends; unit tests
 below cover the protocol helpers.
@@ -21,10 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.baselines import hybrid_schedule
 from repro.core.chitchat import chitchat_schedule, chitchat_with_stats
 from repro.core.cost import schedule_cost
-from repro.core.densest import densest_subgraph
-from repro.core.hubgraph import build_hub_graph
 from repro.core.parallelnosy import parallel_nosy_schedule
-from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import SocialGraph
 from repro.graph.view import (
     GraphView,
@@ -109,31 +105,6 @@ class TestSchedulerParity:
             hybrid_schedule(graph, workload),
             hybrid_schedule(to_csr(graph), workload),
         )
-
-    @SMALL
-    @given(instances(), st.integers(min_value=0, max_value=6))
-    def test_hub_graph_and_oracle_parity(self, instance, max_cross):
-        graph, workload = instance
-        csr = to_csr(graph)
-        uncovered = set(graph.edges())
-        schedule = RequestSchedule()
-        cap = max_cross if max_cross > 0 else None
-        for hub in graph.nodes():
-            hub_dict = build_hub_graph(graph, hub, cap)
-            hub_csr = build_hub_graph(csr, hub, cap)
-            assert hub_dict.x_nodes == hub_csr.x_nodes
-            assert hub_dict.y_nodes == hub_csr.y_nodes
-            assert hub_dict.cross_edges == hub_csr.cross_edges
-            assert hub_dict.truncated == hub_csr.truncated
-            result_dict = densest_subgraph(hub_dict, workload, schedule, uncovered)
-            result_csr = densest_subgraph(hub_csr, workload, schedule, uncovered)
-            if result_dict is None:
-                assert result_csr is None
-                continue
-            assert result_dict.x_selected == result_csr.x_selected
-            assert result_dict.y_selected == result_csr.y_selected
-            assert result_dict.covered == result_csr.covered
-            assert result_dict.weight == pytest.approx(result_csr.weight)
 
 
 class TestGraphViewProtocol:

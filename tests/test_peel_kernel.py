@@ -8,7 +8,10 @@ tuple-keyed peel, kept verbatim in ``tests/reference_peel.py``; this suite
 requires the production kernel to equal it **bit for bit** on every
 output field, with the small-path threshold forced to 0 (general path
 answers everything), to a huge value (small path answers everything) and
-left at its default.
+left at its default.  Production takes one input form (bitmask plus leg
+masks); the reference is run on all three it accepts — the ``uncovered``
+set with its own tuple element index and scalar pricing, the bitmask
+alone, and bitmask plus leg masks — and each must agree.
 
 The generators aim at what a rewrite of this kernel trips over:
 
@@ -40,19 +43,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.densest as densest_module
-from repro.core.densest import (
-    DensestResult,
-    OracleArrays,
-    OracleCutoff,
-    densest_subgraph,
-)
+from repro.core.densest import DensestResult, OracleCutoff, densest_subgraph
 from repro.core.hubgraph import X_SIDE, Y_SIDE, PeelIndex, build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import SocialGraph
 from repro.workload.rates import Workload
+from tests.conftest import OracleInstance
 from tests.reference_peel import (
     _PROBE_VECTOR_THRESHOLD as REFERENCE_PROBE_THRESHOLD,
     _probe_bound_vectorized as reference_probe_vectorized,
+    element_index as reference_element_index,
     reference_densest_subgraph,
 )
 
@@ -120,7 +120,7 @@ def make_problem(
     for y in ys:
         if rng.random() < paid:
             schedule.add_pull((hub, y))
-    elements = build_hub_graph(graph, hub).elements()
+    elements = build_hub_graph(graph.to_csr(), hub).elements()
     if isinstance(alive, int):
         uncovered = set(rng.sample(elements, min(alive, len(elements))))
     else:
@@ -129,27 +129,17 @@ def make_problem(
 
 
 def oracle_inputs(graph, hub, workload, schedule, uncovered):
-    """The three input shapes the oracle accepts, as keyword dicts."""
-    csr = graph.to_csr()
-    mask = np.zeros(csr.num_edges, dtype=bool)
-    for u, v in uncovered:
-        mask[csr.edge_id(u, v)] = True
-    rp, rc = workload.as_arrays(csr.num_nodes)
-    push_mask = np.zeros(csr.num_edges, dtype=bool)
-    pull_mask = np.zeros(csr.num_edges, dtype=bool)
-    for u, v in schedule.push:
-        push_mask[csr.edge_id(u, v)] = True
-    for u, v in schedule.pull:
-        pull_mask[csr.edge_id(u, v)] = True
-    arrays = OracleArrays(rp=rp, rc=rc, push_mask=push_mask, pull_mask=pull_mask)
-    return {
-        "dict": (build_hub_graph(graph, hub), {}),
-        "csr-mask": (build_hub_graph(csr, hub), {"uncovered_mask": mask}),
-        "csr-arrays": (
-            build_hub_graph(csr, hub),
-            {"uncovered_mask": mask, "arrays": arrays},
-        ),
+    """The hub-graph, the production oracle's inputs (bitmask, leg masks),
+    and the reference's three input shapes as keyword dicts."""
+    instance = OracleInstance(graph, workload)
+    mirror = instance.mirror(schedule, uncovered)
+    mask, arrays = mirror.uncovered_mask, mirror.arrays
+    reference_shapes = {
+        "set": {},
+        "mask": {"uncovered_mask": mask},
+        "mask+arrays": {"uncovered_mask": mask, "arrays": arrays},
     }
+    return instance.hub_graph(hub), mask, arrays, reference_shapes
 
 
 def bits(value: float) -> str:
@@ -172,39 +162,34 @@ def assert_bit_equal(actual, expected, context: str) -> None:
     assert bits(actual.weight) == bits(expected.weight), context
     assert bits(actual.opt_lower_bound) == bits(expected.opt_lower_bound), context
     assert actual.exact is expected.exact is False, context
-    if expected.covered_ids is None:
-        assert actual.covered_ids is None, context
-    else:
-        assert actual.covered_ids.dtype == expected.covered_ids.dtype, context
-        assert actual.covered_ids.tolist() == expected.covered_ids.tolist(), context
+    assert actual.covered_ids.dtype == expected.covered_ids.dtype, context
+    assert actual.covered_ids.tolist() == expected.covered_ids.tolist(), context
 
 
-def production_answers(hub_graph, workload, schedule, uncovered, **kwargs):
+def production_answers(hub_graph, mask, arrays, upper_bound):
     """``{path label: production result}`` with each threshold in force."""
     answers = {}
     for threshold, label in THRESHOLDS:
         with mock.patch.object(densest_module, "_SMALL_PEEL_THRESHOLD", threshold):
             answers[label] = densest_subgraph(
-                hub_graph, workload, schedule, uncovered, **kwargs
+                hub_graph, mask, arrays, upper_bound=upper_bound
             )
     return answers
 
 
 def check_against_reference(problem, upper_bounds) -> list:
-    """Compare every input shape × bound × path; returns the references."""
+    """Compare every reference shape × bound × path; returns the references."""
     graph, hub, workload, schedule, uncovered = problem
+    hub_graph, mask, arrays, shapes = oracle_inputs(*problem)
     references = []
-    for shape, (hub_graph, kwargs) in oracle_inputs(*problem).items():
+    for shape, kwargs in shapes.items():
         for upper_bound in upper_bounds:
             expected = reference_densest_subgraph(
                 hub_graph, workload, schedule, set(uncovered),
                 upper_bound=upper_bound, **kwargs,
             )
             references.append(expected)
-            answers = production_answers(
-                hub_graph, workload, schedule, set(uncovered),
-                upper_bound=upper_bound, **kwargs,
-            )
+            answers = production_answers(hub_graph, mask, arrays, upper_bound)
             for label, actual in answers.items():
                 assert_bit_equal(
                     actual, expected, f"{shape} / {label} path / bound {upper_bound!r}"
@@ -217,7 +202,7 @@ def bounds_around(problem) -> list[float | None]:
     probe runs, feeds ``opt_lower_bound``, and sometimes cuts off."""
     graph, hub, workload, schedule, uncovered = problem
     champion = reference_densest_subgraph(
-        build_hub_graph(graph, hub), workload, schedule, set(uncovered)
+        build_hub_graph(graph.to_csr(), hub), workload, schedule, set(uncovered)
     )
     if champion is None:
         return [None, 1.0]
@@ -254,14 +239,16 @@ class TestDifferential:
     @settings(max_examples=200, deadline=None)
     def test_small_hub_graphs(self, problem, upper_bound):
         graph, hub, *_ = problem
-        assert build_hub_graph(graph, hub).num_elements < REFERENCE_PROBE_THRESHOLD
+        hub_graph = build_hub_graph(graph.to_csr(), hub)
+        assert hub_graph.num_elements < REFERENCE_PROBE_THRESHOLD
         check_against_reference(problem, [upper_bound, *bounds_around(problem)])
 
     @given(problem=large_hubs, upper_bound=st.floats(min_value=0.0, max_value=20.0))
     @settings(max_examples=60, deadline=None)
     def test_large_hub_graphs(self, problem, upper_bound):
         graph, hub, *_ = problem
-        assert build_hub_graph(graph, hub).num_elements >= REFERENCE_PROBE_THRESHOLD
+        hub_graph = build_hub_graph(graph.to_csr(), hub)
+        assert hub_graph.num_elements >= REFERENCE_PROBE_THRESHOLD
         check_against_reference(problem, [upper_bound, *bounds_around(problem)])
 
     @given(problem=tied_hubs, upper_bound=st.floats(min_value=0.0, max_value=5.0))
@@ -273,11 +260,11 @@ class TestDifferential:
 class TestNamedInvariants:
     def test_probe_twin_is_chosen_by_hub_size_not_alive_count(self):
         """Large hub-graph, few alive: the small path must still run the
-        vectorized (Jacobi) twin, on the dict input shape as on the CSR
-        ones — the bound becomes a heap key, and the lazy scheduler's
-        retained champions make schedules depend on every key, so a
-        backend-dependent twin would fork dict and CSR runs.  The twins do
-        disagree here (the scalar one is forced by raising the threshold).
+        vectorized (Jacobi) twin, as the reference does on each of its
+        input shapes — the bound becomes a heap key, and the lazy
+        scheduler's retained champions make schedules depend on every key.
+        The twins do disagree here (the scalar one is forced by raising
+        the threshold).
 
         ``upper_bound=0.0`` with all-positive weights always cuts off, so
         the probe's bound comes back verbatim as the cutoff's.
@@ -287,19 +274,18 @@ class TestNamedInvariants:
             problem = make_problem(
                 seed, 16, 16, 1, 1.0, paid=0.0, alive=12, rates=POSITIVE_RATES
             )
-            graph, hub, workload, schedule, uncovered = problem
-            hub_graph = build_hub_graph(graph, hub)
+            hub_graph, mask, arrays, _shapes = oracle_inputs(*problem)
             assert hub_graph.num_elements >= REFERENCE_PROBE_THRESHOLD
-            from_dict, mask_only, with_arrays = (
+            from_set, mask_only, with_arrays = (
                 cutoff.lower_bound
                 for cutoff in check_against_reference(problem, [0.0])
             )
-            assert bits(from_dict) == bits(mask_only) == bits(with_arrays)
+            assert bits(from_set) == bits(mask_only) == bits(with_arrays)
             with mock.patch.object(densest_module, "_PROBE_VECTOR_THRESHOLD", 10**9):
                 scalar = densest_subgraph(
-                    hub_graph, workload, schedule, set(uncovered), upper_bound=0.0
+                    hub_graph, mask, arrays, upper_bound=0.0
                 ).lower_bound
-            disagreements += bits(scalar) != bits(from_dict)
+            disagreements += bits(scalar) != bits(from_set)
         assert disagreements > 0, "no instance separates the probe twins"
 
     def test_vectorized_probe_shifts_equal_a_full_recount(self):
@@ -387,7 +373,7 @@ class TestNamedInvariants:
         (10 first), the heap's tuple order removes 2 first."""
         graph = SocialGraph([(2, 0), (10, 0), (0, 5), (2, 5), (10, 5)])
         graph.add_nodes_from(range(11))  # dense ids: freezes to CSR
-        hub_graph = build_hub_graph(graph, 0)
+        hub_graph = build_hub_graph(graph.to_csr(), 0)
         assert hub_graph.x_nodes == [10, 2]
         peel = hub_graph.peel_index()
         assert peel.verts == [(X_SIDE, 10), (X_SIDE, 2), (Y_SIDE, 5)]
@@ -416,7 +402,7 @@ class TestNamedInvariants:
 class TestPeelIndex:
     def test_rank_is_position_in_sorted_vertices(self):
         graph, hub, *_ = make_problem(3, 14, 13, 2, 0.5, 0.0, 0.5, MIXED_RATES)
-        peel = build_hub_graph(graph, hub).peel_index()
+        peel = build_hub_graph(graph.to_csr(), hub).peel_index()
         by_rank = sorted(range(len(peel.verts)), key=peel.rank.__getitem__)
         assert [peel.verts[i] for i in by_rank] == sorted(peel.verts)
         assert peel.rank != list(range(len(peel.verts)))  # repr order differs
@@ -425,26 +411,26 @@ class TestPeelIndex:
         """The small path (delta repair's single-use hub-graphs) reads the
         Python lists alone; the general path derives the arrays once."""
         lazy = {
-            "endpoint_idx", "incident",
+            "endpoint_idx", "incident", "x_arr", "y_arr",
             "inc_vert", "inc_elem", "assign_vert", "assign_alt",
         }
         problem = make_problem(5, 6, 6, 1, 0.8, 0.2, 0.9, MIXED_RATES)
         graph, hub, workload, schedule, uncovered = problem
-        hub_graph = build_hub_graph(graph, hub)
+        hub_graph, mask, arrays, _shapes = oracle_inputs(*problem)
         assert len(uncovered) <= densest_module._SMALL_PEEL_THRESHOLD
-        densest_subgraph(hub_graph, workload, schedule, uncovered, upper_bound=1e9)
+        densest_subgraph(hub_graph, mask, arrays, upper_bound=1e9)
         peel = hub_graph.peel_index()
         assert isinstance(peel, PeelIndex)
         assert not lazy & set(vars(peel))
         with mock.patch.object(densest_module, "_SMALL_PEEL_THRESHOLD", 0):
-            densest_subgraph(hub_graph, workload, schedule, uncovered)
+            densest_subgraph(hub_graph, mask, arrays)
         assert {"incident", "inc_vert", "inc_elem"} <= set(vars(peel))
         assert peel.inc_vert is peel.inc_vert
         # the derived incidence is the element index's, vertex for vertex
         position = {vertex: i for i, vertex in enumerate(peel.verts)}
         assert peel.endpoint_idx == [
             tuple(position[vertex] for vertex in endpoints)
-            for _edge, endpoints in hub_graph.element_index()
+            for _edge, endpoints in reference_element_index(hub_graph)
         ]
         pairs = [
             (i, ei) for ei, idxs in enumerate(peel.endpoint_idx) for i in idxs

@@ -23,17 +23,18 @@ from repro.core.chitchat import ChitchatScheduler
 from repro.core.cost import hybrid_edge_cost, schedule_cost
 from repro.core.coverage import validate_schedule
 from repro.core.densest import densest_subgraph
-from repro.core.hubgraph import build_hub_graph
 from repro.core.schedule import RequestSchedule
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import Workload, log_degree_workload
+from tests.conftest import OracleInstance
 
 
 def naive_chitchat(graph: SocialGraph, workload: Workload) -> RequestSchedule:
     """Reference CHITCHAT: full recomputation at every greedy step."""
     schedule = RequestSchedule()
     uncovered = set(graph.edges())
+    instance = OracleInstance(graph, workload)
     while uncovered:
         # best hub champion across ALL hubs, recomputed from scratch
         # (ties break by integer node/edge ids, matching the scheduler's
@@ -42,8 +43,9 @@ def naive_chitchat(graph: SocialGraph, workload: Workload) -> RequestSchedule:
         for hub in sorted(graph.nodes()):
             if graph.in_degree(hub) == 0 or graph.out_degree(hub) == 0:
                 continue
-            hub_graph = build_hub_graph(graph, hub)
-            result = densest_subgraph(hub_graph, workload, schedule, uncovered)
+            result = instance.call(
+                densest_subgraph, instance.hub_graph(hub), schedule, uncovered
+            )
             if result is None or not result.covered:
                 continue
             if best is None or (result.cost_per_element, result.hub) < (

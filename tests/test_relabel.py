@@ -30,7 +30,7 @@ from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.view import has_dense_int_ids
-from repro.workload.churn import ChurnEvent
+from repro.workload.churn import ChurnEvent, churn_stream
 from repro.workload.rates import Workload, log_degree_workload
 
 SMALL = settings(
@@ -183,8 +183,9 @@ class TestCallerLabels:
             250, out_degree=8, copy_fraction=0.7, reciprocity=0.3, seed=3
         )
         workload = log_degree_workload(graph, read_write_ratio=5.0)
+        csr = graph.to_csr()
         assert any(
-            build_hub_graph(graph, hub).num_elements >= _PROBE_VECTOR_THRESHOLD
+            build_hub_graph(csr, hub).num_elements >= _PROBE_VECTOR_THRESHOLD
             for hub in graph.nodes()
         )
         label = LABELINGS["sparse-int"]
@@ -203,7 +204,77 @@ class TestCallerLabels:
         assert dense.stats.champions_retained > 0
 
 
+#: Order-preserving labelings: each relabels to the same dense ids, so a
+#: run on any of them must replay the dense run exactly.
+ORDERED_LABELINGS = {
+    "dense": lambda i: i,
+    "sparse-int": LABELINGS["sparse-int"],
+    "string": lambda i: f"user-{i:04d}",
+}
+
+
+def churn_with_new_users(graph, workload, seed):
+    """A churn stream over ``graph`` plus users first seen mid-stream."""
+    events = churn_stream(graph, workload, 120, seed=seed)
+    n = graph.num_nodes
+    events[30:30] = [
+        ChurnEvent("add", edge=(0, n)),
+        ChurnEvent("add", edge=(n, 1)),
+    ]
+    events[70:70] = [
+        ChurnEvent("add", edge=(n + 1, 2)),
+        ChurnEvent("rate", user=n + 1, rp=0.5, rc=2.0),
+        ChurnEvent("rate", user=n + 2, rp=3.0, rc=1.0),
+    ]
+    return events
+
+
+def map_event(event: ChurnEvent, label) -> ChurnEvent:
+    if event.kind == "rate":
+        return ChurnEvent("rate", user=label(event.user), rp=event.rp, rc=event.rc)
+    u, v = event.edge
+    return ChurnEvent(event.kind, edge=(label(u), label(v)))
+
+
 class TestDeltaOnCallerLabels:
+    @pytest.mark.parametrize("oracle", ["peel", "exact"])
+    def test_labelings_maintain_the_same_schedule(self, oracle):
+        """``DeltaScheduler`` relabels at its boundary: dense, sparse-int
+        and string labelings of one instance, fed one churn stream (new
+        users included), maintain the same schedule under the map with
+        the same oracle work — feasible, and priced as a rescan prices
+        it, after every event."""
+        graph, workload = copying_instance(n=80, seed=8)
+        events = churn_with_new_users(graph, workload, seed=12)
+        base = ChitchatScheduler(graph, workload).run()
+        runs = {}
+        for name, label in ORDERED_LABELINGS.items():
+            labelled_graph, labelled_workload = relabel(graph, workload, label)
+            delta = DeltaScheduler(
+                labelled_graph,
+                labelled_workload,
+                map_schedule(base, label),
+                oracle=oracle,
+            )
+            for event in events:
+                delta.apply(map_event(event, label))
+                delta.repair()
+                assert delta.is_feasible()
+                assert delta.cost() == pytest.approx(
+                    schedule_cost(delta.schedule, delta.workload)
+                )
+            runs[name] = (delta, label)
+        dense = runs["dense"][0]
+        assert dense.stats.hub_selections > 0
+        assert dense.graph.has_edge(graph.num_nodes, 1)
+        for name, (delta, label) in runs.items():
+            assert_same_schedule(delta.schedule, map_schedule(dense.schedule, label))
+            assert delta.stats.hub_refreshes == dense.stats.hub_refreshes, name
+            assert delta.cost() == pytest.approx(dense.cost())
+            assert sorted(map(repr, delta.graph.edges())) == sorted(
+                repr((label(u), label(v))) for u, v in dense.graph.edges()
+            )
+
     @pytest.mark.parametrize("labeling", sorted(LABELINGS))
     def test_from_scheduler_then_add_in_caller_labels(self, labeling):
         label = LABELINGS[labeling]

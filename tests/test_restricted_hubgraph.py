@@ -10,22 +10,17 @@ bit — the contract ``DeltaScheduler``'s output-sensitive repair rests on:
   follows* (a node on both the X and the Y side), random element subsets,
   random already-paid legs, peel and exact;
 * end to end: one churn stream replayed against a test-only reference that
-  forces maximal builds, schedules and costs compared exactly;
-* the ``max_cross_edges`` side of the branch: truncation is defined on the
-  maximal enumeration order, so the delta tier must keep the maximal build
-  there.
+  forces maximal builds, schedules and costs compared exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.delta as delta_module
 from repro.core.chitchat import ChitchatScheduler
-from repro.core.cost import schedule_cost
 from repro.core.delta import DeltaScheduler
 from repro.core.densest import densest_subgraph
 from repro.core.hubgraph import build_hub_graph
@@ -36,6 +31,7 @@ from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload import churn_stream, log_degree_workload
 from repro.workload.rates import Workload
+from tests.conftest import OracleInstance
 
 #: repeated values on purpose: equal weights exercise the peel's tie-breaks
 RATES = [0.5, 1.0, 1.0, 2.0, 3.7, 10.0]
@@ -43,15 +39,19 @@ RATES = [0.5, 1.0, 1.0, 2.0, 3.7, 10.0]
 
 @st.composite
 def hub_problems(draw):
-    """(graph, hub, workload, schedule, elements, uncovered) around one hub."""
+    """(graph, hub, workload, schedule, elements, uncovered) around one hub.
+
+    ``graph`` is frozen to CSR: hub-graphs are built on dense edge ids.
+    """
     n = draw(st.integers(min_value=4, max_value=9))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     edges = set(draw(st.sets(st.sampled_from(pairs), min_size=4, max_size=40)))
     # mutual follows: mirror a drawn subset so nodes sit on both sides
     mirrored = draw(st.sets(st.sampled_from(sorted(edges)), max_size=len(edges)))
     edges |= {(b, a) for a, b in mirrored}
-    graph = SocialGraph(sorted(edges))
-    graph.add_nodes_from(range(n))  # dense ids, so the graph also freezes to CSR
+    social = SocialGraph(sorted(edges))
+    social.add_nodes_from(range(n))  # dense ids, so the graph freezes to CSR
+    graph = social.to_csr()
     hubs = [
         w for w in sorted(graph.nodes())
         if graph.in_degree(w) > 0 and graph.out_degree(w) > 0
@@ -108,31 +108,23 @@ class TestRestrictedBuild:
         assert not restricted.truncated
         assert wanted <= set(restricted.elements())
         assert restricted.num_elements <= 3 * len(wanted)
-
-    @given(problem=hub_problems())
-    @settings(max_examples=60, deadline=None)
-    def test_csr_backend_builds_the_same_graph(self, problem):
-        graph, hub, _workload, _schedule, elements, _uncovered = problem
-        csr = graph.to_csr()
-        on_dict = build_hub_graph(graph, hub, elements=elements)
-        on_csr = build_hub_graph(csr, hub, elements=elements)
-        assert on_csr == on_dict
-        assert on_dict.element_ids is None
-        assert on_csr.element_ids.tolist() == [
-            csr.edge_id(u, v) for u, v in on_csr.elements()
+        assert restricted.element_ids.tolist() == [
+            graph.edge_id(u, v) for u, v in restricted.elements()
         ]
 
     def test_rejects_elements_the_hub_cannot_serve(self, wedge_graph):
         art, billie, charlie = 0, 1, 2
-        for backend in (wedge_graph, wedge_graph.to_csr()):
-            with pytest.raises(GraphError):  # cross-edge absent from the graph
-                build_hub_graph(backend, charlie, elements=[(billie, art)])
-            with pytest.raises(GraphError):  # art -> billie is no wedge of art
-                build_hub_graph(backend, art, elements=[(charlie, billie)])
+        csr = wedge_graph.to_csr()
+        with pytest.raises(GraphError):  # cross-edge absent from the graph
+            build_hub_graph(csr, charlie, elements=[(billie, art)])
+        with pytest.raises(GraphError):  # art -> billie is no wedge of art
+            build_hub_graph(csr, art, elements=[(charlie, billie)])
 
     def test_rejects_truncation(self, wedge_graph):
         with pytest.raises(GraphError):
-            build_hub_graph(wedge_graph, 2, max_cross_edges=1, elements=[(0, 1)])
+            build_hub_graph(
+                wedge_graph.to_csr(), 2, max_cross_edges=1, elements=[(0, 1)]
+            )
 
 
 class TestOracleEquivalence:
@@ -140,30 +132,15 @@ class TestOracleEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_peel_champion_is_bit_equal(self, problem):
         graph, hub, workload, schedule, elements, uncovered = problem
-        maximal = densest_subgraph(
-            build_hub_graph(graph, hub), workload, schedule, uncovered
+        instance = OracleInstance(graph, workload)
+        maximal = instance.call(
+            densest_subgraph, build_hub_graph(graph, hub), schedule, uncovered
         )
-        restricted = densest_subgraph(
+        restricted = instance.call(
+            densest_subgraph,
             build_hub_graph(graph, hub, elements=elements),
-            workload, schedule, uncovered,
-        )
-        assert_same_champion(restricted, maximal)
-
-    @given(problem=hub_problems())
-    @settings(max_examples=100, deadline=None)
-    def test_peel_champion_is_bit_equal_on_csr_masks(self, problem):
-        """The vectorized (element-id / bitmask) path prices the same way."""
-        graph, hub, workload, schedule, elements, uncovered = problem
-        csr = graph.to_csr()
-        mask = np.zeros(csr.num_edges, dtype=bool)
-        for u, v in uncovered:
-            mask[csr.edge_id(u, v)] = True
-        maximal = densest_subgraph(
-            build_hub_graph(csr, hub), workload, schedule, uncovered, mask
-        )
-        restricted = densest_subgraph(
-            build_hub_graph(csr, hub, elements=elements),
-            workload, schedule, uncovered, mask,
+            schedule,
+            uncovered,
         )
         assert_same_champion(restricted, maximal)
         if maximal is not None:
@@ -175,22 +152,36 @@ class TestOracleEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_exact_champion_is_bit_equal(self, problem):
         graph, hub, workload, schedule, elements, uncovered = problem
-        maximal = ExactOracle()(
-            build_hub_graph(graph, hub), workload, schedule, uncovered
+        instance = OracleInstance(graph, workload)
+        maximal = instance.call(
+            ExactOracle(), build_hub_graph(graph, hub), schedule, uncovered
         )
-        restricted = ExactOracle()(
+        restricted = instance.call(
+            ExactOracle(),
             build_hub_graph(graph, hub, elements=elements),
-            workload, schedule, uncovered,
+            schedule,
+            uncovered,
         )
         assert_same_champion(restricted, maximal)
 
 
 def force_maximal_builds(monkeypatch):
-    """Test-only reference: the delta tier as it was before ``elements=``."""
+    """Test-only reference: the delta tier as it was before ``elements=``.
+
+    Every repair build gets the hub's maximal element set — all its legs
+    and every cross-edge — enumerated on the churn graph's adjacency.
+    """
     real = delta_module.build_hub_graph
 
     def maximal_only(graph, hub, max_cross_edges=None, elements=None):
-        return real(graph, hub, max_cross_edges)
+        social = graph.social
+        xs = social.predecessors_view(hub)
+        ys = social.successors_view(hub)
+        every = [(x, hub) for x in xs] + [(hub, y) for y in ys]
+        every += [
+            (x, y) for x in xs for y in social.successors_view(x) & ys if y != x
+        ]
+        return real(graph, hub, elements=every)
 
     monkeypatch.setattr(delta_module, "build_hub_graph", maximal_only)
 
@@ -229,29 +220,4 @@ class TestDeltaEndToEnd:
         assert (
             restricted.stats.elements_materialized
             < reference.stats.elements_materialized
-        )
-
-    def test_truncated_repairs_keep_the_maximal_build(self, monkeypatch):
-        """``max_cross_edges`` clips a prefix of the maximal enumeration
-        order, so that path must never see ``elements=``: every build is
-        the maximal, truncated one it always was."""
-        scheduler, events = churn_instance(seed=4)
-        real = delta_module.build_hub_graph
-        calls = []
-
-        def spy(graph, hub, max_cross_edges=None, elements=None):
-            calls.append((max_cross_edges, elements))
-            built = real(graph, hub, max_cross_edges, elements)
-            assert built.x_nodes == sorted(graph.predecessors_view(hub), key=repr)
-            assert built.y_nodes == sorted(graph.successors_view(hub), key=repr)
-            assert len(built.cross_edges) <= 8
-            return built
-
-        monkeypatch.setattr(delta_module, "build_hub_graph", spy)
-        truncated = DeltaScheduler.from_scheduler(scheduler, max_cross_edges=8)
-        truncated.apply_events(events)
-        assert calls and all(call == (8, None) for call in calls)
-        assert truncated.is_feasible()
-        assert truncated.cost() == pytest.approx(
-            schedule_cost(truncated.schedule, truncated.workload)
         )

@@ -24,6 +24,7 @@ from repro.errors import ScheduleError, WorkloadError
 from repro.graph.generators import social_copying_graph
 from repro.workload.churn import ChurnEvent, churn_stream
 from repro.workload.rates import Workload, log_degree_workload
+from tests.test_relabel import LABELINGS, relabel
 
 
 @pytest.fixture
@@ -154,10 +155,16 @@ class TestWorkloadRoundTrip:
             load_workload(path)
 
 
-def churned_delta(events_applied: int = 20):
-    """A DeltaScheduler mid-stream, with pending residue to snapshot."""
+def churned_delta(events_applied: int = 20, labeling: str = "dense"):
+    """A DeltaScheduler mid-stream, with pending residue to snapshot.
+
+    ``labeling="string"`` renames every user ``i`` to ``"user-i"`` first,
+    so the scheduler runs on a relabeled id space.
+    """
     graph = social_copying_graph(60, out_degree=4, copy_fraction=0.6, seed=9)
     workload = log_degree_workload(graph)
+    if labeling == "string":
+        graph, workload = relabel(graph, workload, LABELINGS["string"])
     schedule = chitchat_schedule(graph, workload)
     events = churn_stream(graph, workload, 40, seed=9)
     delta = DeltaScheduler(graph.copy(), workload, schedule.copy())
@@ -237,12 +244,15 @@ class TestChurnRoundTrip:
 
 
 class TestDeltaStateRoundTrip:
-    def test_warm_state_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("labeling", ["dense", "string"])
+    def test_warm_state_round_trips(self, tmp_path, labeling):
         """A mid-stream snapshot resumes exactly: schedule, rates, live
         edges, residue, and the running cost all survive the round-trip,
         and continuing the same stream on both sides converges to the
-        identical maintained schedule."""
-        delta, events = churned_delta()
+        identical maintained schedule and cost — string labels included,
+        which the scheduler relabels to dense ids on both sides."""
+        delta, events = churned_delta(labeling=labeling)
+        assert delta.pending() > 0
         path = tmp_path / "state.json.gz"
         save_delta_state(delta, path, metadata={"applied": 20})
         resumed, metadata = load_delta_state(path)
@@ -250,7 +260,8 @@ class TestDeltaStateRoundTrip:
         assert resumed.schedule.push == delta.schedule.push
         assert resumed.schedule.pull == delta.schedule.pull
         assert resumed.schedule.hub_cover == delta.schedule.hub_cover
-        assert resumed._residue == delta._residue
+        assert resumed.residue() == delta.residue()
+        assert len(delta.residue()) == delta.pending()
         assert sorted(resumed.graph.edges()) == sorted(delta.graph.edges())
         assert resumed.workload.production == delta.workload.production
         assert resumed.cost() == pytest.approx(delta.cost())
@@ -262,6 +273,7 @@ class TestDeltaStateRoundTrip:
         assert resumed.schedule.push == delta.schedule.push
         assert resumed.schedule.pull == delta.schedule.pull
         assert resumed.schedule.hub_cover == delta.schedule.hub_cover
+        assert resumed.cost() == pytest.approx(delta.cost())
 
     def test_loader_forwards_oracle_options(self, tmp_path):
         delta, _events = churned_delta()

@@ -14,9 +14,10 @@ selection the candidate
   ``G(w)``.
 
 The certificate comes from a cold :class:`~repro.flow.ExactOracle` run on
-dict-built hub-graphs against the scheduler's plain ``schedule`` /
-``uncovered`` sets — nothing the scheduler caches (heap keys, champions,
-dense mirrors, warm flow state) takes part in it.
+hub-graphs of its own, against the scheduler's plain ``schedule`` and an
+uncovered set this subclass tracks itself from the covering events —
+nothing the scheduler caches (heap keys, champions, dense mirrors, warm
+flow state) takes part in it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import pytest
 from repro.core.chitchat import ChitchatScheduler
 from repro.core.coverage import validate_schedule
 from repro.core.cost import hybrid_edge_cost
-from repro.core.hubgraph import build_hub_graph
 from repro.flow import ExactOracle
 from repro.graph.generators import social_copying_graph
 from repro.workload.rates import log_degree_workload
-from tests.conftest import GRAPH_FORMS, graph_in_form
+from tests.conftest import GRAPH_FORMS, OracleInstance, graph_in_form
 
 #: float slack on the factor-2 comparison (costs are sums of a few rates)
 REL_SLACK = 1e-9
@@ -41,14 +41,17 @@ REL_SLACK = 1e-9
 class CertifiedScheduler(ChitchatScheduler):
     """Checks every hub selection against the exact step optimum."""
 
-    def __init__(self, social, *args, **kwargs) -> None:
-        super().__init__(social, *args, **kwargs)
+    def __init__(self, social, workload, *args, **kwargs) -> None:
+        super().__init__(social, workload, *args, **kwargs)
         self._certificate = ExactOracle(warm=False)
+        self._instance = OracleInstance(social, workload)
         self._hub_graphs = {
-            hub: build_hub_graph(social, hub)
+            hub: self._instance.hub_graph(hub)
             for hub in social.nodes()
             if social.in_degree(hub) > 0 and social.out_degree(hub) > 0
         }
+        # the still-uncovered edges, tracked from the covering events
+        self._open = set(social.edges())
         self._elements = {
             hub: set(hub_graph.elements())
             for hub, hub_graph in self._hub_graphs.items()
@@ -63,6 +66,7 @@ class CertifiedScheduler(ChitchatScheduler):
         super()._install_result(hub, version, result)
 
     def _invalidate(self, covered_edges, weight_drops):
+        self._open.difference_update(covered_edges)
         self._shrunk.update(
             hub
             for hub, elements in self._elements.items()
@@ -71,12 +75,10 @@ class CertifiedScheduler(ChitchatScheduler):
         super()._invalidate(covered_edges, weight_drops)
 
     def _step_optimum(self) -> float:
-        best = min(
-            hybrid_edge_cost(edge, self.workload) for edge in self._uncovered
-        )
+        best = min(hybrid_edge_cost(edge, self.workload) for edge in self._open)
         for hub_graph in self._hub_graphs.values():
-            optimum = self._certificate(
-                hub_graph, self.workload, self.schedule, self._uncovered
+            optimum = self._instance.call(
+                self._certificate, hub_graph, self.schedule, self._open
             )
             if optimum is not None:
                 best = min(best, optimum.cost_per_element)
@@ -84,7 +86,7 @@ class CertifiedScheduler(ChitchatScheduler):
 
     def _apply_hub(self, result):
         hub = result.hub
-        assert result.covered <= self._uncovered
+        assert result.covered <= self._open
         unpaid = math.fsum(
             self.workload.rp(x)
             for x in result.x_selected

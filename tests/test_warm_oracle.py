@@ -41,6 +41,7 @@ from repro.flow.parametric import ParametricDensest
 from repro.graph.digraph import SocialGraph
 from repro.graph.view import edge_list, to_csr
 from repro.workload.rates import Workload
+from tests.conftest import OracleInstance
 
 SMALL = settings(
     max_examples=25,
@@ -332,7 +333,7 @@ class TestWarmParametricDifferential:
 
 
 # ----------------------------------------------------------------------
-# Layer 3: the ExactOracle session, dict and CSR input paths
+# Layer 3: the ExactOracle session
 # ----------------------------------------------------------------------
 def hub_instance(seed):
     """A producers/hub/consumers instance with dense ids (CSR-ready)."""
@@ -401,17 +402,18 @@ class TestDenormalWeightOverflow:
 
 class TestWarmExactOracleSession:
     @pytest.mark.parametrize("seed", range(12))
-    def test_dict_path_warm_equals_cold_across_covering(self, seed):
+    def test_warm_equals_cold_across_covering(self, seed):
         graph, workload, hub, rng = hub_instance(seed)
-        hub_graph = build_hub_graph(graph, hub)
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hub)
         warm = ExactOracle(warm=True)
         cold = ExactOracle(warm=False)
         uncovered = set(graph.edges())
         schedule = RequestSchedule()
         flow_solves = 0
         while uncovered:
-            warm_result = warm(hub_graph, workload, schedule, uncovered)
-            cold_result = cold(hub_graph, workload, schedule, uncovered)
+            warm_result = instance.call(warm, hub_graph, schedule, uncovered)
+            cold_result = instance.call(cold, hub_graph, schedule, uncovered)
             assert_same_result(warm_result, cold_result)
             if warm_result is None:
                 break
@@ -436,34 +438,23 @@ class TestWarmExactOracleSession:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_csr_mask_path_warm_equals_cold(self, seed):
-        """The vectorized bitmask/arrays input path, warm vs cold."""
+        """Mirrors maintained incrementally, as a scheduler keeps them."""
         graph, workload, hub, rng = hub_instance(200 + seed)
         view = to_csr(graph)
         edges = edge_list(view)
-        mirror_warm = ScheduleMirror(view, workload, edges)
-        mirror_cold = ScheduleMirror(view, workload, edges)
+        edge_ids = {edge: i for i, edge in enumerate(edges)}
+        rates = workload.as_arrays(view.num_nodes)
+        mirror_warm = ScheduleMirror(len(edges), *rates)
+        mirror_cold = ScheduleMirror(len(edges), *rates)
         hub_graph = build_hub_graph(view, hub)
-        assert hub_graph.element_ids is not None
         warm = ExactOracle(warm=True)
         cold = ExactOracle(warm=False)
         uncovered = set(edges)
-        schedule = RequestSchedule()
         while uncovered:
-            results = []
-            for oracle, mirror in (
-                (warm, mirror_warm),
-                (cold, mirror_cold),
-            ):
-                results.append(
-                    oracle(
-                        hub_graph,
-                        workload,
-                        schedule,
-                        uncovered,
-                        uncovered_mask=mirror.uncovered_mask,
-                        arrays=mirror.arrays,
-                    )
-                )
+            results = [
+                oracle(hub_graph, mirror.uncovered_mask, mirror.arrays)
+                for oracle, mirror in ((warm, mirror_warm), (cold, mirror_cold))
+            ]
             assert_same_result(results[0], results[1])
             if results[0] is None:
                 break
@@ -472,18 +463,16 @@ class TestWarmExactOracleSession:
                 rng.randint(1, len(results[0].covered)),
             )
             uncovered -= set(victims)
-            mirror_warm.cover(victims)
-            mirror_cold.cover(victims)
+            mirror_warm.cover([edge_ids[edge] for edge in victims])
+            mirror_cold.cover([edge_ids[edge] for edge in victims])
             if rng.random() < 0.5:
                 u, v = victims[0]
                 if v == hub:
-                    schedule.add_push((u, v))
-                    mirror_warm.add_push((u, v))
-                    mirror_cold.add_push((u, v))
+                    mirror_warm.add_push(edge_ids[(u, v)])
+                    mirror_cold.add_push(edge_ids[(u, v)])
                 elif u == hub:
-                    schedule.add_pull((u, v))
-                    mirror_warm.add_pull((u, v))
-                    mirror_cold.add_pull((u, v))
+                    mirror_warm.add_pull(edge_ids[(u, v)])
+                    mirror_cold.add_pull(edge_ids[(u, v)])
         assert warm.warm_solves > 0
 
     def test_warm_session_does_less_discharge_work_at_scale(self):
@@ -500,14 +489,15 @@ class TestWarmExactOracleSession:
         hub = max(
             graph.nodes(), key=lambda n: graph.in_degree(n) * graph.out_degree(n)
         )
-        hub_graph = build_hub_graph(graph, hub)
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hub)
         warm = ExactOracle(warm=True)
         cold = ExactOracle(warm=False)
         uncovered = set(hub_graph.elements())
         schedule = RequestSchedule()
         while uncovered:
-            warm_result = warm(hub_graph, workload, schedule, uncovered)
-            cold_result = cold(hub_graph, workload, schedule, uncovered)
+            warm_result = instance.call(warm, hub_graph, schedule, uncovered)
+            cold_result = instance.call(cold, hub_graph, schedule, uncovered)
             assert_same_result(warm_result, cold_result)
             if warm_result is None:
                 break
@@ -525,30 +515,30 @@ class TestWarmExactOracleSession:
         instances = []
         for s in range(3):
             graph, workload, hub, _rng = hub_instance(300 + s)
-            # disjoint id ranges: one session, three genuinely distinct hubs
+            # disjoint id ranges: one session, three genuinely distinct
+            # hubs (isolated nodes pad each range, so ids stay dense)
             offset = 100 * (s + 1)
             shifted = SocialGraph(
                 [(u + offset, v + offset) for u, v in graph.edges()]
             )
+            shifted.add_nodes_from(range(offset + graph.num_nodes))
             shifted_workload = Workload(
-                production={
-                    n + offset: workload.rp(n) for n in graph.nodes()
-                },
-                consumption={
-                    n + offset: workload.rc(n) for n in graph.nodes()
-                },
+                production={n: 1.0 for n in shifted.nodes()}
+                | {n + offset: workload.rp(n) for n in graph.nodes()},
+                consumption={n: 1.0 for n in shifted.nodes()}
+                | {n + offset: workload.rc(n) for n in graph.nodes()},
             )
-            instances.append((shifted, shifted_workload, hub + offset))
+            instances.append(
+                (OracleInstance(shifted, shifted_workload), hub + offset)
+            )
         capped = ExactOracle(warm=True, max_cached=2)
         unbounded = ExactOracle(warm=True)
         for _round in range(3):
-            for graph, workload, hub in instances:
-                hub_graph = build_hub_graph(graph, hub)
-                uncovered = set(graph.edges())
-                a = capped(hub_graph, workload, RequestSchedule(), uncovered)
-                b = unbounded(
-                    hub_graph, workload, RequestSchedule(), uncovered
-                )
+            for instance, hub in instances:
+                hub_graph = instance.hub_graph(hub)
+                uncovered = set(instance.csr.edges())
+                a = instance.call(capped, hub_graph, None, uncovered)
+                b = instance.call(unbounded, hub_graph, None, uncovered)
                 assert_same_result(a, b)
         assert capped.evictions > 0
         assert len(capped._problems) <= 2
@@ -562,20 +552,20 @@ class TestWarmExactOracleSession:
         re-opening elements (as delta repair does) rebuilds it cold and
         answers exactly as the cold reference session."""
         graph, workload, hub, rng = hub_instance(500 + seed)
-        hub_graph = build_hub_graph(graph, hub)
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hub)
         session = ExactOracle(warm=True)
-        schedule = RequestSchedule()
         elements = sorted(hub_graph.elements())
-        assert session(hub_graph, workload, schedule, set(elements)) is not None
+        assert instance.call(session, hub_graph, None, elements) is not None
         assert hub in session._problems
-        assert session(hub_graph, workload, schedule, set()) is None
+        assert instance.call(session, hub_graph, None, ()) is None
         assert hub not in session._problems
         session.invalidate(hub)  # delta repair's cold restart: a no-op now
         reopened = set(rng.sample(elements, rng.randint(1, len(elements))))
         warm_before = session.warm_solves
-        again = session(hub_graph, workload, schedule, reopened)
-        reference = ExactOracle(warm=False)(
-            hub_graph, workload, schedule, reopened
+        again = instance.call(session, hub_graph, None, reopened)
+        reference = instance.call(
+            ExactOracle(warm=False), hub_graph, None, reopened
         )
         assert hub in session._problems
         assert session.warm_solves == warm_before  # rebuilt cold
@@ -593,20 +583,20 @@ class TestWarmExactOracleSession:
         next solve cold, so a non-monotone re-opening (delta repair's
         case) answers exactly as the cold reference session."""
         graph, workload, hub, rng = hub_instance(600 + seed)
-        hub_graph = build_hub_graph(graph, hub)
+        instance = OracleInstance(graph, workload)
+        hub_graph = instance.hub_graph(hub)
         session = ExactOracle(warm=True)
-        schedule = RequestSchedule()
         elements = sorted(hub_graph.elements())
         shrunk = set(rng.sample(elements, max(1, len(elements) // 2)))
-        assert session(hub_graph, workload, schedule, set(elements)) is not None
-        session(hub_graph, workload, schedule, shrunk)
+        assert instance.call(session, hub_graph, None, elements) is not None
+        instance.call(session, hub_graph, None, shrunk)
         network = session._problems[hub]
         session.invalidate(hub)
         assert session._problems[hub] is network
         warm_before = session.warm_solves
-        again = session(hub_graph, workload, schedule, set(elements))
-        reference = ExactOracle(warm=False)(
-            hub_graph, workload, schedule, set(elements)
+        again = instance.call(session, hub_graph, None, elements)
+        reference = instance.call(
+            ExactOracle(warm=False), hub_graph, None, elements
         )
         assert session.warm_solves == warm_before  # restarted cold
         assert_same_result(again, reference)
@@ -619,24 +609,14 @@ class TestWarmExactOracleSession:
             production={n: 1.0 for n in range(6)},
             consumption={n: 2.0 for n in range(6)},
         )
+        a_graph.add_nodes_from(range(6))  # dense ids: hub 5 keeps its id
+        b_graph.add_nodes_from(range(6))
+        a, b = OracleInstance(a_graph, workload), OracleInstance(b_graph, workload)
         session = ExactOracle(warm=True)
-        first = session(
-            build_hub_graph(a_graph, 5),
-            workload,
-            RequestSchedule(),
-            set(a_graph.edges()),
-        )
-        second = session(
-            build_hub_graph(b_graph, 5),
-            workload,
-            RequestSchedule(),
-            set(b_graph.edges()),
-        )
-        fresh = ExactOracle(warm=True)(
-            build_hub_graph(b_graph, 5),
-            workload,
-            RequestSchedule(),
-            set(b_graph.edges()),
+        first = a.call(session, a.hub_graph(5), None, a_graph.edges())
+        second = b.call(session, b.hub_graph(5), None, b_graph.edges())
+        fresh = b.call(
+            ExactOracle(warm=True), b.hub_graph(5), None, b_graph.edges()
         )
         assert first is not None
         assert_same_result(second, fresh)
@@ -649,15 +629,16 @@ class TestWarmExactOracleSession:
 
     def test_session_counters_reported(self):
         graph, workload, hub, _rng = hub_instance(42)
+        instance = OracleInstance(graph, workload)
         oracle = ExactOracle(warm=True)
-        hub_graph = build_hub_graph(graph, hub)
+        hub_graph = instance.hub_graph(hub)
         uncovered = set(graph.edges())
-        first = oracle(hub_graph, workload, RequestSchedule(), uncovered)
+        first = instance.call(oracle, hub_graph, None, uncovered)
         assert first is not None
         assert oracle.flow_passes > 0
         uncovered -= set(
             list(first.covered)[: max(1, len(first.covered) // 2)]
         )
         if uncovered:
-            oracle(hub_graph, workload, RequestSchedule(), uncovered)
+            instance.call(oracle, hub_graph, None, uncovered)
             assert oracle.warm_solves == 1
