@@ -16,26 +16,48 @@ Format (one JSON object per line, ``.gz`` transparently supported)::
     {"kind": "pull", "edge": [u, v]}
     {"kind": "cover", "edge": [u, v], "hub": w}
 
-Churn scripts (``repro-churn``) store one event per line; delta state
-(``repro-delta``) stores the full warm-session snapshot — live edges,
-current rates, the maintained schedule, and the pending residue — so a
-:class:`~repro.core.delta.DeltaScheduler` round-trips across processes
-mid-stream.
+The four formats share that container; each header counts its records
+(keys below) so a file cut short is detected, and all but the workload's
+carry a ``metadata`` object:
+
+* ``repro-schedule``: ``push_edges``, ``pull_edges``, ``hub_covers``.
+* ``repro-workload``: ``users`` (``rates`` records: user, rp, rc).
+* ``repro-churn``: ``events`` (``add``/``remove``/``rate``, stream order).
+* ``repro-delta``: a :class:`~repro.core.delta.DeltaScheduler`'s warm
+  state, so it resumes mid-stream in another process — ``edges`` (live
+  edges), ``users`` (rates), the three schedule counts, ``residue``
+  (edges awaiting repair).
 
 Node ids must be JSON-representable (ints or strings); tuples round-trip
 as lists, so integer-id graphs — the generators' output — are exact.
+
+Errors: a file that is empty, of another format or version, not UTF-8,
+JSON or gzip, or holds a record that is not an object, lacks a field,
+names an unknown kind or a node id that is not an int or a string, or
+counts that disagree with its header, raises :class:`ScheduleError`
+(schedule, delta) or :class:`WorkloadError` (workload, churn) naming the
+file, and the line at fault; an error from a domain constructor (a
+self-loop edge, an invalid churn rate) keeps its class and gains the
+same prefix.  Writes
+replace the target only once complete: a failed one leaves it intact.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
+import math
+import os
+import shutil
+import tempfile
+import zlib
+from itertools import chain
 from pathlib import Path
 
 from repro.core.schedule import RequestSchedule
-from repro.errors import ScheduleError, WorkloadError
+from repro.errors import ReproError, ScheduleError, WorkloadError
 from repro.graph.digraph import SocialGraph
+from repro.graph.io import _open_text
 from repro.workload.churn import ChurnEvent
 from repro.workload.rates import Workload
 
@@ -46,104 +68,171 @@ DELTA_FORMAT = "repro-delta"
 FORMAT_VERSION = 1
 
 
-def _open_text(path: str | Path, mode: str) -> io.TextIOBase:
+# ----------------------------------------------------------------------
+# The container: one writer, one reader, one count check
+# ----------------------------------------------------------------------
+def _header(fmt: str, **fields) -> dict:
+    return {"kind": "header", "format": fmt, "version": FORMAT_VERSION, **fields}
+
+
+def _write(path: str | Path, header: dict, records) -> int:
+    """Write ``header`` then ``records`` as JSON lines; returns the record count.
+
+    The lines go to a same-named file (same suffix, so same gzip decision
+    and gzip header) in a fresh directory beside ``path``, moved over
+    ``path`` once complete; the directory is removed either way.
+    """
     path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")  # type: ignore[return-value]
-    return open(path, mode, encoding="utf-8")
+    staging = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    try:
+        staged = staging / path.name
+        count = 0
+        with _open_text(staged, "w") as handle:
+            handle.write(json.dumps(header) + "\n")
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+                count += 1
+        os.replace(staged, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return count
 
 
-def _edge_key(edge) -> list:
-    return [edge[0], edge[1]]
+def _read(path: str | Path, fmt: str, error: type, handlers: dict) -> dict:
+    """Check ``path``'s header against ``fmt``, hand each record to
+    ``handlers[record["kind"]]``, and return the header.  Every way the
+    bytes fail to be a ``fmt`` file raises ``error`` naming ``path:line``.
+    """
+    lineno = 1
+    try:
+        with _open_text(path, "r") as handle:
+            first = handle.readline()
+            if not first:
+                raise ValueError(f"empty {fmt} file")
+            header = json.loads(first)
+            found = header.get("format") if type(header) is dict else header
+            if found != fmt:
+                raise ValueError(f"not a {fmt} file (format={found!r})")
+            if header.get("version") != FORMAT_VERSION:
+                raise ValueError(f"unsupported version {header.get('version')!r}")
+            for lineno, line in enumerate(handle, start=2):
+                if line.isspace():
+                    continue
+                record = json.loads(line)
+                if type(record) is not dict:
+                    raise ValueError(f"record is not an object: {record!r}")
+                handler = handlers.get(record.get("kind"))
+                if handler is None:
+                    raise ValueError(f"unknown record kind {record.get('kind')!r}")
+                handler(record)
+    except ReproError as exc:  # a domain constructor's: keep its class
+        exc.args = (f"{path}:{lineno}: {exc}",)
+        raise
+    except KeyError as exc:
+        raise error(f"{path}:{lineno}: record has no field {exc}") from exc
+    except (ValueError, TypeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise error(f"{path}:{lineno}: {exc}") from exc
+    return header
 
 
-def _edge_from(value) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ScheduleError(f"malformed edge record {value!r}")
-    return (value[0], value[1])
+def _check_counts(path: str | Path, header: dict, error: type, **counts) -> None:
+    for key, count in counts.items():
+        if header.get(key) != count:
+            found = f"{key}={header.get(key)!r}, file has {count}"
+            raise error(f"{path}: header says {found} (truncated?)")
+
+
+def _node(value):
+    if type(value) in (int, str):  # exact types: a JSON ``true`` is no node id
+        return value
+    raise ValueError(f"node id must be an int or a string, got {value!r}")
+
+
+def _edge(value) -> tuple:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"malformed edge {value!r}")
+    return (_node(value[0]), _node(value[1]))
+
+
+def _rate(value) -> float:
+    rate = float(value)
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"invalid rate {value!r}")
+    return rate
+
+
+def _edge_record(kind: str, edge) -> dict:
+    return {"kind": kind, "edge": [edge[0], edge[1]]}
+
+
+# ----------------------------------------------------------------------
+# Record encoders and decoders, shared by the formats that embed them
+# ----------------------------------------------------------------------
+def _schedule_counts(schedule: RequestSchedule) -> dict:
+    push, pull, covers = len(schedule.push), len(schedule.pull), len(schedule.hub_cover)
+    return {"push_edges": push, "pull_edges": pull, "hub_covers": covers}
+
+
+def _delta_counts(edges: int, users: int, schedule: RequestSchedule, residue: int):
+    schedule_counts = _schedule_counts(schedule)
+    return {"edges": edges, "users": users, **schedule_counts, "residue": residue}
+
+
+def _schedule_records(schedule: RequestSchedule):
+    for edge in sorted(schedule.push, key=repr):
+        yield _edge_record("push", edge)
+    for edge in sorted(schedule.pull, key=repr):
+        yield _edge_record("pull", edge)
+    for edge, hub in sorted(schedule.hub_cover.items(), key=repr):
+        yield {**_edge_record("cover", edge), "hub": hub}
+
+
+def _schedule_decoders(schedule: RequestSchedule) -> dict:
+    return {
+        "push": lambda r: schedule.add_push(_edge(r["edge"])),
+        "pull": lambda r: schedule.add_pull(_edge(r["edge"])),
+        "cover": lambda r: schedule.cover_via_hub(_edge(r["edge"]), _node(r["hub"])),
+    }
+
+
+def _rates_records(workload: Workload):
+    for user in sorted(workload.users, key=repr):
+        rp, rc = workload.rp(user), workload.rc(user)
+        yield {"kind": "rates", "user": user, "rp": rp, "rc": rc}
+
+
+def _rates_decoders(production: dict, consumption: dict) -> dict:
+    def rates(record: dict) -> None:
+        user = _node(record["user"])
+        production[user], consumption[user] = _rate(record["rp"]), _rate(record["rc"])
+
+    return {"rates": rates}
 
 
 # ----------------------------------------------------------------------
 # Schedules
 # ----------------------------------------------------------------------
 def save_schedule(
-    schedule: RequestSchedule,
-    path: str | Path,
-    metadata: dict | None = None,
+    schedule: RequestSchedule, path: str | Path, metadata: dict | None = None
 ) -> int:
     """Write ``schedule`` to ``path``; returns the number of records.
 
     ``metadata`` (e.g. the generating algorithm and graph fingerprint) is
     stored in the header and returned by :func:`load_schedule`.
     """
-    records = 0
-    with _open_text(path, "w") as handle:
-        header = {
-            "kind": "header",
-            "format": SCHEDULE_FORMAT,
-            "version": FORMAT_VERSION,
-            "push_edges": len(schedule.push),
-            "pull_edges": len(schedule.pull),
-            "hub_covers": len(schedule.hub_cover),
-            "metadata": metadata or {},
-        }
-        handle.write(json.dumps(header) + "\n")
-        for edge in sorted(schedule.push, key=repr):
-            handle.write(json.dumps({"kind": "push", "edge": _edge_key(edge)}) + "\n")
-            records += 1
-        for edge in sorted(schedule.pull, key=repr):
-            handle.write(json.dumps({"kind": "pull", "edge": _edge_key(edge)}) + "\n")
-            records += 1
-        for edge, hub in sorted(schedule.hub_cover.items(), key=repr):
-            handle.write(
-                json.dumps({"kind": "cover", "edge": _edge_key(edge), "hub": hub})
-                + "\n"
-            )
-            records += 1
-    return records
+    counts = _schedule_counts(schedule)
+    header = _header(SCHEDULE_FORMAT, **counts, metadata=metadata or {})
+    return _write(path, header, _schedule_records(schedule))
 
 
 def load_schedule(path: str | Path) -> tuple[RequestSchedule, dict]:
     """Read a schedule file; returns ``(schedule, header_metadata)``.
 
-    Raises :class:`ScheduleError` on a missing/mismatched header, an
-    unknown record kind, or record counts that disagree with the header
-    (truncated file detection).
+    Raises :class:`ScheduleError` on a malformed or truncated file.
     """
     schedule = RequestSchedule()
-    with _open_text(path, "r") as handle:
-        first = handle.readline()
-        if not first:
-            raise ScheduleError(f"{path}: empty schedule file")
-        header = json.loads(first)
-        if header.get("format") != SCHEDULE_FORMAT:
-            raise ScheduleError(
-                f"{path}: not a {SCHEDULE_FORMAT} file (format={header.get('format')!r})"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise ScheduleError(
-                f"{path}: unsupported version {header.get('version')!r}"
-            )
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "push":
-                schedule.add_push(_edge_from(record["edge"]))
-            elif kind == "pull":
-                schedule.add_pull(_edge_from(record["edge"]))
-            elif kind == "cover":
-                schedule.cover_via_hub(_edge_from(record["edge"]), record["hub"])
-            else:
-                raise ScheduleError(f"{path}:{lineno}: unknown record kind {kind!r}")
-    if (
-        len(schedule.push) != header["push_edges"]
-        or len(schedule.pull) != header["pull_edges"]
-        or len(schedule.hub_cover) != header["hub_covers"]
-    ):
-        raise ScheduleError(f"{path}: record counts disagree with header (truncated?)")
+    header = _read(path, SCHEDULE_FORMAT, ScheduleError, _schedule_decoders(schedule))
+    _check_counts(path, header, ScheduleError, **_schedule_counts(schedule))
     return schedule, header.get("metadata", {})
 
 
@@ -152,60 +241,28 @@ def load_schedule(path: str | Path) -> tuple[RequestSchedule, dict]:
 # ----------------------------------------------------------------------
 def save_workload(workload: Workload, path: str | Path) -> int:
     """Write per-user rates as line JSON; returns the number of users."""
-    users = sorted(workload.users, key=repr)
-    with _open_text(path, "w") as handle:
-        header = {
-            "kind": "header",
-            "format": WORKLOAD_FORMAT,
-            "version": FORMAT_VERSION,
-            "users": len(users),
-        }
-        handle.write(json.dumps(header) + "\n")
-        for user in users:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "rates",
-                        "user": user,
-                        "rp": workload.rp(user),
-                        "rc": workload.rc(user),
-                    }
-                )
-                + "\n"
-            )
-    return len(users)
+    header = _header(WORKLOAD_FORMAT, users=len(workload.users))
+    return _write(path, header, _rates_records(workload))
 
 
 def load_workload(path: str | Path) -> Workload:
     """Read a workload file written by :func:`save_workload`."""
-    production: dict = {}
-    consumption: dict = {}
-    with _open_text(path, "r") as handle:
-        first = handle.readline()
-        if not first:
-            raise WorkloadError(f"{path}: empty workload file")
-        header = json.loads(first)
-        if header.get("format") != WORKLOAD_FORMAT:
-            raise WorkloadError(
-                f"{path}: not a {WORKLOAD_FORMAT} file (format={header.get('format')!r})"
-            )
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") != "rates":
-                raise WorkloadError(f"{path}: unknown record kind {record.get('kind')!r}")
-            production[record["user"]] = float(record["rp"])
-            consumption[record["user"]] = float(record["rc"])
-    if len(production) != header["users"]:
-        raise WorkloadError(f"{path}: user count disagrees with header (truncated?)")
+    production, consumption = {}, {}
+    decoders = _rates_decoders(production, consumption)
+    header = _read(path, WORKLOAD_FORMAT, WorkloadError, decoders)
+    _check_counts(path, header, WorkloadError, users=len(production))
     return Workload(production=production, consumption=consumption)
 
 
 # ----------------------------------------------------------------------
 # Churn-event scripts
 # ----------------------------------------------------------------------
+def _event_record(event: ChurnEvent) -> dict:
+    if event.kind == "rate":
+        return {"kind": "rate", "user": event.user, "rp": event.rp, "rc": event.rc}
+    return _edge_record(event.kind, event.edge)
+
+
 def save_events(events, path: str | Path, metadata: dict | None = None) -> int:
     """Write a churn script as line JSON; returns the event count.
 
@@ -213,72 +270,24 @@ def save_events(events, path: str | Path, metadata: dict | None = None) -> int:
     edges earlier adds created).
     """
     events = list(events)
-    with _open_text(path, "w") as handle:
-        header = {
-            "kind": "header",
-            "format": CHURN_FORMAT,
-            "version": FORMAT_VERSION,
-            "events": len(events),
-            "metadata": metadata or {},
-        }
-        handle.write(json.dumps(header) + "\n")
-        for event in events:
-            if event.kind == "rate":
-                record = {
-                    "kind": "rate",
-                    "user": event.user,
-                    "rp": event.rp,
-                    "rc": event.rc,
-                }
-            else:
-                record = {"kind": event.kind, "edge": _edge_key(event.edge)}
-            handle.write(json.dumps(record) + "\n")
-    return len(events)
+    header = _header(CHURN_FORMAT, events=len(events), metadata=metadata or {})
+    return _write(path, header, map(_event_record, events))
 
 
 def load_events(path: str | Path) -> tuple[list[ChurnEvent], dict]:
     """Read a churn script; returns ``(events, header_metadata)``."""
     events: list[ChurnEvent] = []
-    with _open_text(path, "r") as handle:
-        first = handle.readline()
-        if not first:
-            raise WorkloadError(f"{path}: empty churn file")
-        header = json.loads(first)
-        if header.get("format") != CHURN_FORMAT:
-            raise WorkloadError(
-                f"{path}: not a {CHURN_FORMAT} file (format={header.get('format')!r})"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise WorkloadError(
-                f"{path}: unsupported version {header.get('version')!r}"
-            )
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind in ("add", "remove"):
-                events.append(
-                    ChurnEvent(kind=kind, edge=_edge_from(record["edge"]))
-                )
-            elif kind == "rate":
-                events.append(
-                    ChurnEvent(
-                        kind="rate",
-                        user=record["user"],
-                        rp=float(record["rp"]),
-                        rc=float(record["rc"]),
-                    )
-                )
-            else:
-                raise WorkloadError(
-                    f"{path}:{lineno}: unknown record kind {kind!r}"
-                )
-    if len(events) != header["events"]:
-        raise WorkloadError(
-            f"{path}: event count disagrees with header (truncated?)"
-        )
+
+    def edge_event(record: dict) -> None:
+        events.append(ChurnEvent(kind=record["kind"], edge=_edge(record["edge"])))
+
+    def rate_event(record: dict) -> None:
+        user, rp, rc = _node(record["user"]), float(record["rp"]), float(record["rc"])
+        events.append(ChurnEvent(kind="rate", user=user, rp=rp, rc=rc))
+
+    handlers = {"add": edge_event, "remove": edge_event, "rate": rate_event}
+    header = _read(path, CHURN_FORMAT, WorkloadError, handlers)
+    _check_counts(path, header, WorkloadError, events=len(events))
     return events, header.get("metadata", {})
 
 
@@ -288,65 +297,24 @@ def load_events(path: str | Path) -> tuple[list[ChurnEvent], dict]:
 def save_delta_state(delta, path: str | Path, metadata: dict | None = None) -> int:
     """Snapshot a :class:`~repro.core.delta.DeltaScheduler`; returns records.
 
-    Persists everything the next process needs to continue the stream:
-    the live edge set, the current (possibly churn-drifted) rates, the
-    maintained schedule, and the residue still awaiting repair.  The warm
-    flow preflows themselves are per-process caches and are rebuilt on
-    demand after :func:`load_delta_state`.
+    Persists what the next process needs to continue the stream: live
+    edges, current (possibly churn-drifted) rates, the maintained schedule
+    and the residue awaiting repair.  Warm flow preflows are per-process
+    caches, rebuilt on demand after :func:`load_delta_state`.
     """
-    records = 0
     edges = sorted(delta.graph.edges(), key=repr)
-    users = sorted(delta.workload.users, key=repr)
     residue = sorted(delta.residue(), key=repr)
-    schedule = delta.schedule
-    with _open_text(path, "w") as handle:
-        header = {
-            "kind": "header",
-            "format": DELTA_FORMAT,
-            "version": FORMAT_VERSION,
-            "edges": len(edges),
-            "users": len(users),
-            "push_edges": len(schedule.push),
-            "pull_edges": len(schedule.pull),
-            "hub_covers": len(schedule.hub_cover),
-            "residue": len(residue),
-            "metadata": metadata or {},
-        }
-        handle.write(json.dumps(header) + "\n")
-        for edge in edges:
-            handle.write(json.dumps({"kind": "edge", "edge": _edge_key(edge)}) + "\n")
-            records += 1
-        for user in users:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "rates",
-                        "user": user,
-                        "rp": delta.workload.rp(user),
-                        "rc": delta.workload.rc(user),
-                    }
-                )
-                + "\n"
-            )
-            records += 1
-        for edge in sorted(schedule.push, key=repr):
-            handle.write(json.dumps({"kind": "push", "edge": _edge_key(edge)}) + "\n")
-            records += 1
-        for edge in sorted(schedule.pull, key=repr):
-            handle.write(json.dumps({"kind": "pull", "edge": _edge_key(edge)}) + "\n")
-            records += 1
-        for edge, hub in sorted(schedule.hub_cover.items(), key=repr):
-            handle.write(
-                json.dumps({"kind": "cover", "edge": _edge_key(edge), "hub": hub})
-                + "\n"
-            )
-            records += 1
-        for edge in residue:
-            handle.write(
-                json.dumps({"kind": "residue", "edge": _edge_key(edge)}) + "\n"
-            )
-            records += 1
-    return records
+    schedule, users = delta.schedule, len(delta.workload.users)
+    counts = _delta_counts(len(edges), users, schedule, len(residue))
+    header = _header(DELTA_FORMAT, **counts, metadata=metadata or {})
+
+    records = chain(
+        (_edge_record("edge", edge) for edge in edges),
+        _rates_records(delta.workload),
+        _schedule_records(schedule),
+        (_edge_record("residue", edge) for edge in residue),
+    )
+    return _write(path, header, records)
 
 
 def load_delta_state(path: str | Path, **options):
@@ -359,67 +327,19 @@ def load_delta_state(path: str | Path, **options):
     from repro.core.delta import DeltaScheduler
 
     graph = SocialGraph()
-    production: dict = {}
-    consumption: dict = {}
+    production, consumption = {}, {}
     schedule = RequestSchedule()
     residue: list = []
-    with _open_text(path, "r") as handle:
-        first = handle.readline()
-        if not first:
-            raise ScheduleError(f"{path}: empty delta-state file")
-        header = json.loads(first)
-        if header.get("format") != DELTA_FORMAT:
-            raise ScheduleError(
-                f"{path}: not a {DELTA_FORMAT} file (format={header.get('format')!r})"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise ScheduleError(
-                f"{path}: unsupported version {header.get('version')!r}"
-            )
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "edge":
-                graph.add_edge(*_edge_from(record["edge"]))
-            elif kind == "rates":
-                production[record["user"]] = float(record["rp"])
-                consumption[record["user"]] = float(record["rc"])
-            elif kind == "push":
-                schedule.add_push(_edge_from(record["edge"]))
-            elif kind == "pull":
-                schedule.add_pull(_edge_from(record["edge"]))
-            elif kind == "cover":
-                schedule.cover_via_hub(_edge_from(record["edge"]), record["hub"])
-            elif kind == "residue":
-                residue.append(_edge_from(record["edge"]))
-            else:
-                raise ScheduleError(
-                    f"{path}:{lineno}: unknown record kind {kind!r}"
-                )
-    counts = (
-        len(list(graph.edges())),
-        len(production),
-        len(schedule.push),
-        len(schedule.pull),
-        len(schedule.hub_cover),
-        len(residue),
-    )
-    expected = tuple(
-        header[key]
-        for key in ("edges", "users", "push_edges", "pull_edges", "hub_covers", "residue")
-    )
-    if counts != expected:
-        raise ScheduleError(
-            f"{path}: record counts disagree with header (truncated?)"
-        )
-    delta = DeltaScheduler(
-        graph,
-        Workload(production=production, consumption=consumption),
-        schedule,
-        **options,
-    )
+    handlers = {
+        "edge": lambda r: graph.add_edge(*_edge(r["edge"])),
+        "residue": lambda r: residue.append(_edge(r["edge"])),
+        **_rates_decoders(production, consumption),
+        **_schedule_decoders(schedule),
+    }
+    header = _read(path, DELTA_FORMAT, ScheduleError, handlers)
+    counts = _delta_counts(graph.num_edges, len(production), schedule, len(residue))
+    _check_counts(path, header, ScheduleError, **counts)
+    workload = Workload(production=production, consumption=consumption)
+    delta = DeltaScheduler(graph, workload, schedule, **options)
     delta.restore_residue(residue)
     return delta, header.get("metadata", {})

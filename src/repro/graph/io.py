@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -31,25 +32,30 @@ def iter_edge_list(path: str | Path) -> Iterator[Edge]:
     """Stream ``(producer, consumer)`` integer pairs from an edge-list file.
 
     Blank lines and lines starting with ``#`` or ``%`` are skipped.  A line
-    with anything other than two integer tokens raises :class:`GraphError`
-    that names the offending line number.
+    with anything other than two integer tokens, bytes that are not UTF-8,
+    or a cut or corrupt ``.gz`` stream raise :class:`GraphError` naming
+    the file and line.
     """
-    with _open_text(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(COMMENT_CHARS):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise GraphError(
-                    f"{path}:{lineno}: expected 'producer consumer', got {stripped!r}"
-                )
-            try:
-                yield (int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise GraphError(
-                    f"{path}:{lineno}: non-integer node id in {stripped!r}"
-                ) from exc
+    lineno = 0
+    try:
+        with _open_text(path, "r") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith(COMMENT_CHARS):
+                    continue
+                parts = stripped.split()
+                if len(parts) != 2:
+                    raise GraphError(
+                        f"{path}:{lineno}: expected 'producer consumer', got {stripped!r}"
+                    )
+                try:
+                    yield (int(parts[0]), int(parts[1]))
+                except ValueError as exc:
+                    raise GraphError(
+                        f"{path}:{lineno}: non-integer node id in {stripped!r}"
+                    ) from exc
+    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise GraphError(f"{path}:{lineno + 1}: unreadable ({exc})") from exc
 
 
 def read_edge_list(path: str | Path) -> SocialGraph:

@@ -440,6 +440,43 @@ class TestCompareAndStats:
         assert main(["stats", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_input_reported_cleanly(self, graph_file, tmp_path, capsys):
+        path, _graph = graph_file
+        schedule = tmp_path / "s.json"
+        assert main(["optimize", str(path), "-o", str(schedule)]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing.txt"
+        assert main(["validate", str(missing), str(schedule)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.txt" in err
+
+    def test_unwritable_output_reported_cleanly(self, graph_file, tmp_path, capsys):
+        path, _graph = graph_file
+        out = tmp_path / "no" / "such" / "dir" / "s.json"
+        assert main(["optimize", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "cost", "update"])
+    def test_cut_line_file_reported_cleanly(
+        self, graph_file, tmp_path, capsys, command
+    ):
+        """A file cut mid-record exits 2 naming the file, not a traceback."""
+        path, graph = graph_file
+        schedule = tmp_path / "s.json"
+        assert main(["optimize", str(path), "-o", str(schedule)]) == 0
+        events = tmp_path / "events.json"
+        save_events(churn_stream(graph, log_degree_workload(graph), 5, seed=1), events)
+        cut = events if command == "update" else schedule
+        cut.write_bytes(cut.read_bytes()[:-10])
+        capsys.readouterr()
+        argv = [command, str(path), str(schedule)]
+        if command == "update":
+            argv += [str(events), "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{cut}:" in err
+
 
 class TestObservability:
     def test_optimize_trace_writes_valid_chrome_trace(

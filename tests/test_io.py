@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gzip
+
 import pytest
 
 from repro.errors import GraphError
@@ -33,6 +35,19 @@ class TestRead:
         path = tmp_path / "g.txt"
         path.write_text("a b\n")
         with pytest.raises(GraphError, match="non-integer"):
+            read_edge_list(path)
+
+    def test_cut_gzip_stream_raises_with_path(self, tmp_path):
+        path = tmp_path / "g.txt.gz"
+        data = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(GraphError, match="g.txt.gz"):
+            read_edge_list(path)
+
+    def test_non_utf8_bytes_raise_with_path(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"1 2\n3 \xff4\n")
+        with pytest.raises(GraphError, match="g.txt"):
             read_edge_list(path)
 
     def test_duplicates_collapse(self, tmp_path):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 
 import pytest
 
+from repro.core import serialize
 from repro.core.chitchat import chitchat_schedule
 from repro.core.delta import DeltaScheduler
 from repro.core.parallelnosy import parallel_nosy_schedule
@@ -21,6 +23,7 @@ from repro.core.serialize import (
     save_workload,
 )
 from repro.errors import ScheduleError, WorkloadError
+from repro.graph.digraph import SocialGraph
 from repro.graph.generators import social_copying_graph
 from repro.workload.churn import ChurnEvent, churn_stream
 from repro.workload.rates import Workload, log_degree_workload
@@ -29,9 +32,7 @@ from tests.test_relabel import LABELINGS, relabel
 
 @pytest.fixture
 def schedule():
-    s = RequestSchedule(push={(1, 2), (3, 4)}, pull={(2, 5)})
-    s.cover_via_hub((1, 5), 2)
-    return s
+    return small_schedule()
 
 
 class TestScheduleRoundTrip:
@@ -48,6 +49,7 @@ class TestScheduleRoundTrip:
     def test_gzip_roundtrip(self, schedule, tmp_path):
         path = tmp_path / "s.json.gz"
         save_schedule(schedule, path)
+        assert path.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
         loaded, _ = load_schedule(path)
         assert loaded.push == schedule.push
 
@@ -69,56 +71,6 @@ class TestScheduleRoundTrip:
         assert not loaded.push and not loaded.pull and not loaded.hub_cover
 
 
-class TestScheduleErrors:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "e.json"
-        path.write_text("")
-        with pytest.raises(ScheduleError, match="empty"):
-            load_schedule(path)
-
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps({"kind": "header", "format": "other"}) + "\n")
-        with pytest.raises(ScheduleError, match="not a repro-schedule"):
-            load_schedule(path)
-
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "v.json"
-        path.write_text(
-            json.dumps(
-                {"kind": "header", "format": "repro-schedule", "version": 99}
-            )
-            + "\n"
-        )
-        with pytest.raises(ScheduleError, match="version"):
-            load_schedule(path)
-
-    def test_truncation_detected(self, schedule, tmp_path):
-        path = tmp_path / "t.json"
-        save_schedule(schedule, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop last record
-        with pytest.raises(ScheduleError, match="truncated"):
-            load_schedule(path)
-
-    def test_unknown_record_kind(self, tmp_path):
-        path = tmp_path / "u.json"
-        header = {
-            "kind": "header",
-            "format": "repro-schedule",
-            "version": 1,
-            "push_edges": 0,
-            "pull_edges": 0,
-            "hub_covers": 0,
-            "metadata": {},
-        }
-        path.write_text(
-            json.dumps(header) + "\n" + json.dumps({"kind": "wat"}) + "\n"
-        )
-        with pytest.raises(ScheduleError, match="unknown record kind"):
-            load_schedule(path)
-
-
 class TestWorkloadRoundTrip:
     def test_roundtrip(self, tmp_path):
         w = Workload(
@@ -137,23 +89,6 @@ class TestWorkloadRoundTrip:
         save_workload(w, path)
         loaded = load_workload(path)
         assert loaded.read_write_ratio == pytest.approx(w.read_write_ratio)
-
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"format": "other"}) + "\n")
-        with pytest.raises(WorkloadError):
-            load_workload(path)
-
-    def test_truncation_detected(self, tmp_path):
-        graph = social_copying_graph(30, seed=3)
-        w = log_degree_workload(graph)
-        path = tmp_path / "w.json"
-        save_workload(w, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(WorkloadError, match="truncated"):
-            load_workload(path)
-
 
 def churned_delta(events_applied: int = 20, labeling: str = "dense"):
     """A DeltaScheduler mid-stream, with pending residue to snapshot.
@@ -194,36 +129,6 @@ class TestChurnRoundTrip:
         save_events(events, path)
         loaded, _ = load_events(path)
         assert loaded == events
-
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"format": "repro-schedule"}) + "\n")
-        with pytest.raises(WorkloadError, match="not a repro-churn"):
-            load_events(path)
-
-    def test_truncation_detected(self, tmp_path):
-        events = [ChurnEvent(kind="add", edge=(1, 2))] * 3
-        path = tmp_path / "t.json"
-        save_events(events, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(WorkloadError, match="truncated"):
-            load_events(path)
-
-    def test_unknown_record_kind(self, tmp_path):
-        path = tmp_path / "u.json"
-        header = {
-            "kind": "header",
-            "format": "repro-churn",
-            "version": 1,
-            "events": 1,
-            "metadata": {},
-        }
-        path.write_text(
-            json.dumps(header) + "\n" + json.dumps({"kind": "merge"}) + "\n"
-        )
-        with pytest.raises(WorkloadError, match="unknown record kind"):
-            load_events(path)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_rate_rejected(self, tmp_path, literal):
@@ -284,17 +189,220 @@ class TestDeltaStateRoundTrip:
         resumed.repair()
         assert resumed.is_feasible()
 
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"format": "repro-churn"}) + "\n")
-        with pytest.raises(ScheduleError, match="not a repro-delta"):
-            load_delta_state(path)
 
-    def test_truncation_detected(self, tmp_path):
-        delta, _events = churned_delta()
-        path = tmp_path / "t.json"
-        save_delta_state(delta, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ScheduleError, match="truncated"):
-            load_delta_state(path)
+# ----------------------------------------------------------------------
+# One small instance per format, its pinned bytes, and malformed copies
+# ----------------------------------------------------------------------
+def small_schedule():
+    s = RequestSchedule(push={(1, 2), (3, 4)}, pull={(2, 5)})
+    s.cover_via_hub((1, 5), 2)
+    return s
+
+
+def small_delta():
+    """A three-user scheduler with one add applied: residue pending."""
+    graph = SocialGraph()
+    graph.add_edges_from([(0, 1), (1, 2), (0, 2)])
+    workload = Workload(
+        production={0: 1.0, 1: 2.0, 2: 0.5}, consumption={0: 1.0, 1: 1.0, 2: 4.0}
+    )
+    schedule = RequestSchedule(push={(0, 1)}, pull={(1, 2)})
+    schedule.cover_via_hub((0, 2), 1)
+    delta = DeltaScheduler(graph, workload, schedule)
+    delta.apply(ChurnEvent(kind="add", edge=(2, 0)))
+    return delta
+
+
+#: format -> (write the small instance to a path, loader, error class,
+#: the exact text written)
+FORMATS = {
+    "schedule": (
+        lambda path: save_schedule(small_schedule(), path, {"algorithm": "manual"}),
+        load_schedule,
+        ScheduleError,
+        '{"kind": "header", "format": "repro-schedule", "version": 1, '
+        '"push_edges": 2, "pull_edges": 1, "hub_covers": 1, '
+        '"metadata": {"algorithm": "manual"}}\n'
+        '{"kind": "push", "edge": [1, 2]}\n'
+        '{"kind": "push", "edge": [3, 4]}\n'
+        '{"kind": "pull", "edge": [2, 5]}\n'
+        '{"kind": "cover", "edge": [1, 5], "hub": 2}\n',
+    ),
+    "workload": (
+        lambda path: save_workload(
+            Workload(production={2: 1.5, "u": 0.25}, consumption={2: 3.0, "u": 9.0}),
+            path,
+        ),
+        load_workload,
+        WorkloadError,
+        '{"kind": "header", "format": "repro-workload", "version": 1, "users": 2}\n'
+        '{"kind": "rates", "user": "u", "rp": 0.25, "rc": 9.0}\n'
+        '{"kind": "rates", "user": 2, "rp": 1.5, "rc": 3.0}\n',
+    ),
+    "churn": (
+        lambda path: save_events(
+            [
+                ChurnEvent(kind="add", edge=(1, 2)),
+                ChurnEvent(kind="remove", edge=(2, 3)),
+                ChurnEvent(kind="rate", user="u", rp=0.5, rc=2.5),
+            ],
+            path,
+            metadata={"seed": 5},
+        ),
+        load_events,
+        WorkloadError,
+        '{"kind": "header", "format": "repro-churn", "version": 1, "events": 3, '
+        '"metadata": {"seed": 5}}\n'
+        '{"kind": "add", "edge": [1, 2]}\n'
+        '{"kind": "remove", "edge": [2, 3]}\n'
+        '{"kind": "rate", "user": "u", "rp": 0.5, "rc": 2.5}\n',
+    ),
+    "delta": (
+        lambda path: save_delta_state(small_delta(), path, {"applied": 1}),
+        load_delta_state,
+        ScheduleError,
+        '{"kind": "header", "format": "repro-delta", "version": 1, "edges": 4, '
+        '"users": 3, "push_edges": 2, "pull_edges": 1, "hub_covers": 1, '
+        '"residue": 1, "metadata": {"applied": 1}}\n'
+        '{"kind": "edge", "edge": [0, 1]}\n'
+        '{"kind": "edge", "edge": [0, 2]}\n'
+        '{"kind": "edge", "edge": [1, 2]}\n'
+        '{"kind": "edge", "edge": [2, 0]}\n'
+        '{"kind": "rates", "user": 0, "rp": 1.0, "rc": 1.0}\n'
+        '{"kind": "rates", "user": 1, "rp": 2.0, "rc": 1.0}\n'
+        '{"kind": "rates", "user": 2, "rp": 0.5, "rc": 4.0}\n'
+        '{"kind": "push", "edge": [0, 1]}\n'
+        '{"kind": "push", "edge": [2, 0]}\n'
+        '{"kind": "pull", "edge": [1, 2]}\n'
+        '{"kind": "cover", "edge": [0, 2], "hub": 1}\n'
+        '{"kind": "residue", "edge": [2, 0]}\n',
+    ),
+}
+
+
+def _lines(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _edit(text, index, edit):
+    """The file with line ``index``'s JSON object passed through ``edit``."""
+    lines = text.splitlines()
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
+    return _lines(lines)
+
+
+def _set_node(value):
+    """Put ``value`` where the record holds a node id."""
+
+    def edit(record):
+        for key in ("user", "hub"):
+            if key in record:
+                record[key] = value
+                return
+        record["edge"][0] = value
+
+    return edit
+
+
+def _drop_count(header):
+    del header[next(k for k in header if k not in ("kind", "format", "version"))]
+
+
+def _non_utf8(text):
+    data = _lines(text.splitlines())
+    at = data.rindex(b'"kind"') + 2
+    return data[:at] + b"\xff" + data[at:]
+
+
+def _half(data):
+    return data[: len(data) // 2]
+
+
+def _non_finite_rate(text):
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if '"rp"' in line)
+    return _edit(text, index, lambda record: record.update(rp=float("nan")))
+
+
+#: corruption -> (file suffix, text -> bytes, message fragment or None)
+CORRUPTIONS = {
+    "empty": (".json", lambda text: b"", "empty"),
+    "other_format": (
+        ".json", lambda t: _edit(t, 0, lambda h: h.update(format="repro-x")), "not a"
+    ),
+    "non_json_header": (".json", lambda t: _lines(["nope"] + t.splitlines()[1:]), None),
+    "non_object_header": (
+        ".json", lambda t: _lines(["[1, 2]"] + t.splitlines()[1:]), "not a"
+    ),
+    "version_99": (
+        ".json", lambda t: _edit(t, 0, lambda h: h.update(version=99)), "version"
+    ),
+    "missing_count": (".json", lambda t: _edit(t, 0, _drop_count), "truncated"),
+    "cut_line": (".json", lambda t: t.encode()[: len(t) - 12], None),
+    "dropped_record": (".json", lambda t: _lines(t.splitlines()[:-1]), "truncated"),
+    "non_utf8": (".json", _non_utf8, None),
+    "non_object_record": (".json", lambda t: _lines(t.splitlines() + ["[1, 2]"]), None),
+    "unknown_kind": (
+        ".json", lambda t: _edit(t, -1, lambda r: r.update(kind="wat")),
+        "unknown record kind",
+    ),
+    "missing_field": (".json", lambda t: _edit(t, -1, lambda r: r.popitem()), "no field"),
+    "list_node": (".json", lambda t: _edit(t, 1, _set_node([1])), "node id"),
+    "float_node": (".json", lambda t: _edit(t, -1, _set_node(1.5)), "node id"),
+    "bool_node": (".json", lambda t: _edit(t, -1, _set_node(True)), "node id"),
+    "non_finite_rate": (".json", _non_finite_rate, "invalid rate"),
+    "gzip_cut": (".json.gz", lambda t: _half(gzip.compress(t.encode())), None),
+}
+
+MALFORMED = [
+    (fmt, corruption)
+    for fmt in FORMATS
+    for corruption in CORRUPTIONS
+    if not (fmt == "schedule" and corruption == "non_finite_rate")  # no rates
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_format_is_pinned(tmp_path, fmt):
+    """Each format's bytes, written from a small instance, are fixed."""
+    write, load, _error, expected = FORMATS[fmt]
+    path = tmp_path / "pinned.json"
+    write(path)
+    assert path.read_text(encoding="utf-8") == expected
+    load(path)
+
+
+@pytest.mark.parametrize("fmt,corruption", MALFORMED)
+def test_malformed_file_raises_format_error(tmp_path, fmt, corruption):
+    """Every malformed copy of every format raises the format's error class
+    (a :class:`~repro.errors.ReproError`) naming the file — never a raw
+    JSON/Unicode/gzip/Key/Type error, and never a silent load."""
+    write, load, error, _expected = FORMATS[fmt]
+    clean = tmp_path / "clean.json"
+    write(clean)
+    suffix, corrupt, fragment = CORRUPTIONS[corruption]
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(corrupt(clean.read_text(encoding="utf-8")))
+    with pytest.raises(error, match=fragment) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_failed_write_leaves_previous_file(tmp_path, suffix):
+    """A write that dies midway leaves the old file byte-identical and no
+    temporary file behind."""
+    path = tmp_path / f"s{suffix}"
+    save_schedule(small_schedule(), path)
+    before = path.read_bytes()
+
+    def records():
+        yield {"kind": "push", "edge": [7, 8]}
+        raise RuntimeError("writer died")
+
+    with pytest.raises(RuntimeError, match="writer died"):
+        serialize._write(path, {"kind": "header"}, records())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
